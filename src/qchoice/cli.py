@@ -26,12 +26,12 @@ from .experiments import (
 )
 from .quantum import (
     DEFAULT_DIM_CAP,
-    Prospect,
-    decohere,
-    normalize_prospect_set,
-    prospect_probability,
+    chunk_slices,
+    decohere_levels,
+    normalize,
     random_density_operator,
     sample_inconclusive,
+    split,
 )
 from .verify import SUITE_NAMES, run_suite
 
@@ -201,7 +201,7 @@ def attraction_set(n_prospects: int, fmt: str, out: str | None) -> None:
 @cli.command()
 @click.argument("suite", type=click.Choice(SUITE_NAMES))
 @click.option("--samples", type=int, default=None, help="sampling effort of the suite")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @_format_option
 @_out_option
 def verify(suite: str, samples: int | None, seed: int, fmt: str, out: str | None) -> None:
@@ -245,7 +245,7 @@ def _parse_dims(text: str) -> tuple[int, int]:
 
 @cli.command()
 @click.option("--dims", default="4,3", show_default=True, help="choice,inconclusive dimensions")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option(
     "--sweep-steps",
     type=int,
@@ -265,33 +265,31 @@ def simulate(dims: str, seed: int, sweep_steps: int, fmt: str, out: str | None) 
     rng = np.random.default_rng(seed)
     rho = random_density_operator(n_dim * b_dim, rng)
     b = sample_inconclusive(b_dim, rng)
-    prospects = [Prospect(n, b) for n in range(n_dim)]
+    levels = np.linspace(0.0, 1.0, sweep_steps)
 
     sweep = []
     lines = [
         f"decoherence sweep   dims=({n_dim},{b_dim}) seed={seed}",
         f"{'damping':<10} {'p (normalized)':<{9 * n_dim + 2}} {'max |q|':>12}",
     ]
-    for level in np.linspace(0.0, 1.0, sweep_steps):
-        damped = decohere(rho, float(level), block_dims=(n_dim, b_dim))
-        family = normalize_prospect_set(
-            [prospect_probability(damped, pr, (n_dim, b_dim)) for pr in prospects]
-        )
-        p_row = [float(t.p) for t in family]
-        f_row = [float(t.f) for t in family]
-        q_row = [float(t.q) for t in family]
-        max_q = max(abs(x) for x in q_row)
-        sweep.append(
-            {
-                "damping": float(level),
-                "p": p_row,
-                "f": f_row,
-                "q": q_row,
-                "max_abs_q": max_q,
-            }
-        )
-        p_text = " ".join(f"{x:8.5f}" for x in p_row)
-        lines.append(f"{level:<10.3f} {p_text:<{9 * n_dim + 2}} {max_q:12.3e}")
+    for chunk in chunk_slices(sweep_steps):
+        p_raw, f_raw, _ = split(decohere_levels(rho, levels[chunk]), b, (n_dim, b_dim))
+        p, f, q = normalize(p_raw, f_raw)
+        for level, p_row, f_row, q_row in zip(
+            levels[chunk].tolist(), p.tolist(), f.tolist(), q.tolist()
+        ):
+            max_q = max(abs(x) for x in q_row)
+            sweep.append(
+                {
+                    "damping": level,
+                    "p": p_row,
+                    "f": f_row,
+                    "q": q_row,
+                    "max_abs_q": max_q,
+                }
+            )
+            p_text = " ".join(f"{x:8.5f}" for x in p_row)
+            lines.append(f"{level:<10.3f} {p_text:<{9 * n_dim + 2}} {max_q:12.3e}")
     lines.append("interference dies off linearly; at damping 1 only f survives")
     stats = {
         "dims": [n_dim, b_dim],

@@ -17,9 +17,23 @@ of prospects, and damp interference with a decoherence knob.
 Basis convention: the composite index of choice ``n`` with inconclusive
 component ``alpha`` is ``n * b_dim + alpha`` (row-major, choice register
 first).  ``tensor`` follows the same convention.
+
+The work is done by array kernels over stacks of states: ``split`` (the
+``p/f/q`` split of every choice index), ``normalize`` (family
+renormalization along the last axis), ``decohere_levels`` (one damped copy
+per damping level) and ``trace_rule`` (``Tr(rho A)``).  The scalar API
+(``prospect_probability``, ``normalize_prospect_set``, ``decohere``,
+``EventOperator.expectation``) wraps them, one state, level or family at
+a time, so a batched caller and a scalar caller get bitwise-identical
+numbers.  Batched callers hand over at most ``BATCH_CHUNK`` levels or
+draws at a time (see ``chunk_slices``), which keeps memory flat however
+long the sweep or suite is.
 """
 from __future__ import annotations
 
+import math
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +54,8 @@ IMAG_TOL = 1e-10
 IDENTITY_TOL = 1e-12
 #: Default cap on composite dimension for the random generators.
 DEFAULT_DIM_CAP = 64
+#: Damping levels or random draws handed to the kernels in one stack.
+BATCH_CHUNK = 16
 
 _NORM_TOL = 1e-12
 
@@ -62,16 +78,44 @@ def _as_operator_matrix(values, *, what: str) -> np.ndarray:
         raise ValidationError(f"{what} must be a square matrix, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise ValidationError(f"{what} must have dimension at least 1")
-    if not np.all(np.isfinite(arr.view(np.float64))):
+    _check_hermitian(arr, what=what)
+    arr.setflags(write=False)
+    return arr
+
+
+def _check_hermitian(arr: np.ndarray, *, what: str) -> None:
+    """Finite entries and Hermitian symmetry of a ``(..., d, d)`` stack, in one pass."""
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{what} contains non-finite entries")
-    herm_defect = float(np.max(np.abs(arr - arr.conj().T)))
+    herm_defect = float(np.abs(arr - np.swapaxes(arr, -1, -2).conj()).max())
     if herm_defect > HERMITIAN_TOL:
         raise ValidationError(
             f"{what} is not Hermitian: max |A - A^dagger| = {herm_defect:.3e} "
             f"exceeds {HERMITIAN_TOL:.0e}"
         )
-    arr.setflags(write=False)
-    return arr
+
+
+def _check_density(arr: np.ndarray) -> None:
+    """Unit trace and positive semi-definiteness of a ``(..., d, d)`` stack.
+
+    One ``trace`` and one ``eigvalsh`` call cover the whole stack; the
+    first offending matrix is reported.
+    """
+    traces = np.trace(arr, axis1=-2, axis2=-1)
+    defects = np.abs(traces - 1.0)
+    if defects.max() > TRACE_TOL:
+        worst = int(np.argmax(defects > TRACE_TOL))
+        trace = complex(traces.flat[worst])
+        raise ValidationError(
+            f"density operator trace must be 1, got {trace.real!r} "
+            f"(defect {abs(trace - 1.0):.3e} exceeds {TRACE_TOL:.0e})"
+        )
+    eigmin = float(np.linalg.eigvalsh(arr)[..., 0].min())
+    if eigmin < PSD_EIGENVALUE_SLACK:
+        raise ValidationError(
+            f"density operator has negative eigenvalue {eigmin:.3e} "
+            f"below slack {PSD_EIGENVALUE_SLACK:.0e}"
+        )
 
 
 def _rng(seed: int | np.random.Generator) -> np.random.Generator:
@@ -144,19 +188,15 @@ class DensityOperator:
 
     def __post_init__(self) -> None:
         arr = _as_operator_matrix(self.matrix, what="density operator")
-        trace = complex(np.trace(arr))
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise ValidationError(
-                f"density operator trace must be 1, got {trace.real!r} "
-                f"(defect {abs(trace - 1.0):.3e} exceeds {TRACE_TOL:.0e})"
-            )
-        eigmin = float(np.linalg.eigvalsh(arr)[0])
-        if eigmin < PSD_EIGENVALUE_SLACK:
-            raise ValidationError(
-                f"density operator has negative eigenvalue {eigmin:.3e} "
-                f"below slack {PSD_EIGENVALUE_SLACK:.0e}"
-            )
+        _check_density(arr)
         object.__setattr__(self, "matrix", arr)
+
+    @classmethod
+    def _checked(cls, matrix: np.ndarray) -> "DensityOperator":
+        """Wrap a read-only matrix that already passed every check above."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "matrix", matrix)
+        return rho
 
     @property
     def dim(self) -> int:
@@ -228,13 +268,7 @@ class EventOperator:
                 f"dimension mismatch: event is {self.dim}-dimensional, "
                 f"state is {rho.dim}-dimensional"
             )
-        value = complex(np.trace(rho.matrix @ self.matrix))
-        if abs(value.imag) > IMAG_TOL:
-            raise ValidationError(
-                f"event expectation has imaginary part {value.imag:.3e}; "
-                "operator inputs are inconsistent"
-            )
-        return float(value.real)
+        return float(trace_rule(rho.matrix, self.matrix))
 
 
 @dataclass(frozen=True)
@@ -244,15 +278,26 @@ class Prospect:
     ``choice_index`` picks the basis state of the choice register;
     ``b_coeffs`` are the (possibly unnormalized) amplitudes over the
     inconclusive register.  With normalized coefficients the prospect
-    state is a unit vector and probabilities land in [0, 1].
+    state is a unit vector and probabilities land in [0, 1].  The index
+    must be a non-negative integer (numpy integers included, ``bool``
+    excluded); it is stored as a plain ``int``.
     """
 
     choice_index: int
     b_coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.choice_index < 0:
-            raise ValidationError(f"choice index must be >= 0, got {self.choice_index}")
+        try:
+            index = operator.index(self.choice_index)
+        except TypeError:
+            index = None
+        if index is None or isinstance(self.choice_index, bool):
+            raise ValidationError(
+                f"choice index must be an integer, got {self.choice_index!r}"
+            )
+        if index < 0:
+            raise ValidationError(f"choice index must be >= 0, got {index}")
+        object.__setattr__(self, "choice_index", index)
         arr = _as_complex_vector(self.b_coeffs, what="inconclusive coefficients")
         object.__setattr__(self, "b_coeffs", arr)
 
@@ -276,7 +321,7 @@ class ProbabilityTriple:
 
     def __post_init__(self) -> None:
         for label, value in (("p", self.p), ("f", self.f), ("q", self.q)):
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValidationError(f"probability component {label} is not finite")
         defect = abs(self.p - (self.f + self.q))
         if defect > IDENTITY_TOL:
@@ -302,13 +347,7 @@ def tensor(left: StateVector, right: StateVector) -> StateVector:
     return StateVector(np.kron(left.amplitudes, right.amplitudes))
 
 
-def prospect_state(prospect: Prospect, n_dim: int, b_dim: int) -> StateVector:
-    """Embed a prospect into the composite space ``n_dim * b_dim``.
-
-    The result is ``|n> (x) sum_alpha b_alpha |alpha>``: the coefficients
-    occupy the block of rows belonging to choice index ``n`` and every
-    other entry is zero.  Not normalized unless ``b_coeffs`` is.
-    """
+def _check_register(prospect: Prospect, n_dim: int, b_dim: int) -> None:
     if n_dim < 1 or b_dim < 1:
         raise ValidationError(
             f"register dimensions must be at least 1, got ({n_dim}, {b_dim})"
@@ -323,6 +362,16 @@ def prospect_state(prospect: Prospect, n_dim: int, b_dim: int) -> StateVector:
             f"choice index {prospect.choice_index} out of range for "
             f"{n_dim} choice states"
         )
+
+
+def prospect_state(prospect: Prospect, n_dim: int, b_dim: int) -> StateVector:
+    """Embed a prospect into the composite space ``n_dim * b_dim``.
+
+    The result is ``|n> (x) sum_alpha b_alpha |alpha>``: the coefficients
+    occupy the block of rows belonging to choice index ``n`` and every
+    other entry is zero.  Not normalized unless ``b_coeffs`` is.
+    """
+    _check_register(prospect, n_dim, b_dim)
     amp = np.zeros(n_dim * b_dim, dtype=np.complex128)
     start = prospect.choice_index * b_dim
     amp[start : start + b_dim] = prospect.b_coeffs
@@ -336,10 +385,185 @@ def prospect_projector(prospect: Prospect, n_dim: int, b_dim: int) -> EventOpera
     operator is not idempotent, and the probability rule ``Tr(rho P)``
     applies either way.
     """
-    state = prospect_state(prospect, n_dim, b_dim)
-    return EventOperator(
-        np.outer(state.amplitudes, state.amplitudes.conj()), kind="povm-element"
+    _check_register(prospect, n_dim, b_dim)
+    matrix = prospect_projector_stack(
+        prospect.b_coeffs[None], prospect.choice_index, (n_dim, b_dim)
+    )[0]
+    return EventOperator(matrix, kind="povm-element")
+
+
+def prospect_projector_stack(
+    coeffs: np.ndarray, choice_index: int, dims: tuple[int, int]
+) -> np.ndarray:
+    """``|pi_n><pi_n|`` of one choice index for each row of ``coeffs``.
+
+    ``coeffs`` is a ``(B, b_dim)`` stack of inconclusive coefficients; the
+    result is a ``(B, d, d)`` stack of full projectors (not validated),
+    matrix ``k`` belonging to ``Prospect(choice_index, coeffs[k])``.
+    """
+    n_dim, b_dim = dims
+    states = np.zeros((coeffs.shape[0], n_dim * b_dim), dtype=np.complex128)
+    states[:, choice_index * b_dim : (choice_index + 1) * b_dim] = coeffs
+    return states[:, :, None] * states.conj()[:, None, :]
+
+
+def chunk_slices(total: int) -> Iterator[slice]:
+    """Consecutive slices of at most ``BATCH_CHUNK`` items covering ``range(total)``."""
+    for start in range(0, total, BATCH_CHUNK):
+        yield slice(start, min(start + BATCH_CHUNK, total))
+
+
+def trace_rule(rhos, events) -> np.ndarray:
+    """``Tr(rho A)`` for broadcast ``(..., d, d)`` stacks of states and events.
+
+    One ``matmul`` and one ``trace`` per pair of matrices, over the full
+    ``d x d`` operators.  An imaginary residue above 1e-10 in any value
+    raises.  Returns the real parts, shaped like the broadcast stack.
+    """
+    values = np.trace(np.matmul(rhos, events), axis1=-2, axis2=-1)
+    residue = np.abs(values.imag)
+    if residue.size and residue.max() > IMAG_TOL:
+        worst = float(values.imag.flat[np.argmax(residue)])
+        raise ValidationError(
+            f"event expectation has imaginary part {worst:.3e}; "
+            "operator inputs are inconsistent"
+        )
+    return values.real
+
+
+def split(
+    rhos, b, dims: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``p``, ``f`` and ``q`` of every choice index for a stack of states.
+
+    ``rhos`` is a ``(B, d, d)`` stack of density operators with
+    ``d = n_dim * b_dim``; it is not re-validated, so build it from
+    validated operators.  ``b`` holds inconclusive coefficients: one
+    ``(b_dim,)`` vector shared by the stack, or a ``(B, b_dim)`` stack of
+    them.  Returns three ``(B, n_dim)`` arrays whose entry ``[k, n]``
+    belongs to ``Prospect(n, b)`` under ``rhos[k]``.
+
+    The stack is viewed as ``(B, n, b, n, b)`` and the diagonal choice
+    blocks ``<n alpha|rho|n beta>`` are taken with ``einsum``.  Weighted by
+    ``conj(b_alpha) b_beta``, the block's terms give ``p`` (all terms: the
+    quadratic form ``<b|block|b>``), ``f`` (the diagonal terms) and ``q``
+    (the off-diagonal terms), each summed on its own.  For Hermitian
+    states the sums are real; an imaginary residue above 1e-10 raises, as
+    does ``|p - (f + q)|`` above 1e-12.
+    """
+    n_dim, b_dim = dims
+    rhos = np.asarray(rhos, dtype=np.complex128)
+    if rhos.ndim != 3 or rhos.shape[1:] != (n_dim * b_dim, n_dim * b_dim):
+        raise ValidationError(
+            f"register dimensions {dims} are inconsistent with a state "
+            f"stack of shape {rhos.shape}"
+        )
+    count = rhos.shape[0]
+    if count == 0:
+        raise ValidationError("cannot split an empty state stack")
+    coeffs = np.asarray(b, dtype=np.complex128)
+    if coeffs.shape not in ((b_dim,), (count, b_dim)):
+        raise ValidationError(
+            f"inconclusive coefficients of shape {coeffs.shape} do not fit "
+            f"{count} states with inconclusive dimension {b_dim}"
+        )
+    blocks = np.einsum(
+        "inanb->inab", rhos.reshape(count, n_dim, b_dim, n_dim, b_dim)
     )
+    weights = coeffs.conj()[..., :, None] * coeffs[..., None, :]
+    terms = np.multiply(blocks, weights.reshape(-1, 1, b_dim, b_dim), order="C")
+    # Flatten each block; its diagonal sits at every (b_dim + 1)-th entry.
+    # Every sum runs along the last axis of a C-ordered array, so a row's
+    # result does not depend on how many rows share the call.
+    terms = terms.reshape(count, n_dim, b_dim * b_dim)
+    diagonal = slice(None, None, b_dim + 1)
+    off_diagonal = terms.copy()
+    off_diagonal[..., diagonal] = 0.0
+    pfq = np.stack(
+        [
+            terms.sum(axis=-1),
+            np.ascontiguousarray(terms[..., diagonal]).sum(axis=-1),
+            off_diagonal.sum(axis=-1),
+        ]
+    )
+    residue = np.abs(pfq.imag)
+    if residue.max() > IMAG_TOL:
+        worst = int(np.argmax(residue))
+        raise ValidationError(
+            f"{'pfq'[worst // (residue.size // 3)]} has imaginary residue "
+            f"{pfq.imag.flat[worst]:.3e} above {IMAG_TOL:.0e}; the state or "
+            "coefficients are inconsistent"
+        )
+    p, f, q = pfq.real
+    defect = np.abs(p - (f + q)).max()
+    if defect > IDENTITY_TOL:
+        raise ValidationError(
+            f"internal identity violated: |p - (f + q)| = {defect:.3e}"
+        )
+    return p, f, q
+
+
+def normalize(p, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Renormalize families of raw ``p`` and ``f`` along the last axis.
+
+    Each family (one row) has its ``p`` values rescaled to sum to 1 and
+    its ``f`` values likewise; the interference parts come back as
+    ``q' = p' - f'``, which sum to zero by construction.  Raw values below
+    -1e-12 raise ``ValidationError``; a family whose clipped ``p`` or ``f``
+    total is not positive raises ``DegenerateSetError``.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    f = np.asarray(f, dtype=np.float64)
+    if p.shape != f.shape:
+        raise ValidationError(f"p and f shapes differ: {p.shape} vs {f.shape}")
+    if p.ndim == 0 or p.shape[-1] == 0:
+        raise ValidationError("cannot normalize an empty prospect family")
+    slack = 1e-12
+    if min(p.min(), f.min()) < -slack:
+        worst = np.argmax((p < -slack) | (f < -slack))
+        raise ValidationError(
+            "raw probabilities must be non-negative, got "
+            f"p={float(p.flat[worst])!r}, f={float(f.flat[worst])!r}"
+        )
+    p = np.maximum(p, 0.0)
+    f = np.maximum(f, 0.0)
+    p_total = p.sum(axis=-1, keepdims=True)
+    f_total = f.sum(axis=-1, keepdims=True)
+    if p_total.min() <= 0.0 or f_total.min() <= 0.0:
+        raise DegenerateSetError(
+            "prospect family is degenerate: total p and total f must be positive"
+        )
+    p_n = p / p_total
+    f_n = f / f_total
+    return p_n, f_n, p_n - f_n
+
+
+def decohere_levels(rho: DensityOperator, levels) -> np.ndarray:
+    """One damped copy of ``rho`` per damping level, as a ``(L, d, d)`` stack.
+
+    Copy ``k`` has every off-diagonal element multiplied by
+    ``1 - levels[k]`` and the diagonal of ``rho`` copied unchanged.  Each
+    level must lie in [0, 1].  The stack is returned read-only and is not
+    re-validated: each copy is the convex mixture ``(1 - d) rho + d
+    diag(rho)`` of two density operators, so it is Hermitian (conjugate
+    pairs are scaled by the same real factor), keeps the trace of ``rho``
+    exactly (the diagonal is copied) and is positive semi-definite.
+    """
+    levels = np.asarray(levels, dtype=np.float64)
+    if levels.ndim != 1 or levels.size == 0:
+        raise ValidationError(
+            f"damping levels must form a non-empty vector, got shape {levels.shape}"
+        )
+    outside = ~((levels >= 0.0) & (levels <= 1.0))
+    if outside.any():
+        raise ValidationError(
+            f"damping must lie in [0, 1], got {float(levels[np.argmax(outside)])!r}"
+        )
+    damped = rho.matrix * (1.0 - levels)[:, None, None]
+    diag = np.arange(rho.dim)
+    damped[:, diag, diag] = rho.matrix[diag, diag]
+    damped.setflags(write=False)
+    return damped
 
 
 def prospect_probability(
@@ -352,13 +576,16 @@ def prospect_probability(
     ``dims`` is ``(n_dim, b_dim)`` for the choice and inconclusive
     registers; their product must equal ``rho.dim``.
 
-    ``f`` sums the diagonal contributions ``|b_alpha|^2 <n alpha|rho|n alpha>``,
-    ``q`` the off-diagonal ones ``conj(b_alpha) b_beta <n alpha|rho|n beta>``
-    for ``alpha != beta``, and ``p`` is evaluated separately as the full
-    quadratic form ``<pi|rho|pi>``.  For a valid Hermitian state the
-    off-diagonal sum is real; the complex sum is formed anyway and an
-    imaginary residue above 1e-10 raises, which catches malformed
-    operators early.  The identity ``p = f + q`` is asserted to 1e-12.
+    One ``split`` call on the choice block of index ``n`` alone, so the
+    result equals the matching entry of any batched ``split`` bit for bit.
+    Within that block ``f`` sums the diagonal contributions
+    ``|b_alpha|^2 <n alpha|rho|n alpha>``, ``q`` the off-diagonal ones
+    ``conj(b_alpha) b_beta <n alpha|rho|n beta>`` for ``alpha != beta``,
+    and ``p`` is the block's quadratic form ``<b|block|b>``.  An imaginary
+    residue above 1e-10 raises, which catches malformed operators early,
+    and ``p = f + q`` is asserted to 1e-12.  The independent full-matrix
+    route, ``Tr(rho |pi><pi|)`` with ``prospect_projector``, is what
+    ``verify quantum-identity`` compares ``p`` against.
     """
     n_dim, b_dim = dims
     if n_dim * b_dim != rho.dim:
@@ -366,32 +593,10 @@ def prospect_probability(
             f"register dimensions {dims} are inconsistent with a "
             f"{rho.dim}-dimensional state"
         )
-    pi = prospect_state(prospect, n_dim, b_dim)
-
-    # Full quadratic form through the complete matrix.
-    p_c = complex(np.vdot(pi.amplitudes, rho.matrix @ pi.amplitudes))
-
-    # Diagonal and off-diagonal sums over the block of choice index n.
-    n = prospect.choice_index
-    block = rho.matrix[n * b_dim : (n + 1) * b_dim, n * b_dim : (n + 1) * b_dim]
-    b = prospect.b_coeffs
-    weights = np.abs(b) ** 2
-    f_c = complex(np.sum(weights * np.diag(block)))
-    off_block = block - np.diag(np.diag(block))
-    q_c = complex(np.conj(b) @ off_block @ b)
-
-    for label, value in (("p", p_c), ("f", f_c), ("q", q_c)):
-        if abs(value.imag) > IMAG_TOL:
-            raise ValidationError(
-                f"{label} has imaginary residue {value.imag:.3e} above "
-                f"{IMAG_TOL:.0e}; the state or coefficients are inconsistent"
-            )
-    p, f, q = p_c.real, f_c.real, q_c.real
-    if abs(p - (f + q)) > IDENTITY_TOL:
-        raise ValidationError(
-            f"internal identity violated: |p - (f + q)| = {abs(p - (f + q)):.3e}"
-        )
-    return ProbabilityTriple(p=p, f=f, q=q)
+    _check_register(prospect, n_dim, b_dim)
+    block = slice(prospect.choice_index * b_dim, (prospect.choice_index + 1) * b_dim)
+    p, f, q = split(rho.matrix[None, block, block], prospect.b_coeffs, (1, b_dim))
+    return ProbabilityTriple(p=float(p[0, 0]), f=float(f[0, 0]), q=float(q[0, 0]))
 
 
 def normalize_prospect_set(
@@ -399,31 +604,24 @@ def normalize_prospect_set(
 ) -> list[ProbabilityTriple]:
     """Renormalize a family of prospect probabilities into a distribution.
 
-    ``p`` values are rescaled to sum to 1 and ``f`` values likewise; the
-    interference parts are recomputed as ``q' = p' - f'``, which makes
-    them sum to zero by construction (the alternation property: positive
-    and negative interference across a complete family cancels).
+    A one-row call to ``normalize``: ``p`` values are rescaled to sum to 1
+    and ``f`` values likewise; the interference parts are recomputed as
+    ``q' = p' - f'``, which makes them sum to zero by construction (the
+    alternation property: positive and negative interference across a
+    complete family cancels).
     """
     if len(triples) == 0:
         raise ValidationError("cannot normalize an empty prospect family")
-    slack = 1e-12
-    for t in triples:
-        if t.p < -slack or t.f < -slack:
-            raise ValidationError(
-                f"raw probabilities must be non-negative, got p={t.p!r}, f={t.f!r}"
-            )
-    p_total = sum(max(t.p, 0.0) for t in triples)
-    f_total = sum(max(t.f, 0.0) for t in triples)
-    if p_total <= 0.0 or f_total <= 0.0:
-        raise DegenerateSetError(
-            "prospect family is degenerate: total p and total f must be positive"
-        )
-    out = []
-    for t in triples:
-        p_n = max(t.p, 0.0) / p_total
-        f_n = max(t.f, 0.0) / f_total
-        out.append(ProbabilityTriple(p=p_n, f=f_n, q=p_n - f_n))
-    return out
+    p, f, q = normalize([[t.p for t in triples]], [[t.f for t in triples]])
+    return [
+        ProbabilityTriple(p=a, f=b, q=c)
+        for a, b, c in zip(p[0].tolist(), f[0].tolist(), q[0].tolist())
+    ]
+
+
+def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    """Standard complex Gaussians: the real parts are drawn first, then the imaginary."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def sample_inconclusive(b_dim: int, seed: int | np.random.Generator) -> np.ndarray:
@@ -437,7 +635,7 @@ def sample_inconclusive(b_dim: int, seed: int | np.random.Generator) -> np.ndarr
         raise ValidationError(f"inconclusive dimension must be >= 1, got {b_dim}")
     rng = _rng(seed)
     while True:
-        raw = rng.standard_normal(b_dim) + 1j * rng.standard_normal(b_dim)
+        raw = _complex_gaussian(rng, b_dim)
         norm = np.linalg.norm(raw)
         if norm > 0.0:  # zero draw has probability zero, but stay safe
             return raw / norm
@@ -459,9 +657,12 @@ def decohere(
     ``block_dims``, when given, is checked for consistency with the
     operator dimension; the damping itself is uniform across all
     off-diagonal entries, inside and between choice blocks alike.
+
+    A one-level call to ``decohere_levels``.  Sweeps call that kernel
+    directly on chunks of at most ``BATCH_CHUNK`` levels (``chunk_slices``)
+    and feed each damped stack to ``split`` and ``normalize``, as
+    ``qchoice simulate`` does, so memory stays bounded by the chunk size.
     """
-    if not 0.0 <= damping <= 1.0:
-        raise ValidationError(f"damping must lie in [0, 1], got {damping!r}")
     if block_dims is not None:
         n_dim, b_dim = block_dims
         if n_dim < 1 or b_dim < 1 or n_dim * b_dim != rho.dim:
@@ -469,21 +670,38 @@ def decohere(
                 f"block dimensions {block_dims} are inconsistent with a "
                 f"{rho.dim}-dimensional operator"
             )
-    damped = rho.matrix.copy()
-    off_mask = ~np.eye(rho.dim, dtype=bool)
-    damped[off_mask] *= 1.0 - damping
-    return DensityOperator(damped)
+    return DensityOperator._checked(decohere_levels(rho, [damping])[0])
 
 
-def random_state_vector(dim: int, seed: int | np.random.Generator) -> StateVector:
-    """Haar-random normalized state via normalized complex Gaussians."""
+def _check_dim(dim: int) -> None:
     if dim < 1:
         raise ValidationError(f"dimension must be at least 1, got {dim}")
     if dim > DEFAULT_DIM_CAP:
         raise ValidationError(
             f"dimension {dim} exceeds the cap of {DEFAULT_DIM_CAP}"
         )
+
+
+def random_state_vector(dim: int, seed: int | np.random.Generator) -> StateVector:
+    """Haar-random normalized state via normalized complex Gaussians."""
+    _check_dim(dim)
     return StateVector(sample_inconclusive(dim, seed))
+
+
+def _densities_from_gaussians(g: np.ndarray) -> np.ndarray:
+    """Validated ``G G^dagger / Tr(G G^dagger)`` for a ``(B, dim, rank)`` stack.
+
+    Each product is symmetrized against rounding and trace-normalized;
+    the stack is then checked as density operators in one pass
+    (Hermitian, trace, smallest eigenvalue) and returned read-only.
+    """
+    m = np.matmul(g, np.swapaxes(g.conj(), -1, -2))
+    m = (m + np.swapaxes(m.conj(), -1, -2)) / 2.0
+    m = m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+    _check_hermitian(m, what="density operator")
+    _check_density(m)
+    m.setflags(write=False)
+    return m
 
 
 def random_density_operator(
@@ -497,18 +715,38 @@ def random_density_operator(
     symmetrized and trace-normalized — positive semi-definite by
     construction.
     """
-    if dim < 1:
-        raise ValidationError(f"dimension must be at least 1, got {dim}")
-    if dim > DEFAULT_DIM_CAP:
-        raise ValidationError(
-            f"dimension {dim} exceeds the cap of {DEFAULT_DIM_CAP}"
-        )
+    _check_dim(dim)
     if rank is None:
         rank = dim
     if not 1 <= rank <= dim:
         raise ValidationError(f"rank must lie in [1, {dim}], got {rank}")
+    g = _complex_gaussian(_rng(seed), (dim, rank))
+    return DensityOperator._checked(_densities_from_gaussians(g[None])[0])
+
+
+def random_prospect_draws(
+    count: int,
+    dims: tuple[int, int],
+    seed: int | np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` random full-rank states with inconclusive amplitudes.
+
+    Returns a ``(count, d, d)`` stack of density operators and a
+    ``(count, b_dim)`` stack of coefficient vectors, ``d = n_dim * b_dim``.
+    Draw ``k`` takes the state's Gaussians and then the amplitudes from
+    the one stream, so the result equals ``count`` alternating calls of
+    ``random_density_operator(d, rng)`` and ``sample_inconclusive(b_dim,
+    rng)`` bit for bit; the states are built and validated as one stack.
+    """
+    if count < 1:
+        raise ValidationError(f"draw count must be >= 1, got {count}")
+    n_dim, b_dim = dims
+    dim = n_dim * b_dim
+    _check_dim(dim)
     rng = _rng(seed)
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    m = g @ g.conj().T
-    m = (m + m.conj().T) / 2.0
-    return DensityOperator(m / np.trace(m).real)
+    gaussians = np.empty((count, dim, dim), dtype=np.complex128)
+    coeffs = np.empty((count, b_dim), dtype=np.complex128)
+    for k in range(count):
+        gaussians[k] = _complex_gaussian(rng, (dim, dim))
+        coeffs[k] = sample_inconclusive(b_dim, rng)
+    return _densities_from_gaussians(gaussians), coeffs

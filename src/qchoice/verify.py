@@ -15,12 +15,13 @@ import numpy as np
 from .attraction import ordered_uniform_gap_check, quarter_law_check
 from .errors import ValidationError
 from .quantum import (
-    Prospect,
-    normalize_prospect_set,
-    prospect_probability,
-    prospect_projector,
-    random_density_operator,
-    sample_inconclusive,
+    IDENTITY_TOL,
+    chunk_slices,
+    normalize,
+    prospect_projector_stack,
+    random_prospect_draws,
+    split,
+    trace_rule,
 )
 from .utility import (
     information_functional_gains,
@@ -32,7 +33,6 @@ from .utility import (
 QUARTER_LAW_TOL = 5e-3
 GAP_SPREAD_TOL = 3e-3
 ENTROPY_MARGIN_TOL = -1e-9
-IDENTITY_TOL = 1e-12
 
 SUITE_NAMES = ("quarter-law", "gaps", "entropy", "quantum-identity")
 
@@ -192,6 +192,13 @@ def verify_quantum_identity(
     amplitudes, then checks |p - (f + q)| for each prospect, agreement
     of p with the independent full-matrix trace rule, and the sums of
     the normalized family (p to 1, f to 1, q to 0).
+
+    Draws come from one random stream, state then amplitudes, in stacks
+    of ``BATCH_CHUNK`` (``random_prospect_draws``); each stack takes one
+    ``split`` and one ``normalize`` call, and one ``trace_rule`` call per
+    choice index.  The trace rule works on the full ``d x d`` projectors,
+    not on the choice blocks that ``split`` reads, so the two routes to
+    ``p`` stay independent.
     """
     if draws < 1:
         raise ValidationError(f"draw count must be >= 1, got {draws}")
@@ -202,19 +209,19 @@ def verify_quantum_identity(
     max_p_sum = 0.0
     max_f_sum = 0.0
     max_q_sum = 0.0
-    for _ in range(draws):
-        rho = random_density_operator(n_dim * b_dim, rng)
-        b = sample_inconclusive(b_dim, rng)
-        prospects = [Prospect(n, b) for n in range(n_dim)]
-        triples = [prospect_probability(rho, pr, (n_dim, b_dim)) for pr in prospects]
-        for pr, t in zip(prospects, triples):
-            max_identity = max(max_identity, abs(t.p - (t.f + t.q)))
-            trace_p = prospect_projector(pr, n_dim, b_dim).expectation(rho)
-            max_trace_dev = max(max_trace_dev, abs(trace_p - t.p))
-        family = normalize_prospect_set(triples)
-        max_p_sum = max(max_p_sum, abs(sum(t.p for t in family) - 1.0))
-        max_f_sum = max(max_f_sum, abs(sum(t.f for t in family) - 1.0))
-        max_q_sum = max(max_q_sum, abs(sum(t.q for t in family)))
+    for chunk in chunk_slices(draws):
+        rhos, coeffs = random_prospect_draws(chunk.stop - chunk.start, dims, rng)
+        p, f, q = split(rhos, coeffs, dims)
+        trace_p = np.stack(
+            [trace_rule(rhos, prospect_projector_stack(coeffs, n, dims)) for n in range(n_dim)],
+            axis=-1,
+        )
+        p_n, f_n, q_n = normalize(p, f)
+        max_identity = max(max_identity, float(np.max(np.abs(p - (f + q)))))
+        max_trace_dev = max(max_trace_dev, float(np.max(np.abs(trace_p - p))))
+        max_p_sum = max(max_p_sum, float(np.max(np.abs(p_n.sum(axis=-1) - 1.0))))
+        max_f_sum = max(max_f_sum, float(np.max(np.abs(f_n.sum(axis=-1) - 1.0))))
+        max_q_sum = max(max_q_sum, float(np.max(np.abs(q_n.sum(axis=-1)))))
     worst = max(max_identity, max_trace_dev, max_p_sum, max_f_sum, max_q_sum)
     passed = worst < IDENTITY_TOL
     stats = {

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from qchoice import cli, quantum
 from qchoice.cli import main
 
 MICROWAVE_CSV = (
@@ -190,6 +191,41 @@ class TestSimulate:
     def test_sweep_steps_minimum(self, capsys):
         assert main(["simulate", "--sweep-steps", "1"]) == 1
         assert "--sweep-steps must be >= 2" in capsys.readouterr().err
+
+
+class TestSeedOption:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--seed", "-1"],
+            ["verify", "quarter-law", "--seed", "-1"],
+            ["verify", "quantum-identity", "--seed", "-1"],
+        ],
+    )
+    def test_negative_seed_is_a_usage_error(self, args, capsys):
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "--seed" in err
+        assert "Traceback" not in err
+
+
+class TestBatchChunking:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--dims", "3,2", "--sweep-steps", "11", "--seed", "4"],
+            ["verify", "quantum-identity", "--samples", "10", "--seed", "4"],
+        ],
+    )
+    def test_records_do_not_depend_on_chunk_size(self, args, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_now", lambda: "2000-01-01T00:00:00+00:00")
+        args = args + ["--format", "record"]
+        monkeypatch.setattr(quantum, "BATCH_CHUNK", 1_000)
+        assert main(args) == 0
+        whole = capsys.readouterr().out
+        monkeypatch.setattr(quantum, "BATCH_CHUNK", 3)
+        assert main(args) == 0
+        assert capsys.readouterr().out == whole
 
 
 class TestEntryPoint:

@@ -28,6 +28,14 @@ from qchoice import (
     sample_inconclusive,
     tensor,
 )
+from qchoice.quantum import (
+    decohere_levels,
+    normalize,
+    prospect_projector_stack,
+    random_prospect_draws,
+    split,
+    trace_rule,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -211,6 +219,24 @@ class TestProspectState:
     def test_prospect_rejects_negative_index(self):
         with pytest.raises(ValidationError):
             Prospect(-1, [1.0])
+
+    @pytest.mark.parametrize("index", [1.5, 1.0, "1", None])
+    def test_prospect_rejects_non_integer_index(self, index):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            Prospect(index, [1.0])
+
+    @pytest.mark.parametrize("index", [True, False, np.True_])
+    def test_prospect_rejects_bool_index(self, index):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            Prospect(index, [1.0])
+
+    @pytest.mark.parametrize("index", [np.int64(1), np.uint8(1), np.intp(1)])
+    def test_prospect_accepts_numpy_integer_index(self, index):
+        prospect = Prospect(index, [1.0])
+        assert prospect.choice_index == 1
+        assert type(prospect.choice_index) is int
+        rho = DensityOperator.maximally_mixed(2)
+        assert prospect_probability(rho, prospect, (2, 1)).p == pytest.approx(0.5)
 
 
 class TestProbabilitySplit:
@@ -421,3 +447,140 @@ class TestDecohere:
         for d in np.linspace(0.0, 1.0, 6):
             damped = decohere(rho, float(d))
             assert np.trace(damped.matrix).real == pytest.approx(1.0, abs=1e-12)
+
+
+def _register_dims():
+    """Register sizes ``(n_dim, b_dim)`` with a composite dimension of at most 64."""
+    return st.integers(1, 8).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, 64 // n))
+    )
+
+
+class TestBatchedKernels:
+    """The array kernels against the scalar wrappers and the closed forms."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        _register_dims(),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 64),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    )
+    def test_split_matches_scalar_wrappers(self, dims, seed, rank_cap, damping):
+        n_dim, b_dim = dims
+        dim = n_dim * b_dim
+        rng = np.random.default_rng(seed)
+        rho = random_density_operator(dim, rng, rank=min(rank_cap, dim))
+        b = sample_inconclusive(b_dim, rng)
+        levels = np.array([0.0] + damping)
+        stack = decohere_levels(rho, levels)
+        p, f, q = split(stack, b, dims)
+        p_n, f_n, q_n = normalize(p, f)
+        prospects = [Prospect(n, b) for n in range(n_dim)]
+        projectors = [prospect_projector(pr, n_dim, b_dim) for pr in prospects]
+        for k, level in enumerate(levels):
+            damped = decohere(rho, float(level), block_dims=dims)
+            assert np.array_equal(damped.matrix, stack[k])
+            triples = [prospect_probability(damped, pr, dims) for pr in prospects]
+            assert [t.p for t in triples] == p[k].tolist()
+            assert [t.f for t in triples] == f[k].tolist()
+            assert [t.q for t in triples] == q[k].tolist()
+            family = normalize_prospect_set(triples)
+            assert [t.p for t in family] == p_n[k].tolist()
+            assert [t.f for t in family] == f_n[k].tolist()
+            assert [t.q for t in family] == q_n[k].tolist()
+            trace_p = [proj.expectation(damped) for proj in projectors]
+            assert np.max(np.abs(np.array(trace_p) - p[k])) <= 1e-12
+            # Decoherence keeps f and scales q linearly.
+            assert np.array_equal(f[k], f[0])
+            assert np.max(np.abs(q[k] - (1.0 - level) * q[0])) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 64),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 64),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    )
+    def test_decohered_stack_is_a_valid_density_operator(self, dim, seed, rank_cap, damping):
+        # decohere_levels skips re-validation; its output must still pass it.
+        rho = random_density_operator(dim, seed, rank=min(rank_cap, dim))
+        for matrix in decohere_levels(rho, damping):
+            DensityOperator(matrix.copy())
+        for level in damping:
+            DensityOperator(decohere(rho, level).matrix.copy())
+
+    def test_stacked_trace_rule_matches_expectation(self):
+        rng = np.random.default_rng(5)
+        rhos, coeffs = random_prospect_draws(7, (3, 4), rng)
+        for n in range(3):
+            values = trace_rule(rhos, prospect_projector_stack(coeffs, n, (3, 4)))
+            for k in range(7):
+                event = prospect_projector(Prospect(n, coeffs[k]), 3, 4)
+                assert values[k] == event.expectation(DensityOperator(rhos[k]))
+
+    def test_prospect_draws_match_scalar_draws(self):
+        rhos, coeffs = random_prospect_draws(5, (4, 3), np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        for k in range(5):
+            assert np.array_equal(random_density_operator(12, rng).matrix, rhos[k])
+            assert np.array_equal(sample_inconclusive(3, rng), coeffs[k])
+
+    def test_per_state_coefficients(self):
+        rng = np.random.default_rng(2)
+        rhos, coeffs = random_prospect_draws(4, (2, 3), rng)
+        p, f, q = split(rhos, coeffs, (2, 3))
+        assert p.shape == f.shape == q.shape == (4, 2)
+        for k in range(4):
+            for n in range(2):
+                t = prospect_probability(DensityOperator(rhos[k]), Prospect(n, coeffs[k]), (2, 3))
+                assert (t.p, t.f, t.q) == (p[k, n], f[k, n], q[k, n])
+
+    def test_split_rejects_mismatched_shapes(self):
+        rhos, coeffs = random_prospect_draws(2, (2, 3), np.random.default_rng(0))
+        with pytest.raises(ValidationError, match="inconsistent"):
+            split(rhos, coeffs, (3, 3))
+        with pytest.raises(ValidationError, match="inconsistent"):
+            split(rhos[0], coeffs[0], (2, 3))
+        with pytest.raises(ValidationError, match="do not fit"):
+            split(rhos, coeffs[:1], (2, 3))
+        with pytest.raises(ValidationError, match="do not fit"):
+            split(rhos, coeffs[:, :2], (2, 3))
+
+    def test_split_rejects_imaginary_residue(self):
+        # Not Hermitian, so the quadratic form picks up an imaginary part.
+        bad = np.array([[[0.5, 0.5], [-0.5, 0.5]]], dtype=complex)
+        with pytest.raises(ValidationError, match="imaginary residue"):
+            split(bad, [INV_SQRT2, 1j * INV_SQRT2], (1, 2))
+
+    def test_normalize_rows_independently(self):
+        p_n, f_n, q_n = normalize([[0.25, 0.25], [0.125, 0.375]], [[0.375, 0.125], [0.25, 0.25]])
+        assert p_n.tolist() == [[0.5, 0.5], [0.25, 0.75]]
+        assert f_n.tolist() == [[0.75, 0.25], [0.5, 0.5]]
+        assert q_n.tolist() == [[-0.25, 0.25], [-0.25, 0.25]]
+
+    def test_normalize_rejects_bad_families(self):
+        with pytest.raises(ValidationError, match="empty"):
+            normalize(np.zeros((2, 0)), np.zeros((2, 0)))
+        with pytest.raises(ValidationError, match="shapes differ"):
+            normalize([0.5, 0.5], [0.5])
+        with pytest.raises(ValidationError, match="non-negative"):
+            normalize([[0.5, 0.5], [0.5, -0.1]], [[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(DegenerateSetError):
+            normalize([[0.5, 0.5], [0.0, 0.0]], [[0.5, 0.5], [0.5, 0.5]])
+
+    def test_decohere_levels_rejects_bad_levels(self):
+        rho = DensityOperator.maximally_mixed(2)
+        with pytest.raises(ValidationError, match="damping must lie"):
+            decohere_levels(rho, [0.0, 0.5, 1.5])
+        with pytest.raises(ValidationError, match="damping must lie"):
+            decohere_levels(rho, [float("nan")])
+        with pytest.raises(ValidationError, match="non-empty vector"):
+            decohere_levels(rho, [])
+        with pytest.raises(ValidationError, match="non-empty vector"):
+            decohere_levels(rho, 0.5)
+
+    def test_decohere_levels_is_read_only(self):
+        stack = decohere_levels(random_density_operator(4, 1), [0.0, 1.0])
+        with pytest.raises(ValueError):
+            stack[0, 0, 1] = 0.0
