@@ -1,0 +1,117 @@
+"""The package's one tolerance table and its shared input checks.
+
+Modules that document a tolerance (``quantum.IDENTITY_TOL``,
+``verify.QUARTER_LAW_TOL``, ...) re-export it from here.  Inputs are
+checked where they enter; data the package has already validated, or
+built from a closed form, is handed on through ``trusted``.
+"""
+from __future__ import annotations
+
+import dataclasses
+import math
+import operator
+from fractions import Fraction
+from numbers import Real
+
+from .errors import ValidationError
+
+#: Sums to 1 or 0 (factors, probabilities, attractions, lottery weights)
+#: and the slack on [0, 1].
+SUM_TOL = 1e-9
+#: Sums of observed frequencies, which the literature rounds.
+EMPIRICAL_SUM_TOL = 2e-2
+#: Per-prospect residual at which bounds redistribution stops.
+RESIDUAL_EPS = 1e-12
+#: Absolute tolerance for Hermitian symmetry of operators.
+HERMITIAN_TOL = 1e-12
+#: Absolute tolerance for unit trace of density operators.
+TRACE_TOL = 1e-12
+#: Most negative eigenvalue still accepted as "positive semi-definite".
+PSD_EIGENVALUE_SLACK = -1e-10
+#: Absolute tolerance for projector idempotence.
+IDEMPOTENCE_TOL = 1e-10
+#: Largest imaginary residue tolerated in a quantity that must be real.
+IMAG_TOL = 1e-10
+#: Internal consistency tolerance for the p = f + q identity.
+IDENTITY_TOL = 1e-12
+#: Unit-norm tolerance of state vectors.
+NORM_TOL = 1e-12
+#: Most negative raw probability ``normalize`` clips to zero.
+RAW_PROBABILITY_SLACK = 1e-12
+#: Targets of the verification suites.
+QUARTER_LAW_TOL = 5e-3
+GAP_SPREAD_TOL = 3e-3
+ENTROPY_MARGIN_TOL = -1e-9
+
+
+def real(value, *, what: str):
+    """``value`` if it is a real number (not ``bool``) that is a finite double."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValidationError(f"{what} must be a real number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an exact value beyond the double range
+        raise ValidationError(f"{what} is too large for floating point") from None
+    if not finite:
+        raise ValidationError(f"{what} must be finite, got {value!r}")
+    return value
+
+
+def reals(values, *, what: str) -> tuple:
+    """``values`` as a non-empty tuple of ``real`` numbers."""
+    values = tuple(values)
+    if len(values) == 0:
+        raise ValidationError(f"need at least one {what}")
+    for v in values:
+        real(v, what=what)
+    return values
+
+
+def unit_interval(values, *, what: str) -> None:
+    """Each value is ``real`` and in [0, 1], with ``SUM_TOL`` slack."""
+    for v in values:
+        as_float = float(real(v, what=what))
+        if as_float < -SUM_TOL or as_float > 1.0 + SUM_TOL:
+            raise ValidationError(f"{what} {v!r} outside [0, 1]")
+
+
+def sum_deviation(values, target) -> tuple:
+    """Total of ``values`` and its distance from ``target``.
+
+    Exact for a ``Fraction`` total, so rational inputs right on a
+    tolerance are not pushed over it by float rounding.
+    """
+    total = sum(values)
+    if isinstance(total, Fraction):
+        return total, abs(total - Fraction(target))
+    return total, abs(float(total) - target)
+
+
+def check_sum(values, target, *, what: str, tol: float = SUM_TOL) -> None:
+    total, deviation = sum_deviation(values, target)
+    if deviation > tol:
+        raise ValidationError(
+            f"{what} must sum to {target} within {tol:.0e}, got {float(total)!r}"
+        )
+
+
+def count(value, *, what: str, minimum: int = 0) -> int:
+    """``value`` as an ``int`` >= ``minimum``; numpy integers pass, ``bool`` does not."""
+    try:
+        n = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        n = None
+    if n is None:
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if n < minimum:
+        raise ValidationError(f"{what} must be >= {minimum}, got {n}")
+    return n
+
+
+def trusted(cls, **values):
+    """A frozen dataclass ``cls`` built without ``__post_init__``, for values
+    valid by construction; fields left out take their defaults."""
+    obj = object.__new__(cls)
+    for field in dataclasses.fields(cls):
+        object.__setattr__(obj, field.name, values.get(field.name, field.default))
+    return obj

@@ -15,11 +15,13 @@ the two distributional facts behind them.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from . import _checks
 from .errors import ValidationError
 
 #: Expected mean attraction magnitude under the non-informative prior.
@@ -41,15 +43,9 @@ class AttractionDistribution:
                 f"invalid support [{self.lower}, {self.upper}] for attraction prior"
             )
 
-    def density(self, x: float) -> float:
-        if self.lower <= x <= self.upper:
-            return 1.0 / (self.upper - self.lower)
-        return 0.0
-
     def sample(self, samples: int, seed: int | np.random.Generator) -> np.ndarray:
-        if samples < 1:
-            raise ValidationError(f"sample count must be >= 1, got {samples}")
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        samples = _checks.count(samples, what="sample count", minimum=1)
+        rng = np.random.default_rng(seed)
         return rng.uniform(self.lower, self.upper, samples)
 
 
@@ -58,8 +54,9 @@ class AttractionSet:
     """A quantized ladder of attraction values for N competing prospects.
 
     Values are exact rationals, sorted descending with a constant gap,
-    summing to zero, with mean magnitude exactly 1/4 (for N >= 2).  All
-    of that is re-checked at construction, exactly.
+    summing to zero, with mean magnitude exactly 1/4 (for N >= 2).  A
+    caller's ``AttractionSet(values)`` checks all of that, exactly; the
+    closed forms of ``quantized_attraction_set`` guarantee it unchecked.
     """
 
     values: tuple[Fraction, ...]
@@ -132,7 +129,7 @@ def attraction_gap(n_prospects: int) -> Fraction:
 
     Exact closed forms: ``1/N`` for even N and ``N/(N^2 - 1)`` for odd N.
     """
-    n = _validated_count(n_prospects, minimum=2)
+    n = _checks.count(n_prospects, what="prospect count", minimum=2)
     if n % 2 == 0:
         return Fraction(1, n)
     return Fraction(n, n * n - 1)
@@ -140,7 +137,7 @@ def attraction_gap(n_prospects: int) -> Fraction:
 
 def attraction_qmax(n_prospects: int) -> Fraction:
     """Top of the quantized ladder: ``(N-1)/(2N)`` for even N, ``N/(2(N+1))`` for odd."""
-    n = _validated_count(n_prospects, minimum=2)
+    n = _checks.count(n_prospects, what="prospect count", minimum=2)
     if n % 2 == 0:
         return Fraction(n - 1, 2 * n)
     return Fraction(n, 2 * (n + 1))
@@ -153,9 +150,9 @@ def quantized_attraction_set(n_prospects: int) -> AttractionSet:
     equally spaced, zero-sum, with mean magnitude exactly 1/4.  A single
     prospect gets the degenerate ladder ``(0,)``.
     """
-    n = _validated_count(n_prospects, minimum=1)
+    n = _checks.count(n_prospects, what="prospect count", minimum=1)
     if n == 1:
-        return AttractionSet((Fraction(0),))
+        return _checks.trusted(AttractionSet, values=(Fraction(0),))
     # Rung k (0-based) is q_max - k * delta; with the closed forms for the
     # gap and the top this collapses to one numerator per rung over a
     # shared denominator, which keeps long ladders cheap to build.
@@ -163,8 +160,9 @@ def quantized_attraction_set(n_prospects: int) -> AttractionSet:
         scale, den = 1, 2 * n
     else:
         scale, den = n, 2 * (n * n - 1)
-    return AttractionSet(
-        tuple(Fraction(scale * (n - 1 - 2 * k), den) for k in range(n))
+    return _checks.trusted(
+        AttractionSet,
+        values=tuple(Fraction(scale * (n - 1 - 2 * k), den) for k in range(n)),
     )
 
 
@@ -175,7 +173,7 @@ def asymptotic_attraction(n_prospects: int, rank: int) -> float:
     reproduces the exact ladder identically; for odd N it deviates by
     less than 1/N.
     """
-    n = _validated_count(n_prospects, minimum=2)
+    n = _checks.count(n_prospects, what="prospect count", minimum=2)
     if not 1 <= rank <= n:
         raise ValidationError(f"rank must lie in [1, {n}], got {rank}")
     return 0.5 - (2 * rank - 1) / (2 * n)
@@ -195,17 +193,13 @@ def quarter_law_check(
     average of the attracting branch:  E[max(q, 0)] =
     integral_0^1 q * (1/2) dq = 1/4.  The estimate converges to 0.25.
     """
-    if samples < 1:
-        raise ValidationError(f"sample count must be >= 1, got {samples}")
+    samples = _checks.count(samples, what="sample count", minimum=1)
     dist = prior if prior is not None else AttractionDistribution()
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     total = 0.0
-    remaining = samples
-    while remaining > 0:
-        chunk = min(remaining, _CHUNK_TARGET)
-        draws = dist.sample(chunk, rng)
+    for rows in row_chunks(samples, 1):
+        draws = dist.sample(rows, rng)
         total += float(np.sum(np.maximum(draws, 0.0)))
-        remaining -= chunk
     return total / samples
 
 
@@ -222,45 +216,21 @@ def ordered_uniform_gap_check(
     ``1/(N + 1)`` — the equidistance that motivates a constant-gap
     attraction ladder.
     """
-    n = _validated_count(n_prospects, minimum=2)
-    if samples < 1:
-        raise ValidationError(f"sample count must be >= 1, got {samples}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    n = _checks.count(n_prospects, what="prospect count", minimum=2)
+    samples = _checks.count(samples, what="sample count", minimum=1)
+    rng = np.random.default_rng(seed)
     gap_sums = np.zeros(n - 1, dtype=float)
-    remaining = samples
-    rows_per_chunk = max(1, _CHUNK_TARGET // n)
-    while remaining > 0:
-        rows = min(remaining, rows_per_chunk)
+    for rows in row_chunks(samples, n):
         draws = rng.uniform(0.0, 1.0, (rows, n))
         draws.sort(axis=1)
         ordered = draws[:, ::-1]  # descending
         gap_sums += np.sum(ordered[:, :-1] - ordered[:, 1:], axis=0)
-        remaining -= rows
     return gap_sums / samples
 
 
-def _validated_count(n: int, *, minimum: int) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValidationError(f"prospect count must be an integer, got {n!r}")
-    if n < minimum:
-        raise ValidationError(f"prospect count must be >= {minimum}, got {n}")
-    return int(n)
-
-
-@dataclass(frozen=True)
-class ParametricAttractionConfig:
-    """Reserved: exponents of a parametric attraction family ``f**mu * (1-f)**nu``.
-
-    Placeholder for utility-dependent attraction shapes.  Nothing in the
-    current pipeline consumes it; the quantized ladder above is the only
-    attraction model implemented.
-    """
-
-    mu: float = 1.0
-    nu: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (self.mu > 0 and self.nu > 0):
-            raise ValidationError(
-                f"parametric exponents must be positive, got mu={self.mu!r}, nu={self.nu!r}"
-            )
+def row_chunks(rows: int, width: int) -> Iterator[int]:
+    """Sizes of consecutive chunks of ``rows`` rows, ``width`` values a row,
+    about ``_CHUNK_TARGET`` values (and at least one row) each."""
+    per_chunk = max(1, _CHUNK_TARGET // width)
+    for start in range(0, rows, per_chunk):
+        yield min(per_chunk, rows - start)

@@ -13,7 +13,7 @@ import click
 import numpy as np
 
 from .attraction import quantized_attraction_set
-from .decision import PredictionReport, regularity_violation_check
+from .decision import PredictionReport, regularity_verdict
 from .errors import QChoiceError, VerificationFailure
 from .experiments import (
     ExperimentFile,
@@ -22,6 +22,7 @@ from .experiments import (
     input_digest,
     list_bundled_experiments,
     parse_experiment,
+    read_experiment_text,
     run_prediction,
 )
 from .quantum import (
@@ -52,14 +53,17 @@ def _now() -> str:
 
 
 def _emit(record: RunRecord, table_text: str, fmt: str, out: str | None) -> None:
+    if out:
+        try:
+            Path(out).write_text(record.to_json(), encoding="utf-8")
+        except OSError as exc:
+            raise QChoiceError(f"cannot write run record {out}: {exc}") from exc
     if fmt == "table":
         click.echo(table_text)
     elif fmt == "record":
         click.echo(record.to_json(), nl=False)
     else:
         click.echo(record.to_csv(), nl=False)
-    if out:
-        Path(out).write_text(record.to_json(), encoding="utf-8")
 
 
 _format_option = click.option(
@@ -107,7 +111,7 @@ def _prediction_table(exp: ExperimentFile, report: PredictionReport, digest: str
             f"max |error| {_fmt_number(report.max_abs_error)}   "
             f"mean |error| {_fmt_number(report.mean_abs_error)}"
         )
-    check = regularity_violation_check(report.utility_factors, report.probabilities)
+    check = regularity_verdict(report.utility_factors, report.probabilities)
     if check.tie:
         lines.append("regularity: tied maximum, no reversal claimed")
     elif check.reversal:
@@ -136,7 +140,7 @@ def predict(experiment_file: str, fmt: str, out: str | None) -> None:
     """
     path = Path(experiment_file)
     if path.exists():
-        text = path.read_text(encoding="utf-8")
+        text = read_experiment_text(path)
         source = str(path)
     else:
         stem = experiment_file.removesuffix(".exp")

@@ -14,48 +14,12 @@ in and the predictions come out as exact rationals.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from . import _checks
 from .attraction import quantized_attraction_set
 from .errors import InfeasibleBoundsError, ValidationError
-
-_SUM_TOL = 1e-9
-_EMPIRICAL_SUM_TOL = 2e-2
-_RESIDUAL_EPS = 1e-12
-
-
-def _check_real(value, *, what: str):
-    try:
-        as_float = float(value)
-    except (TypeError, OverflowError) as exc:
-        raise ValidationError(f"{what} must be a real number, got {value!r}") from exc
-    if not math.isfinite(as_float):
-        raise ValidationError(f"{what} must be finite, got {value!r}")
-    return value
-
-
-def _check_unit_interval(values: Sequence, *, what: str) -> None:
-    for v in values:
-        _check_real(v, what=what)
-        if float(v) < -_SUM_TOL or float(v) > 1.0 + _SUM_TOL:
-            raise ValidationError(f"{what} {v!r} outside [0, 1]")
-
-
-def _check_sum(values: Sequence, target: float, *, what: str, tol: float = _SUM_TOL) -> None:
-    total = sum(values)
-    if isinstance(total, Fraction):
-        # Keep the deviation exact so rational inputs sitting right on the
-        # tolerance boundary are not pushed over it by float rounding.
-        deviation = abs(total - Fraction(target))
-    else:
-        deviation = abs(float(total) - target)
-    if deviation > tol:
-        raise ValidationError(
-            f"{what} must sum to {target} within {tol:.0e}, got {float(total)!r}"
-        )
 
 
 @dataclass(frozen=True)
@@ -82,8 +46,8 @@ class ChoiceSet:
             raise ValidationError(
                 f"{len(ids)} prospects but {len(factors)} utility factors"
             )
-        _check_unit_interval(factors, what="utility factor")
-        _check_sum(factors, 1.0, what="utility factors")
+        _checks.unit_interval(factors, what="utility factor")
+        _checks.check_sum(factors, 1.0, what="utility factors")
         if sorted(rank) != sorted(ids):
             raise ValidationError(
                 f"attractiveness rank {rank} is not a permutation of ids {ids}"
@@ -126,11 +90,11 @@ class PredictionReport:
             raise ValidationError("report columns must have equal length")
         if len(ids) == 0:
             raise ValidationError("report needs at least one prospect")
-        _check_unit_interval(f, what="utility factor")
-        _check_unit_interval(p, what="probability")
-        _check_sum(f, 1.0, what="utility factors")
-        _check_sum(p, 1.0, what="probabilities")
-        _check_sum(q, 0.0, what="attraction factors")
+        _checks.unit_interval(f, what="utility factor")
+        _checks.unit_interval(p, what="probability")
+        _checks.check_sum(f, 1.0, what="utility factors")
+        _checks.check_sum(p, 1.0, what="probabilities")
+        _checks.check_sum(q, 0.0, what="attraction factors")
         object.__setattr__(self, "prospect_ids", ids)
         object.__setattr__(self, "utility_factors", f)
         object.__setattr__(self, "attraction_factors", q)
@@ -192,18 +156,27 @@ def enforce_bounds(
         )
     if len(f) == 0:
         raise ValidationError("bounds enforcement needs at least one prospect")
-    _check_unit_interval(f, what="utility factor")
-    _check_sum(f, 1.0, what="utility factors")
+    _checks.unit_interval(f, what="utility factor")
+    _checks.check_sum(f, 1.0, what="utility factors")
     for v in q:
-        _check_real(v, what="attraction factor")
-    _check_sum(q, 0.0, what="attraction factors")
+        _checks.real(v, what="attraction factor")
+    _checks.check_sum(q, 0.0, what="attraction factors")
+    return _clip_to_bounds(f, q)
 
+
+def _clip_to_bounds(f: Sequence, q: list) -> tuple[list, bool]:
+    """``enforce_bounds`` on checked inputs; adjusts ``q`` in place.
+
+    The output needs no check: each value ends inside its bounds (clamped
+    onto one, or tested against both in the final round), and the loop
+    stops only once ``|sum(q)| <= min(RESIDUAL_EPS * N, SUM_TOL)``.
+    """
     n = len(f)
     lo = [-x for x in f]
     hi = [1 - x for x in f]
     pinned = [False] * n
     clamped_any = False
-    eps = _RESIDUAL_EPS * n
+    eps = min(_checks.RESIDUAL_EPS * n, _checks.SUM_TOL)
 
     for _ in range(n + 2):
         for i in range(n):
@@ -218,8 +191,8 @@ def enforce_bounds(
                 pinned[i] = True
                 clamped_any = True
         residual = -sum(q)
-        if residual == 0 or abs(float(residual)) <= eps:
-            break
+        if abs(residual) <= eps:
+            return q, clamped_any
         free = [i for i in range(n) if not pinned[i]]
         if not free:
             raise InfeasibleBoundsError(
@@ -229,20 +202,10 @@ def enforce_bounds(
         share = residual / len(free)
         for i in free:
             q[i] = q[i] + share
-    else:
-        raise InfeasibleBoundsError(
-            "bounds enforcement did not settle; inputs violate the "
-            "probability constraints in an unrecoverable way"
-        )
-
-    for i in range(n):
-        if float(q[i]) < float(lo[i]) - _SUM_TOL or float(q[i]) > float(hi[i]) + _SUM_TOL:
-            raise InfeasibleBoundsError(
-                f"adjusted attraction {q[i]!r} escaped its bounds "
-                f"[{lo[i]!r}, {hi[i]!r}]"
-            )
-    _check_sum(q, 0.0, what="adjusted attraction factors")
-    return q, clamped_any
+    raise InfeasibleBoundsError(
+        "bounds enforcement did not settle; inputs violate the "
+        "probability constraints in an unrecoverable way"
+    )
 
 
 def compose_probabilities(choice_set: ChoiceSet) -> PredictionReport:
@@ -251,17 +214,23 @@ def compose_probabilities(choice_set: ChoiceSet) -> PredictionReport:
     The most attractive prospect receives the top rung of the ladder for
     ``N`` prospects, the next one the second rung, and so on; the values
     are then clipped into their admissible ranges (zero sum preserved).
+
+    ``choice_set`` checked ``f``, the clipping guarantees ``q`` and so
+    ``p`` in [0, 1]; only ``sum(p) = 1`` is checked, as float factors at
+    the ``SUM_TOL`` edge can push ``sum(f) + sum(q)`` just past it.
     """
     ladder = quantized_attraction_set(choice_set.n_prospects).values
     rung_of = {pid: ladder[k] for k, pid in enumerate(choice_set.attractiveness_rank)}
-    q_raw = [rung_of[pid] for pid in choice_set.prospect_ids]
-    q_adj, clamped = enforce_bounds(choice_set.utility_factors, q_raw)
-    p = [f_n + q_n for f_n, q_n in zip(choice_set.utility_factors, q_adj)]
-    return PredictionReport(
+    f = choice_set.utility_factors
+    q, clamped = _clip_to_bounds(f, [rung_of[pid] for pid in choice_set.prospect_ids])
+    p = tuple(f_n + q_n for f_n, q_n in zip(f, q))
+    _checks.check_sum(p, 1.0, what="probabilities")
+    return _checks.trusted(
+        PredictionReport,
         prospect_ids=choice_set.prospect_ids,
-        utility_factors=choice_set.utility_factors,
-        attraction_factors=tuple(q_adj),
-        probabilities=tuple(p),
+        utility_factors=f,
+        attraction_factors=tuple(q),
+        probabilities=p,
         clamping_applied=clamped,
     )
 
@@ -277,29 +246,25 @@ def predict_decoy(
     prospects only — the decoy, being strictly dominated, is assumed to
     draw (essentially) no choices itself and enters purely through
     ``decoy_target_rank``: the attractiveness ordering it induces, most
-    attractive first, given as ids or as 0-based positions into
-    ``f_no_decoy``.  To model a decoy that retains genuine choice share,
-    include it as a prospect of its own with its utility factor and
-    rank.
+    attractive first, given as ids (strings) or as 0-based integer
+    positions into ``f_no_decoy``.  To model a decoy that retains
+    genuine choice share, include it as a prospect of its own with its
+    utility factor and rank.
     """
     f = tuple(f_no_decoy)
     if prospect_ids is None:
         ids = tuple(f"P{k + 1}" for k in range(len(f)))
     else:
         ids = tuple(str(i) for i in prospect_ids)
-    rank_items = list(decoy_target_rank)
     rank: list[str] = []
-    for item in rank_items:
-        if isinstance(item, bool):
-            raise ValidationError(f"rank entries must be ids or indices, got {item!r}")
-        if isinstance(item, int):
-            if not 0 <= item < len(ids):
-                raise ValidationError(
-                    f"rank index {item} out of range for {len(ids)} prospects"
-                )
-            rank.append(ids[item])
-        else:
-            rank.append(str(item))
+    for item in decoy_target_rank:
+        if isinstance(item, str):
+            rank.append(item)
+            continue
+        k = _checks.count(item, what="rank entry (one of the ids or indices)")
+        if k >= len(ids):
+            raise ValidationError(f"rank index {k} out of range for {len(ids)} prospects")
+        rank.append(ids[k])
     choice_set = ChoiceSet(
         prospect_ids=ids, utility_factors=f, attractiveness_rank=tuple(rank)
     )
@@ -336,13 +301,20 @@ def score_against_empirical(
                 f"{report.n_prospects} prospects but {len(freqs)} empirical values"
             )
     for v in freqs:
-        _check_real(v, what="empirical frequency")
+        _checks.real(v, what="empirical frequency")
         if v < 0:
             raise ValidationError(f"empirical frequency {v!r} is negative")
-    _check_sum(freqs, 1.0, what="empirical frequencies", tol=_EMPIRICAL_SUM_TOL)
+    _checks.check_sum(
+        freqs, 1.0, what="empirical frequencies", tol=_checks.EMPIRICAL_SUM_TOL
+    )
     errors = tuple(abs(p - e) for p, e in zip(report.probabilities, freqs))
-    return replace(
-        report,
+    return _checks.trusted(
+        PredictionReport,
+        prospect_ids=report.prospect_ids,
+        utility_factors=report.utility_factors,
+        attraction_factors=report.attraction_factors,
+        probabilities=report.probabilities,
+        clamping_applied=report.clamping_applied,
         empirical=freqs,
         abs_errors=errors,
         max_abs_error=max(errors),
@@ -368,11 +340,15 @@ def regularity_violation_check(
         raise ValidationError(f"length mismatch: {len(f)} vs {len(p)}")
     if len(f) == 0:
         raise ValidationError("regularity check needs at least one prospect")
-    _check_unit_interval(f, what="utility factor")
-    _check_unit_interval(p, what="probability")
-    _check_sum(f, 1.0, what="utility factors")
-    _check_sum(p, 1.0, what="probabilities")
+    _checks.unit_interval(f, what="utility factor")
+    _checks.unit_interval(p, what="probability")
+    _checks.check_sum(f, 1.0, what="utility factors")
+    _checks.check_sum(p, 1.0, what="probabilities")
+    return regularity_verdict(f, p)
 
+
+def regularity_verdict(f: Sequence, p: Sequence) -> RegularityCheck:
+    """``regularity_violation_check`` on vectors known to be valid."""
     f_max, p_max = max(f), max(p)
     f_arg, p_arg = f.index(f_max), p.index(p_max)
     tie = sum(1 for v in f if v == f_max) > 1 or sum(1 for v in p if v == p_max) > 1

@@ -34,15 +34,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import yaml
 
+from . import _checks
 from .decision import (
     ChoiceSet,
     PredictionReport,
@@ -56,9 +58,6 @@ from .utility import (
     utility_factors_gains,
     utility_factors_losses,
 )
-
-_EMPIRICAL_SUM_TOL = 2e-2
-_F_SUM_TOL = 1e-9
 
 _TOP_LEVEL_FIELDS = {"name", "prospects", "attractiveness_rank", "empirical", "config"}
 _CONFIG_FIELDS = {"alpha", "gamma", "utility_kind", "utility_exponent"}
@@ -81,6 +80,14 @@ def _construct_exact(loader: yaml.Loader, node: yaml.Node) -> Fraction:
 
 
 _ExactNumberLoader.add_constructor("tag:yaml.org,2002:float", _construct_exact)
+# YAML 1.2 floats that the 1.1 resolver leaves as strings: an exponent
+# with no dot in the mantissa (``1e-3``, ``2E3``) or with no sign
+# (``1.0e400``).  Integers, ``.inf`` and ``.nan`` keep their own rules.
+_ExactNumberLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
 
 
 @dataclass(frozen=True)
@@ -115,12 +122,11 @@ def _require_number(value, *, field: str):
     return Fraction(value)
 
 
-def _sum_deviation(total) -> Fraction | float:
-    # Exact when the inputs were exact, so values sitting right on a
-    # tolerance boundary are not pushed over it by float rounding.
-    if isinstance(total, Fraction):
-        return abs(total - 1)
-    return abs(float(total) - 1.0)
+def _positive_setting(config: dict, key: str, source: str) -> Fraction:
+    value = _require_number(config.get(key, 1), field=f"{source}: config.{key}")
+    if value <= 0:
+        raise ExperimentFormatError(f"{source}: config.{key} must be positive")
+    return value
 
 
 def parse_experiment(text: str, *, source: str = "<string>") -> ExperimentFile:
@@ -138,7 +144,8 @@ def parse_experiment(text: str, *, source: str = "<string>") -> ExperimentFile:
 
     if not isinstance(doc, dict):
         raise ExperimentFormatError(f"{source}: top level must be a mapping")
-    unknown = sorted(set(doc) - _TOP_LEVEL_FIELDS)
+    # Keys may be any YAML scalar (null, numbers, dates), so sort their text.
+    unknown = sorted(str(k) for k in doc if k not in _TOP_LEVEL_FIELDS)
     if unknown:
         raise ExperimentFormatError(f"{source}: unknown field(s) {unknown}")
 
@@ -159,7 +166,7 @@ def parse_experiment(text: str, *, source: str = "<string>") -> ExperimentFile:
         where = f"{source}: prospects[{k}]"
         if not isinstance(entry, dict):
             raise ExperimentFormatError(f"{where} must be a mapping")
-        extra = sorted(set(entry) - {"id", "utility", "f"})
+        extra = sorted(str(k) for k in entry if k not in ("id", "utility", "f"))
         if extra:
             raise ExperimentFormatError(f"{where} has unknown field(s) {extra}")
         pid = entry.get("id")
@@ -191,8 +198,8 @@ def parse_experiment(text: str, *, source: str = "<string>") -> ExperimentFile:
                 )
             factors.append(value)
     if kind == "f":
-        total = sum(factors)
-        if _sum_deviation(total) > _F_SUM_TOL:
+        total, deviation = _checks.sum_deviation(factors, 1)
+        if deviation > _checks.SUM_TOL:
             raise ExperimentFormatError(
                 f"{source}: prospect 'f' values must sum to 1, got {float(total)!r}"
             )
@@ -225,19 +232,20 @@ def parse_experiment(text: str, *, source: str = "<string>") -> ExperimentFile:
             if pid in freq_by_id:
                 raise ExperimentFormatError(f"{source}: duplicate empirical id {pid!r}")
             value = _require_number(entry["frequency"], field=f"{where}.frequency")
-            if value < 0:
-                raise ExperimentFormatError(f"{where}.frequency must be >= 0")
+            high = 1 + _checks.EMPIRICAL_SUM_TOL  # no larger value passes the sum check
+            if not 0 <= value <= high:
+                raise ExperimentFormatError(f"{where}.frequency must be >= 0 and <= {high}")
             freq_by_id[pid] = value
         missing = [pid for pid in ids if pid not in freq_by_id]
         if missing:
             raise ExperimentFormatError(
                 f"{source}: empirical frequencies missing for {missing}"
             )
-        total = sum(freq_by_id.values())
-        if _sum_deviation(total) > _EMPIRICAL_SUM_TOL:
+        total, deviation = _checks.sum_deviation(freq_by_id.values(), 1)
+        if deviation > _checks.EMPIRICAL_SUM_TOL:
             raise ExperimentFormatError(
                 f"{source}: empirical frequencies must sum to 1 within "
-                f"{_EMPIRICAL_SUM_TOL}, got {float(total)!r}"
+                f"{_checks.EMPIRICAL_SUM_TOL}, got {float(total)!r}"
             )
         empirical = tuple(freq_by_id[pid] for pid in ids)
 
@@ -248,17 +256,11 @@ def parse_experiment(text: str, *, source: str = "<string>") -> ExperimentFile:
     if config is not None:
         if not isinstance(config, dict):
             raise ExperimentFormatError(f"{source}: field 'config' must be a mapping")
-        extra = sorted(set(config) - _CONFIG_FIELDS)
+        extra = sorted(str(k) for k in config if k not in _CONFIG_FIELDS)
         if extra:
             raise ExperimentFormatError(f"{source}: config has unknown field(s) {extra}")
-        if "alpha" in config:
-            alpha = _require_number(config["alpha"], field=f"{source}: config.alpha")
-            if alpha <= 0:
-                raise ExperimentFormatError(f"{source}: config.alpha must be positive")
-        if "gamma" in config:
-            gamma = _require_number(config["gamma"], field=f"{source}: config.gamma")
-            if gamma <= 0:
-                raise ExperimentFormatError(f"{source}: config.gamma must be positive")
+        alpha = _positive_setting(config, "alpha", source)
+        gamma = _positive_setting(config, "gamma", source)
         util_kind = config.get("utility_kind", "linear")
         if util_kind not in ("linear", "power"):
             raise ExperimentFormatError(
@@ -266,14 +268,9 @@ def parse_experiment(text: str, *, source: str = "<string>") -> ExperimentFile:
                 f"got {util_kind!r}"
             )
         if util_kind == "power":
-            exponent = _require_number(
-                config.get("utility_exponent", 1), field=f"{source}: config.utility_exponent"
+            utility = UtilityFunction.power(
+                _positive_setting(config, "utility_exponent", source)
             )
-            if exponent <= 0:
-                raise ExperimentFormatError(
-                    f"{source}: config.utility_exponent must be positive"
-                )
-            utility = UtilityFunction.power(exponent)
         elif "utility_exponent" in config:
             raise ExperimentFormatError(
                 f"{source}: config.utility_exponent requires utility_kind: power"
@@ -292,14 +289,19 @@ def parse_experiment(text: str, *, source: str = "<string>") -> ExperimentFile:
     )
 
 
-def load_experiment(path: str | Path) -> ExperimentFile:
-    """Load and parse one ``.exp`` file from disk."""
+def read_experiment_text(path: str | Path) -> str:
+    """Text of one ``.exp`` file; an unreadable or non-UTF-8 file raises
+    ``ExperimentFormatError``."""
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+        return p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ExperimentFormatError(f"cannot read experiment file {p}: {exc}") from exc
-    return parse_experiment(text, source=str(p))
+
+
+def load_experiment(path: str | Path) -> ExperimentFile:
+    """Load and parse one ``.exp`` file from disk."""
+    return parse_experiment(read_experiment_text(path), source=str(Path(path)))
 
 
 def list_bundled_experiments() -> list[str]:

@@ -32,32 +32,20 @@ long the sweep or suite is.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
+from ._checks import HERMITIAN_TOL, IDEMPOTENCE_TOL, IDENTITY_TOL, IMAG_TOL
+from ._checks import PSD_EIGENVALUE_SLACK, TRACE_TOL
 from .errors import DegenerateSetError, NormalizationError, ValidationError
 
-#: Absolute tolerance for Hermitian symmetry of operators.
-HERMITIAN_TOL = 1e-12
-#: Absolute tolerance for unit trace of density operators.
-TRACE_TOL = 1e-12
-#: Most negative eigenvalue still accepted as "positive semi-definite".
-PSD_EIGENVALUE_SLACK = -1e-10
-#: Absolute tolerance for projector idempotence.
-IDEMPOTENCE_TOL = 1e-10
-#: Largest imaginary residue tolerated in a quantity that must be real.
-IMAG_TOL = 1e-10
-#: Internal consistency tolerance for the p = f + q identity.
-IDENTITY_TOL = 1e-12
 #: Default cap on composite dimension for the random generators.
 DEFAULT_DIM_CAP = 64
 #: Damping levels or random draws handed to the kernels in one stack.
 BATCH_CHUNK = 16
-
-_NORM_TOL = 1e-12
 
 
 def _as_complex_vector(values, *, what: str) -> np.ndarray:
@@ -118,12 +106,6 @@ def _check_density(arr: np.ndarray) -> None:
         )
 
 
-def _rng(seed: int | np.random.Generator) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 @dataclass(frozen=True)
 class StateVector:
     """A vector in a finite-dimensional complex state space.
@@ -146,7 +128,7 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def is_normalized(self, tol: float = _NORM_TOL) -> bool:
+    def is_normalized(self, tol: float = _checks.NORM_TOL) -> bool:
         return abs(self.norm() - 1.0) <= tol
 
     def normalized(self) -> "StateVector":
@@ -166,8 +148,7 @@ class StateVector:
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "StateVector":
         """Computational basis vector ``|index>`` in ``dim`` dimensions."""
-        if dim < 1:
-            raise ValidationError(f"dimension must be at least 1, got {dim}")
+        dim = _checks.count(dim, what="dimension", minimum=1)
         if not 0 <= index < dim:
             raise ValidationError(f"basis index {index} out of range for dimension {dim}")
         amp = np.zeros(dim, dtype=np.complex128)
@@ -191,13 +172,6 @@ class DensityOperator:
         _check_density(arr)
         object.__setattr__(self, "matrix", arr)
 
-    @classmethod
-    def _checked(cls, matrix: np.ndarray) -> "DensityOperator":
-        """Wrap a read-only matrix that already passed every check above."""
-        rho = object.__new__(cls)
-        object.__setattr__(rho, "matrix", matrix)
-        return rho
-
     @property
     def dim(self) -> int:
         return int(self.matrix.shape[0])
@@ -216,8 +190,7 @@ class DensityOperator:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
-        if dim < 1:
-            raise ValidationError(f"dimension must be at least 1, got {dim}")
+        dim = _checks.count(dim, what="dimension", minimum=1)
         return cls(np.eye(dim, dtype=np.complex128) / dim)
 
 
@@ -287,16 +260,7 @@ class Prospect:
     b_coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            index = operator.index(self.choice_index)
-        except TypeError:
-            index = None
-        if index is None or isinstance(self.choice_index, bool):
-            raise ValidationError(
-                f"choice index must be an integer, got {self.choice_index!r}"
-            )
-        if index < 0:
-            raise ValidationError(f"choice index must be >= 0, got {index}")
+        index = _checks.count(self.choice_index, what="choice index")
         object.__setattr__(self, "choice_index", index)
         arr = _as_complex_vector(self.b_coeffs, what="inconclusive coefficients")
         object.__setattr__(self, "b_coeffs", arr)
@@ -312,7 +276,9 @@ class ProbabilityTriple:
 
     ``p`` is the full event probability, ``f`` the diagonal (utility-like)
     part and ``q`` the interference part.  The defining identity
-    ``p = f + q`` is enforced at construction to 1e-12.
+    ``p = f + q`` is enforced at construction to 1e-12, except for the
+    triples of ``prospect_probability`` and ``normalize_prospect_set``,
+    for which ``split`` and ``normalize`` guarantee it.
     """
 
     p: float
@@ -348,10 +314,8 @@ def tensor(left: StateVector, right: StateVector) -> StateVector:
 
 
 def _check_register(prospect: Prospect, n_dim: int, b_dim: int) -> None:
-    if n_dim < 1 or b_dim < 1:
-        raise ValidationError(
-            f"register dimensions must be at least 1, got ({n_dim}, {b_dim})"
-        )
+    _checks.count(n_dim, what="choice dimension", minimum=1)
+    _checks.count(b_dim, what="inconclusive dimension", minimum=1)
     if prospect.b_dim != b_dim:
         raise ValidationError(
             f"prospect carries {prospect.b_dim} inconclusive coefficients "
@@ -449,7 +413,7 @@ def split(
     quadratic form ``<b|block|b>``), ``f`` (the diagonal terms) and ``q``
     (the off-diagonal terms), each summed on its own.  For Hermitian
     states the sums are real; an imaginary residue above 1e-10 raises, as
-    does ``|p - (f + q)|`` above 1e-12.
+    does ``|p - (f + q)|`` above 1e-12 or not finite.
     """
     n_dim, b_dim = dims
     rhos = np.asarray(rhos, dtype=np.complex128)
@@ -496,7 +460,7 @@ def split(
         )
     p, f, q = pfq.real
     defect = np.abs(p - (f + q)).max()
-    if defect > IDENTITY_TOL:
+    if not defect <= IDENTITY_TOL:  # a non-finite p, f or q fails it too
         raise ValidationError(
             f"internal identity violated: |p - (f + q)| = {defect:.3e}"
         )
@@ -518,7 +482,7 @@ def normalize(p, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValidationError(f"p and f shapes differ: {p.shape} vs {f.shape}")
     if p.ndim == 0 or p.shape[-1] == 0:
         raise ValidationError("cannot normalize an empty prospect family")
-    slack = 1e-12
+    slack = _checks.RAW_PROBABILITY_SLACK
     if min(p.min(), f.min()) < -slack:
         worst = np.argmax((p < -slack) | (f < -slack))
         raise ValidationError(
@@ -596,7 +560,9 @@ def prospect_probability(
     _check_register(prospect, n_dim, b_dim)
     block = slice(prospect.choice_index * b_dim, (prospect.choice_index + 1) * b_dim)
     p, f, q = split(rho.matrix[None, block, block], prospect.b_coeffs, (1, b_dim))
-    return ProbabilityTriple(p=float(p[0, 0]), f=float(f[0, 0]), q=float(q[0, 0]))
+    return _checks.trusted(
+        ProbabilityTriple, p=float(p[0, 0]), f=float(f[0, 0]), q=float(q[0, 0])
+    )
 
 
 def normalize_prospect_set(
@@ -614,7 +580,7 @@ def normalize_prospect_set(
         raise ValidationError("cannot normalize an empty prospect family")
     p, f, q = normalize([[t.p for t in triples]], [[t.f for t in triples]])
     return [
-        ProbabilityTriple(p=a, f=b, q=c)
+        _checks.trusted(ProbabilityTriple, p=a, f=b, q=c)
         for a, b, c in zip(p[0].tolist(), f[0].tolist(), q[0].tolist())
     ]
 
@@ -631,9 +597,8 @@ def sample_inconclusive(b_dim: int, seed: int | np.random.Generator) -> np.ndarr
     unit length, which makes the distribution invariant under unitary
     changes of basis.  Deterministic for a fixed integer seed.
     """
-    if b_dim < 1:
-        raise ValidationError(f"inconclusive dimension must be >= 1, got {b_dim}")
-    rng = _rng(seed)
+    b_dim = _checks.count(b_dim, what="inconclusive dimension", minimum=1)
+    rng = np.random.default_rng(seed)
     while True:
         raw = _complex_gaussian(rng, b_dim)
         norm = np.linalg.norm(raw)
@@ -670,16 +635,12 @@ def decohere(
                 f"block dimensions {block_dims} are inconsistent with a "
                 f"{rho.dim}-dimensional operator"
             )
-    return DensityOperator._checked(decohere_levels(rho, [damping])[0])
+    return _checks.trusted(DensityOperator, matrix=decohere_levels(rho, [damping])[0])
 
 
 def _check_dim(dim: int) -> None:
-    if dim < 1:
-        raise ValidationError(f"dimension must be at least 1, got {dim}")
-    if dim > DEFAULT_DIM_CAP:
-        raise ValidationError(
-            f"dimension {dim} exceeds the cap of {DEFAULT_DIM_CAP}"
-        )
+    if _checks.count(dim, what="dimension", minimum=1) > DEFAULT_DIM_CAP:
+        raise ValidationError(f"dimension {dim} exceeds the cap of {DEFAULT_DIM_CAP}")
 
 
 def random_state_vector(dim: int, seed: int | np.random.Generator) -> StateVector:
@@ -720,8 +681,8 @@ def random_density_operator(
         rank = dim
     if not 1 <= rank <= dim:
         raise ValidationError(f"rank must lie in [1, {dim}], got {rank}")
-    g = _complex_gaussian(_rng(seed), (dim, rank))
-    return DensityOperator._checked(_densities_from_gaussians(g[None])[0])
+    g = _complex_gaussian(np.random.default_rng(seed), (dim, rank))
+    return _checks.trusted(DensityOperator, matrix=_densities_from_gaussians(g[None])[0])
 
 
 def random_prospect_draws(
@@ -738,12 +699,11 @@ def random_prospect_draws(
     ``random_density_operator(d, rng)`` and ``sample_inconclusive(b_dim,
     rng)`` bit for bit; the states are built and validated as one stack.
     """
-    if count < 1:
-        raise ValidationError(f"draw count must be >= 1, got {count}")
+    count = _checks.count(count, what="draw count", minimum=1)
     n_dim, b_dim = dims
     dim = n_dim * b_dim
     _check_dim(dim)
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     gaussians = np.empty((count, dim, dim), dtype=np.complex128)
     coeffs = np.empty((count, b_dim), dtype=np.complex128)
     for k in range(count):

@@ -19,17 +19,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Rational, Real
 from typing import Sequence
 
+from . import _checks
 from .errors import DegenerateSetError, SignDomainError, ValidationError
 
-_PROB_SUM_TOL = 1e-9
 
-
-def _check_finite(value, *, what: str) -> None:
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValidationError(f"{what} must be finite, got {value!r}")
+def _power(base, exponent, *, what: str):
+    """``base ** exponent``; ``ValidationError`` if a float result overflows, or
+    if an exact one, which could take unbounded time to build, passes 2 ** +-1024."""
+    if isinstance(base, Rational) and base != 0 and isinstance(exponent, Rational):
+        bits = math.log2(abs(base.numerator)) - math.log2(base.denominator)
+        if exponent.denominator == 1 and abs(exponent * bits) > 1024:
+            raise ValidationError(f"{what} overflows floating point")
+    try:
+        return base ** exponent
+    except OverflowError:
+        raise ValidationError(f"{what} overflows floating point") from None
 
 
 @dataclass(frozen=True)
@@ -52,17 +59,12 @@ class Lottery:
                 f"payoff/probability length mismatch: {len(payoffs)} vs {len(probs)}"
             )
         for x in payoffs:
-            _check_finite(x, what="payoff")
+            _checks.real(x, what="payoff")
         for pr in probs:
-            _check_finite(pr, what="probability")
+            _checks.real(pr, what="probability")
             if pr < 0:
                 raise ValidationError(f"probabilities must be non-negative, got {pr!r}")
-        total = sum(probs)
-        if abs(total - 1) > _PROB_SUM_TOL:
-            raise ValidationError(
-                f"lottery probabilities must sum to 1 within {_PROB_SUM_TOL:.0e}, "
-                f"got {float(total)!r}"
-            )
+        _checks.check_sum(probs, 1, what="lottery probabilities")
         object.__setattr__(self, "payoffs", payoffs)
         object.__setattr__(self, "probs", probs)
 
@@ -88,19 +90,19 @@ class UtilityFunction:
             raise ValidationError(
                 f"utility kind must be 'linear' or 'power', got {self.kind!r}"
             )
-        _check_finite(self.exponent, what="utility exponent")
+        _checks.real(self.exponent, what="utility exponent")
         if self.exponent <= 0:
             raise ValidationError(
                 f"utility exponent must be positive, got {self.exponent!r}"
             )
 
     def __call__(self, x):
-        _check_finite(x, what="payoff")
+        _checks.real(x, what="payoff")
         if self.kind == "linear":
             return x
         if x == 0:
             return 0
-        magnitude = abs(x) ** self.exponent
+        magnitude = _power(abs(x), self.exponent, what=f"utility of payoff {x!r}")
         return magnitude if x > 0 else -magnitude
 
     @classmethod
@@ -115,37 +117,12 @@ class UtilityFunction:
 LINEAR_UTILITY = UtilityFunction.linear()
 
 
-@dataclass(frozen=True)
-class UtilityFactorConfig:
-    """Exponents of the two closed-form factor rules (both default to 1)."""
-
-    alpha: Real = 1
-    gamma: Real = 1
-
-    def __post_init__(self) -> None:
-        _check_finite(self.alpha, what="alpha")
-        _check_finite(self.gamma, what="gamma")
-        if self.alpha <= 0:
-            raise ValidationError(f"alpha must be positive, got {self.alpha!r}")
-        if self.gamma <= 0:
-            raise ValidationError(f"gamma must be positive, got {self.gamma!r}")
-
-
 def expected_utility(lottery: Lottery, utility: UtilityFunction = LINEAR_UTILITY):
     """Probability-weighted utility of a lottery.
 
     Exact for exact payoffs/probabilities under the linear utility.
     """
     return sum(pr * utility(x) for x, pr in zip(lottery.payoffs, lottery.probs))
-
-
-def _validated_utilities(utilities: Sequence, *, what: str) -> tuple:
-    values = tuple(utilities)
-    if len(values) == 0:
-        raise ValidationError(f"{what} must contain at least one utility")
-    for u in values:
-        _check_finite(u, what="utility")
-    return values
 
 
 def utility_factors_gains(utilities: Sequence, alpha: Real = 1) -> list:
@@ -156,8 +133,8 @@ def utility_factors_gains(utilities: Sequence, alpha: Real = 1) -> list:
     and is rejected, as is any negative utility (use the losses rule).
     Exact inputs stay exact when ``alpha`` is 1 or a positive integer.
     """
-    values = _validated_utilities(utilities, what="gains utilities")
-    _check_finite(alpha, what="alpha")
+    values = _checks.reals(utilities, what="utility")
+    _checks.real(alpha, what="alpha")
     if alpha <= 0:
         raise ValidationError(f"alpha must be positive, got {alpha!r}")
     for u in values:
@@ -172,7 +149,7 @@ def utility_factors_gains(utilities: Sequence, alpha: Real = 1) -> list:
     if alpha == 1:
         weights = list(values)
     else:
-        weights = [u ** alpha for u in values]
+        weights = [_power(u, alpha, what="a gains weight") for u in values]
     total = sum(weights)
     return [w / total for w in weights]
 
@@ -185,8 +162,8 @@ def utility_factors_losses(utilities: Sequence, gamma: Real = 1) -> list:
     non-negative utility is rejected — mixed-sign families fit neither
     rule and are not silently split.
     """
-    values = _validated_utilities(utilities, what="losses utilities")
-    _check_finite(gamma, what="gamma")
+    values = _checks.reals(utilities, what="utility")
+    _checks.real(gamma, what="gamma")
     if gamma <= 0:
         raise ValidationError(f"gamma must be positive, got {gamma!r}")
     for u in values:
@@ -197,7 +174,7 @@ def utility_factors_losses(utilities: Sequence, gamma: Real = 1) -> list:
     if gamma == 1:
         weights = [1 / abs(u) for u in values]
     else:
-        weights = [abs(u) ** (-gamma) for u in values]
+        weights = [_power(abs(u), -gamma, what="a losses weight") for u in values]
     total = sum(weights)
     return [w / total for w in weights]
 
@@ -209,16 +186,15 @@ def _xlogx(value: float) -> float:
     return value * math.log(value)
 
 
-def _validated_factors(factors: Sequence) -> list[float]:
-    values = [float(f) for f in factors]
-    if len(values) == 0:
-        raise ValidationError("factor vector must contain at least one entry")
-    for f in values:
-        if not math.isfinite(f):
-            raise ValidationError(f"factors must be finite, got {f!r}")
-        if f < 0.0:
-            raise ValidationError(f"factors must be non-negative, got {f!r}")
-    return values
+def _functional_inputs(factors: Sequence, utilities: Sequence) -> tuple[list[float], tuple]:
+    f = [float(x) for x in _checks.reals(factors, what="factor")]
+    values = _checks.reals(utilities, what="utility")
+    if len(f) != len(values):
+        raise ValidationError(f"factor/utility length mismatch: {len(f)} vs {len(values)}")
+    for x in f:
+        if x < 0.0:
+            raise ValidationError(f"factors must be non-negative, got {x!r}")
+    return f, values
 
 
 def information_functional_gains(
@@ -237,12 +213,7 @@ def information_functional_gains(
     penalty: if its factor is positive the functional is ``math.inf``,
     while a zero factor silences the term.
     """
-    f = _validated_factors(factors)
-    values = _validated_utilities(utilities, what="gains utilities")
-    if len(f) != len(values):
-        raise ValidationError(
-            f"factor/utility length mismatch: {len(f)} vs {len(values)}"
-        )
+    f, values = _functional_inputs(factors, utilities)
     for u in values:
         if u < 0:
             raise SignDomainError(
@@ -278,12 +249,7 @@ def information_functional_losses(
     with ``L_n = -ln |U_n|``, which is what flips the minimizer to
     ``f_n`` proportional to ``|U_n| ** -gamma``.
     """
-    f = _validated_factors(factors)
-    values = _validated_utilities(utilities, what="losses utilities")
-    if len(f) != len(values):
-        raise ValidationError(
-            f"factor/utility length mismatch: {len(f)} vs {len(values)}"
-        )
+    f, values = _functional_inputs(factors, utilities)
     for u in values:
         if u >= 0:
             raise SignDomainError(

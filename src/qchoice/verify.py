@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attraction import ordered_uniform_gap_check, quarter_law_check
+from . import _checks
+from ._checks import ENTROPY_MARGIN_TOL, GAP_SPREAD_TOL, IDENTITY_TOL, QUARTER_LAW_TOL
+from .attraction import ordered_uniform_gap_check, quarter_law_check, row_chunks
 from .errors import ValidationError
 from .quantum import (
-    IDENTITY_TOL,
     chunk_slices,
     normalize,
     prospect_projector_stack,
@@ -29,10 +30,6 @@ from .utility import (
     utility_factors_gains,
     utility_factors_losses,
 )
-
-QUARTER_LAW_TOL = 5e-3
-GAP_SPREAD_TOL = 3e-3
-ENTROPY_MARGIN_TOL = -1e-9
 
 SUITE_NAMES = ("quarter-law", "gaps", "entropy", "quantum-identity")
 
@@ -109,7 +106,10 @@ def _perturbation_margin(
     *,
     losses: bool,
 ) -> float:
-    """Worst functional margin of random simplex points over the minimizer."""
+    """Worst functional margin of random simplex points over the minimizer.
+
+    Points are drawn in ``row_chunks``, the same points as one large draw.
+    """
     if losses:
         f_star = utility_factors_losses(list(utilities), exponent)
         i_star = information_functional_losses(f_star, list(utilities), 0.0, exponent)
@@ -120,11 +120,14 @@ def _perturbation_margin(
         i_star = information_functional_gains(f_star, list(utilities), 0.0, exponent)
         log_penalty = -np.log(utilities)
         sign = 1.0
-    points = rng.dirichlet(np.ones(utilities.size), size=perturbations)
-    safe = np.where(points > 0.0, points, 1.0)  # 0 * log 0 -> 0
-    entropy = np.sum(points * np.log(safe), axis=1)
-    values = entropy + sign * exponent * (points @ log_penalty)
-    return float(np.min(values) - i_star)
+    least = np.inf
+    for rows in row_chunks(perturbations, utilities.size):
+        points = rng.dirichlet(np.ones(utilities.size), size=rows)
+        safe = np.where(points > 0.0, points, 1.0)  # 0 * log 0 -> 0
+        entropy = np.sum(points * np.log(safe), axis=1)
+        values = entropy + sign * exponent * (points @ log_penalty)
+        least = min(least, float(np.min(values)))
+    return least - i_star
 
 
 def verify_entropy(perturbations: int = 10_000, seed: int = 0, vectors: int = 20) -> SuiteResult:
@@ -135,8 +138,8 @@ def verify_entropy(perturbations: int = 10_000, seed: int = 0, vectors: int = 20
     unit exponents the closed forms must coincide with the plain ratio
     weightings exactly.
     """
-    if vectors < 1 or perturbations < 1:
-        raise ValidationError("vectors and perturbations must be >= 1")
+    vectors = _checks.count(vectors, what="vector count", minimum=1)
+    perturbations = _checks.count(perturbations, what="perturbation count", minimum=1)
     rng = np.random.default_rng(seed)
     worst = np.inf
     for _ in range(vectors):
@@ -200,8 +203,7 @@ def verify_quantum_identity(
     not on the choice blocks that ``split`` reads, so the two routes to
     ``p`` stay independent.
     """
-    if draws < 1:
-        raise ValidationError(f"draw count must be >= 1, got {draws}")
+    draws = _checks.count(draws, what="draw count", minimum=1)
     n_dim, b_dim = dims
     rng = np.random.default_rng(seed)
     max_identity = 0.0

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from qchoice import cli, quantum
+from qchoice import _checks, attraction, cli, quantum
 from qchoice.cli import main
 
 MICROWAVE_CSV = (
@@ -87,6 +87,76 @@ class TestPredict:
         capsys.readouterr()
         assert main(["predict", "microwave", "--format", "record"]) == 0
         assert target.read_text(encoding="utf-8") == capsys.readouterr().out
+
+
+def _assert_one_error_line(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+class TestInputErrors:
+    def test_directory_input(self, tmp_path, capsys):
+        directory = tmp_path / "study.exp"
+        directory.mkdir()
+        _assert_one_error_line(["predict", str(directory)], capsys)
+
+    def test_non_utf8_input(self, tmp_path, capsys):
+        path = tmp_path / "latin1.exp"
+        path.write_bytes(b"name: caf\xe9\nprospects: []\n")
+        _assert_one_error_line(["predict", str(path)], capsys)
+
+    def test_out_into_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "no-such-dir" / "run.json"
+        _assert_one_error_line(["predict", "microwave", "--out", str(target)], capsys)
+
+    def test_power_utility_overflow(self, tmp_path, capsys):
+        path = tmp_path / "big.exp"
+        path.write_text(
+            DEMO.replace("f: 0.4", "utility: 1.0e+400").replace("f: 0.6", "utility: 2")
+            + "config:\n  utility_kind: power\n  utility_exponent: 0.88\n",
+            encoding="utf-8",
+        )
+        _assert_one_error_line(["predict", str(path)], capsys)
+
+
+def _wide_experiment(n: int) -> str:
+    """``n`` prospects with utilities and empirical frequencies summing to 1."""
+    ids = [f"p{k}" for k in range(n)]
+    lines = ["name: wide", "prospects:"]
+    for k, pid in enumerate(ids):
+        lines += [f"  - id: {pid}", f"    utility: {k % 7 + 1}"]
+    lines.append(f"attractiveness_rank: [{', '.join(reversed(ids))}]")
+    lines.append("empirical:")
+    for k, pid in enumerate(ids):
+        lines += [f"  - id: {pid}", f"    frequency: {'0.004' if k < n // 3 else '0.003'}"]
+    return "\n".join(lines) + "\n"
+
+
+class TestValidateOnce:
+    def test_predict_checks_each_input_once(self, tmp_path, monkeypatch, capsys):
+        # 4 full-length sums: empirical frequencies in the parser and in
+        # scoring, utility factors in ChoiceSet, probabilities in the
+        # composition; and one [0, 1] pass, over the utility factors.
+        n = 300
+        path = tmp_path / "wide.exp"
+        path.write_text(_wide_experiment(n), encoding="utf-8")
+        calls = {"sum": 0, "unit": 0}
+
+        def counting(kind, check):
+            def wrapper(values, *args, **kwargs):
+                values = list(values)
+                calls[kind] += len(values) == n
+                return check(values, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(_checks, "sum_deviation", counting("sum", _checks.sum_deviation))
+        monkeypatch.setattr(_checks, "unit_interval", counting("unit", _checks.unit_interval))
+        assert main(["predict", str(path)]) == 0
+        assert "max |error|" in capsys.readouterr().out
+        assert calls == {"sum": 4, "unit": 1}
 
 
 class TestAttractionSet:
@@ -224,6 +294,16 @@ class TestBatchChunking:
         assert main(args) == 0
         whole = capsys.readouterr().out
         monkeypatch.setattr(quantum, "BATCH_CHUNK", 3)
+        assert main(args) == 0
+        assert capsys.readouterr().out == whole
+
+    def test_entropy_record_does_not_depend_on_chunk_size(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_now", lambda: "2000-01-01T00:00:00+00:00")
+        args = ["verify", "entropy", "--samples", "40", "--seed", "5", "--format", "record"]
+        assert main(args) == 0
+        whole = capsys.readouterr().out
+        # 7 values per chunk: one to three Dirichlet rows for N = 2..6.
+        monkeypatch.setattr(attraction, "_CHUNK_TARGET", 7)
         assert main(args) == 0
         assert capsys.readouterr().out == whole
 

@@ -1,15 +1,18 @@
 """Tests for the decoy pipeline: composition, bounds, scoring, regularity."""
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qchoice import (
     ChoiceSet,
     InfeasibleBoundsError,
+    QChoiceError,
     PredictionReport,
     ValidationError,
     compose_probabilities,
@@ -49,6 +52,9 @@ class TestChoiceSet:
     def test_factor_range_checked(self):
         with pytest.raises(ValidationError, match=r"\[0, 1\]"):
             ChoiceSet(("A", "B"), (F(3, 2), F(-1, 2)), ("A", "B"))
+        for factors in ((True, False), ("0.5", "0.5"), (None, 1)):
+            with pytest.raises(ValidationError, match="real number"):
+                ChoiceSet(("A", "B"), factors, ("A", "B"))
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError, match="utility factors"):
@@ -98,6 +104,14 @@ class TestEnforceBounds:
     def test_factor_sum_must_be_one(self):
         with pytest.raises(ValidationError, match="sum to 1"):
             enforce_bounds((F(1, 2), F(1, 4)), (F(0), F(0)))
+
+    def test_rejects_bool_and_strings(self):
+        with pytest.raises(ValidationError, match="real number"):
+            enforce_bounds((True, False), (F(0), F(0)))
+        with pytest.raises(ValidationError, match="real number"):
+            enforce_bounds((F(1, 2), F(1, 2)), (False, False))
+        with pytest.raises(ValidationError, match="real number"):
+            enforce_bounds((F(1, 2), F(1, 2)), ("0", "0"))
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError, match="mismatch"):
@@ -193,6 +207,14 @@ class TestPredictDecoy:
     def test_rank_rejects_bool(self):
         with pytest.raises(ValidationError, match="ids or indices"):
             predict_decoy((F(1, 2), F(1, 2)), (True, False))
+        with pytest.raises(ValidationError, match="ids or indices"):
+            predict_decoy((F(1, 2), F(1, 2)), (0.0, 1.0))
+        with pytest.raises(ValidationError, match="real number"):
+            predict_decoy([True, False], (0, 1))
+
+    def test_numpy_integer_indices(self):
+        expected = predict_decoy((F(2, 5), F(3, 5)), (1, 0))
+        assert predict_decoy((F(2, 5), F(3, 5)), np.array([1, 0])) == expected
 
 
 class TestScoreAgainstEmpirical:
@@ -235,6 +257,10 @@ class TestScoreAgainstEmpirical:
     def test_negative_frequency_rejected(self):
         with pytest.raises(ValidationError, match="negative"):
             score_against_empirical(self._report(), (F(11, 10), F(-1, 10)))
+        with pytest.raises(ValidationError, match="real number"):
+            score_against_empirical(self._report(), (True, False))
+        with pytest.raises(ValidationError, match="real number"):
+            score_against_empirical(self._report(), {"t": "0.5", "c": "0.5"})
 
     def test_original_report_untouched(self):
         report = self._report()
@@ -356,6 +382,48 @@ class TestPredictionReport:
             assert sorted(report.attraction_factors) == sorted(
                 quantized_attraction_set(n).values
             )
+
+
+def _revalidated(report: PredictionReport) -> PredictionReport:
+    """The same report, built through the validating constructor."""
+    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    return PredictionReport(**fields)
+
+
+class TestTrustedReports:
+    """Reports built without re-validation pass the validating constructor."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(1, 40), min_size=1, max_size=8),
+        st.booleans(),
+        st.sampled_from([0, 1, -1]),
+        st.randoms(use_true_random=False),
+    )
+    def test_compose_and_score_reports_revalidate(self, weights, exact, edge, rng):
+        n = len(weights)
+        total = sum(weights)
+        if exact:
+            f = [F(w, total) for w in weights]
+            f[-1] += edge * F(1, 10**9)
+        else:
+            f = [w / total for w in weights]
+            f[-1] += edge * 1e-9
+        ids = tuple(f"P{k}" for k in range(n))
+        rank = list(ids)
+        rng.shuffle(rank)
+        try:
+            report = compose_probabilities(ChoiceSet(ids, tuple(f), tuple(rank)))
+        except QChoiceError:
+            assume(False)  # rejected inputs build no report
+        assert _revalidated(report) == report
+        counts = [rng.randint(0, 9) for _ in range(n)]
+        assume(sum(counts) > 0)
+        freqs = [F(c, sum(counts)) for c in counts]
+        if not exact:
+            freqs = [float(x) for x in freqs]
+        scored = score_against_empirical(report, freqs)
+        assert _revalidated(scored) == scored
 
 
 def test_infeasible_error_is_exported():

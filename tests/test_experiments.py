@@ -1,13 +1,18 @@
 """Tests for .exp parsing, bundled data, and deterministic run records."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qchoice import (
     ExperimentFormatError,
+    QChoiceError,
     RunRecord,
     SignDomainError,
     bundled_experiment,
@@ -19,6 +24,7 @@ from qchoice import (
     parse_experiment,
     run_prediction,
 )
+from qchoice.cli import main
 
 F = Fraction
 
@@ -53,6 +59,14 @@ class TestExactNumbers:
         text = MINIMAL.replace("0.4", "2.5e-3").replace("0.6", "0.9975")
         exp = parse_experiment(text)
         assert exp.utility_factors == (F(1, 400), F(399, 400))
+        # YAML 1.2 floats that YAML 1.1 reads as strings: no dot, or no
+        # exponent sign.
+        text = MINIMAL.replace("0.4", "1e-1").replace("0.6", "9E-1")
+        assert parse_experiment(text).utility_factors == (F(1, 10), F(9, 10))
+        text = MINIMAL.replace("f: 0.4", "utility: 1e400").replace("f: 0.6", "utility: 2E3")
+        assert parse_experiment(text).utilities == (F(10) ** 400, F(2000))
+        text = MINIMAL.replace("f: 0.4", "utility: 1.5e2").replace("f: 0.6", "utility: -2e-3")
+        assert parse_experiment(text).utilities == (F(150), F(-1, 500))
 
     def test_integers_stay_exact(self):
         text = MINIMAL.replace("f: 0.4", "utility: 1").replace("f: 0.6", "utility: 3")
@@ -284,6 +298,10 @@ class TestEmpiricalSection:
         body = "  - {id: a, frequency: -0.1}\n  - {id: b, frequency: 1.1}\n"
         with pytest.raises(ExperimentFormatError, match="must be >= 0"):
             parse_experiment(self.with_empirical(body))
+        # A frequency beyond the double range once broke the sum message.
+        body = "  - {id: a, frequency: 1e400}\n  - {id: b, frequency: 0.5}\n"
+        with pytest.raises(ExperimentFormatError, match="<= 1"):
+            parse_experiment(self.with_empirical(body))
 
     def test_sum_window(self):
         ok = "  - {id: a, frequency: 0.49}\n  - {id: b, frequency: 0.49}\n"
@@ -339,6 +357,12 @@ class TestLoadExperiment:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ExperimentFormatError, match="cannot read experiment file"):
             load_experiment(tmp_path / "absent.exp")
+        with pytest.raises(ExperimentFormatError, match="cannot read experiment file"):
+            load_experiment(tmp_path)
+        latin1 = tmp_path / "latin1.exp"
+        latin1.write_bytes(b"name: caf\xe9\n")
+        with pytest.raises(ExperimentFormatError, match="cannot read experiment file"):
+            load_experiment(latin1)
 
     def test_error_names_the_file(self, tmp_path):
         p = tmp_path / "broken.exp"
@@ -425,3 +449,85 @@ class TestRunRecord:
         rec = RunRecord(command="verify", input_digest=None, seeds=(0,), statistics={})
         with pytest.raises(ExperimentFormatError, match="no per-prospect table"):
             rec.to_csv()
+
+
+FUZZ_BASE = """\
+name: fuzz
+prospects:
+  - id: a
+    utility: 3
+  - id: b
+    utility: 1.5
+  - id: c
+    utility: 2
+attractiveness_rank: [b, a, c]
+empirical:
+  - id: a
+    frequency: 0.3
+  - id: b
+    frequency: 0.5
+  - id: c
+    frequency: 0.2
+config:
+  alpha: 0.5
+  utility_kind: power
+  utility_exponent: 0.88
+"""
+FUZZ_BASES = (
+    FUZZ_BASE,
+    "name: f\nprospects:\n  - {id: a, f: 0.25}\n  - {id: b, f: 0.75}\n"
+    "attractiveness_rank: [a, b]\n"
+    "empirical:\n  - {id: a, frequency: 0.6}\n  - {id: b, frequency: 0.4}\n",
+    "name: losses\nprospects:\n  - {id: a, utility: -3}\n  - {id: b, utility: -1.5}\n"
+    "attractiveness_rank: [b, a]\nconfig: {gamma: 2}\n",
+)
+
+# YAML syntax, field names and numeric edge cases.
+_FUZZ_TOKENS = st.sampled_from(
+    [
+        "", " ", "\n", "  ", "\t", ":", "-", "- ", ",", "[", "]", "{", "}", "'", '"',
+        "#", "&x", "*x", "!!str", "!!binary", "?", "%", "|", ">", "~", "null", "true",
+        "id", "f", "utility", "frequency", "alpha", "gamma", "power", "linear",
+        "0", "-1", "0.5", "9", "99999", "1e400", "1e-400", "-1e300", "1e300", "2E3",
+        ".inf", ".nan",
+        "\u00e9", "\x00", "\ufeff", "\xe9",
+    ]
+)
+
+
+@st.composite
+def mutated_experiment(draw) -> bytes:
+    text = draw(st.sampled_from(FUZZ_BASES))
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, len(text)))
+        stop = draw(st.integers(start, min(len(text), start + 12)))
+        text = text[:start] + draw(_FUZZ_TOKENS) + text[stop:]
+    data = text.encode("utf-8")
+    if draw(st.booleans()) and draw(st.booleans()):
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xe9\xff" + data[cut:]
+    return data
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(mutated_experiment())
+    def test_parse_raises_only_package_errors(self, data):
+        try:
+            exp = parse_experiment(data.decode("utf-8", errors="replace"))
+            run_prediction(exp)
+        except QChoiceError:
+            pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=mutated_experiment())
+    def test_predict_exits_cleanly(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "mutated.exp"
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["predict", str(path)])
+        assert code in (0, 1)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert err.getvalue().lower().startswith("error:")

@@ -314,6 +314,11 @@ class TestProbabilitySplit:
     def test_triple_rejects_non_finite(self):
         with pytest.raises(ValidationError):
             ProbabilityTriple(p=float("nan"), f=0.0, q=0.0)
+        # Coefficients whose products overflow: split rejects the
+        # non-finite p, f and q before any triple is built.
+        rho = random_density_operator(4, 0)
+        with pytest.raises(ValidationError), np.errstate(invalid="ignore", over="ignore"):
+            prospect_probability(rho, Prospect(0, [1e200, 1e200]), (2, 2))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
@@ -486,6 +491,9 @@ class TestBatchedKernels:
             assert [t.f for t in triples] == f[k].tolist()
             assert [t.q for t in triples] == q[k].tolist()
             family = normalize_prospect_set(triples)
+            # Both wrappers skip the triple's check; their triples pass it.
+            for t in triples + family:
+                assert ProbabilityTriple(t.p, t.f, t.q) == t
             assert [t.p for t in family] == p_n[k].tolist()
             assert [t.f for t in family] == f_n[k].tolist()
             assert [t.q for t in family] == q_n[k].tolist()

@@ -14,7 +14,6 @@ from qchoice import (
     LINEAR_UTILITY,
     Lottery,
     SignDomainError,
-    UtilityFactorConfig,
     UtilityFunction,
     ValidationError,
     expected_utility,
@@ -87,18 +86,6 @@ class TestUtilityFunction:
         assert expected_utility(lot, UtilityFunction.power(F(1, 2))) == pytest.approx(1.0)
 
 
-class TestUtilityFactorConfig:
-    def test_defaults(self):
-        cfg = UtilityFactorConfig()
-        assert cfg.alpha == 1 and cfg.gamma == 1
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValidationError):
-            UtilityFactorConfig(alpha=0)
-        with pytest.raises(ValidationError):
-            UtilityFactorConfig(gamma=-2)
-
-
 class TestGainsFactors:
     def test_equal_utilities_split_evenly(self):
         assert utility_factors_gains([F(1), F(1), F(1)]) == [F(1, 3)] * 3
@@ -125,6 +112,34 @@ class TestGainsFactors:
     def test_bad_alpha_rejected(self):
         with pytest.raises(ValidationError):
             utility_factors_gains([1.0, 2.0], alpha=0)
+        with pytest.raises(ValidationError, match="real number"):
+            utility_factors_gains([1.0, 2.0], alpha=True)
+
+    def test_non_numbers_rejected(self):
+        for utilities in ([True, 1], ["1", "2"], [None]):
+            with pytest.raises(ValidationError, match="real number"):
+                utility_factors_gains(utilities)
+
+    def test_out_of_range_values_and_powers_rejected(self):
+        with pytest.raises(ValidationError, match="too large"):
+            utility_factors_gains([F(10) ** 400, 1])
+        with pytest.raises(ValidationError, match="overflows"):
+            utility_factors_gains([1e300, 1.0], alpha=2.5)
+        with pytest.raises(ValidationError, match="overflows"):
+            utility_factors_losses([-1e-300, -1.0], gamma=2.5)
+        with pytest.raises(ValidationError, match="overflows"):
+            UtilityFunction.power(2.5)(1e300)
+        # Exact powers this large would never finish; they are refused.
+        with pytest.raises(ValidationError, match="overflows"):
+            UtilityFunction.power(F(10) ** 300)(F(3))
+        with pytest.raises(ValidationError, match="overflows"):
+            utility_factors_gains([F(1, 3), F(2)], alpha=10**9)
+        with pytest.raises(ValidationError, match="overflows"):
+            utility_factors_losses([F(-3), F(-2)], gamma=F(10) ** 300)
+        assert utility_factors_gains([F(3), F(2)], alpha=600)[1] == F(2**600, 3**600 + 2**600)
+        assert utility_factors_gains([F(1, 10**100), F(1)], alpha=2)[0] == F(1, 10**200 + 1)
+        with pytest.raises(ValidationError, match="overflows"):
+            utility_factors_gains([F(1, 10**400), F(1)], alpha=2)
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
