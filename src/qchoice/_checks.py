@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import operator
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from numbers import Real
 
@@ -75,24 +76,52 @@ def unit_interval(values, *, what: str) -> None:
             raise ValidationError(f"{what} {v!r} outside [0, 1]")
 
 
+def total(values):
+    """``sum(values)``, faster when every value is a ``Fraction``.
+
+    Fractions are summed as integer numerators over the ``lcm`` of their
+    denominators, with one reduction at the end instead of one per term.
+    Any other input goes to the builtin ``sum``, so float totals keep
+    their rounding bit for bit.
+    """
+    values = tuple(values)
+    if values and all(isinstance(v, Fraction) for v in values):
+        den = math.lcm(*(v.denominator for v in values))
+        return Fraction(sum(v.numerator * (den // v.denominator) for v in values), den)
+    return sum(values)
+
+
 def sum_deviation(values, target) -> tuple:
     """Total of ``values`` and its distance from ``target``.
 
     Exact for a ``Fraction`` total, so rational inputs right on a
     tolerance are not pushed over it by float rounding.
     """
-    total = sum(values)
-    if isinstance(total, Fraction):
-        return total, abs(total - Fraction(target))
-    return total, abs(float(total) - target)
+    got = total(values)
+    if isinstance(got, Fraction):
+        return got, abs(got - Fraction(target))
+    return got, abs(float(got) - target)
 
 
 def check_sum(values, target, *, what: str, tol: float = SUM_TOL) -> None:
-    total, deviation = sum_deviation(values, target)
+    got, deviation = sum_deviation(values, target)
     if deviation > tol:
         raise ValidationError(
-            f"{what} must sum to {target} within {tol:.0e}, got {float(total)!r}"
+            f"{what} must sum to {target} within {tol:.0e}, got {number_text(got)}"
         )
+
+
+_WIDE = Context(prec=7, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def number_text(value) -> str:
+    """``repr(float(value))``, or ``e`` notation for an exact value beyond
+    the double range, where ``float`` would raise ``OverflowError``."""
+    try:
+        return repr(float(value))
+    except OverflowError:
+        exact = Fraction(value)
+        return f"{_WIDE.divide(Decimal(exact.numerator), Decimal(exact.denominator)):.6e}"
 
 
 def count(value, *, what: str, minimum: int = 0) -> int:

@@ -52,7 +52,8 @@ def _now() -> str:
     return _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
 
 
-def _emit(record: RunRecord, table_text: str, fmt: str, out: str | None) -> None:
+def _emit(record: RunRecord, table_text: str | None, fmt: str, out: str | None) -> None:
+    """Print ``record`` in ``fmt``; ``table_text`` is needed only for "table"."""
     if out:
         try:
             Path(out).write_text(record.to_json(), encoding="utf-8")
@@ -163,7 +164,10 @@ def predict(experiment_file: str, fmt: str, out: str | None) -> None:
         report=report,
         created_at=_now(),
     )
-    _emit(record, _prediction_table(exp, report, digest, record.created_at), fmt, out)
+    table = None
+    if fmt == "table":
+        table = _prediction_table(exp, report, digest, record.created_at)
+    _emit(record, table, fmt, out)
 
 
 @cli.command("attraction-set")

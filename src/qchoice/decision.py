@@ -146,7 +146,7 @@ def enforce_bounds(
     unchanged (the procedure is idempotent).  Returns the adjusted
     values and a flag telling whether any clamping happened.  Raises
     ``InfeasibleBoundsError`` when every value is pinned and the sum
-    still cannot reach zero.
+    still misses zero by more than the tolerance ``f`` was accepted under.
     """
     f = list(utility_factors)
     q = list(attraction_factors)
@@ -169,7 +169,8 @@ def _clip_to_bounds(f: Sequence, q: list) -> tuple[list, bool]:
 
     The output needs no check: each value ends inside its bounds (clamped
     onto one, or tested against both in the final round), and the loop
-    stops only once ``|sum(q)| <= min(RESIDUAL_EPS * N, SUM_TOL)``.
+    stops only once ``|sum(q)| <= min(RESIDUAL_EPS * N, SUM_TOL)``, or
+    within ``SUM_TOL`` once every value is pinned.
     """
     n = len(f)
     lo = [-x for x in f]
@@ -190,11 +191,15 @@ def _clip_to_bounds(f: Sequence, q: list) -> tuple[list, bool]:
                 q[i] = hi[i]
                 pinned[i] = True
                 clamped_any = True
-        residual = -sum(q)
+        residual = -_checks.total(q)
         if abs(residual) <= eps:
             return q, clamped_any
         free = [i for i in range(n) if not pinned[i]]
         if not free:
+            # ``f`` was accepted with its sum up to ``SUM_TOL`` off 1, so a
+            # fully pinned ``q`` may miss zero by as much.
+            if abs(residual) <= _checks.SUM_TOL:
+                return q, clamped_any
             raise InfeasibleBoundsError(
                 f"all {n} attraction values are pinned at their bounds but the "
                 f"sum misses zero by {float(residual)!r}"
@@ -318,7 +323,7 @@ def score_against_empirical(
         empirical=freqs,
         abs_errors=errors,
         max_abs_error=max(errors),
-        mean_abs_error=sum(errors) / len(errors),
+        mean_abs_error=_checks.total(errors) / len(errors),
     )
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import reprlib
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -64,22 +65,54 @@ _CONFIG_FIELDS = {"alpha", "gamma", "utility_kind", "utility_exponent"}
 _CSV_HEADER = "id,f,q,p,p_exp,abs_error"
 
 
-class _ExactNumberLoader(yaml.SafeLoader):
-    """SafeLoader that turns YAML float literals into exact Fractions."""
+# libyaml's scanner where PyYAML was built with it; the resolvers and
+# constructors below are Python-level and run the same on either.
+class _ExactNumberLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """Safe loader that turns YAML float literals into exact Fractions and
+    refuses numeric literals beyond ``_MAX_LITERAL_EXPONENT``."""
+
+
+#: Largest decimal exponent, either sign, of any digit of a numeric
+#: literal.  Far outside the double range (about 1e-324 to 1e308), yet
+#: every exact value within it stays cheap to build and to print.
+_MAX_LITERAL_EXPONENT = 1000
+
+
+def _literal(node: yaml.Node) -> str:
+    return f"numeric literal {reprlib.repr(node.value)} at line {node.start_mark.line + 1}"
+
+
+def _out_of_range(node: yaml.Node) -> ExperimentFormatError:
+    return ExperimentFormatError(
+        f"{_literal(node)} has a decimal exponent beyond ±{_MAX_LITERAL_EXPONENT}"
+    )
 
 
 def _construct_exact(loader: yaml.Loader, node: yaml.Node) -> Fraction:
-    text = node.value.strip().replace("_", "")
     try:
-        return Fraction(Decimal(text))
-    except (InvalidOperation, ValueError) as exc:
-        raise ExperimentFormatError(
-            f"unsupported numeric literal {node.value!r} at line "
-            f"{node.start_mark.line + 1}"
-        ) from exc
+        value = Decimal(node.value.strip().replace("_", ""))
+    except InvalidOperation:
+        value = None
+    if value is None or not value.is_finite():  # ``!!float inf`` gets here
+        raise ExperimentFormatError(f"unsupported {_literal(node)}")
+    # Checked before the Fraction exists: ``1e30000000`` would otherwise
+    # cost a 30-million-digit power of ten.
+    if (
+        value.adjusted() > _MAX_LITERAL_EXPONENT
+        or value.as_tuple().exponent < -_MAX_LITERAL_EXPONENT
+    ):
+        raise _out_of_range(node)
+    return Fraction(value)
+
+
+def _construct_int(loader: yaml.Loader, node: yaml.Node) -> int:
+    if len(node.value.strip().lstrip("+-").replace("_", "")) > _MAX_LITERAL_EXPONENT + 1:
+        raise _out_of_range(node)
+    return loader.construct_yaml_int(node)
 
 
 _ExactNumberLoader.add_constructor("tag:yaml.org,2002:float", _construct_exact)
+_ExactNumberLoader.add_constructor("tag:yaml.org,2002:int", _construct_int)
 # YAML 1.2 floats that the 1.1 resolver leaves as strings: an exponent
 # with no dot in the mantissa (``1e-3``, ``2E3``) or with no sign
 # (``1.0e400``).  Integers, ``.inf`` and ``.nan`` keep their own rules.
@@ -118,7 +151,7 @@ class ExperimentFile:
 
 def _require_number(value, *, field: str):
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise ExperimentFormatError(f"{field} must be a number, got {value!r}")
+        raise ExperimentFormatError(f"{field} must be a number, got {reprlib.repr(value)}")
     return Fraction(value)
 
 
@@ -132,22 +165,42 @@ def _positive_setting(config: dict, key: str, source: str) -> Fraction:
 def parse_experiment(text: str, *, source: str = "<string>") -> ExperimentFile:
     """Parse experiment YAML; errors name the offending field and line."""
     try:
-        doc = yaml.load(text, Loader=_ExactNumberLoader)
-    except ExperimentFormatError:
-        raise
+        return _experiment(_load(text, source), source)
+    except RecursionError:  # ``str`` of a value nested hundreds of levels deep
+        raise ExperimentFormatError(f"{source}: values are nested too deeply") from None
+
+
+def _load(text: str, source: str):
+    try:
+        return yaml.load(text, Loader=_ExactNumberLoader)
+    except ExperimentFormatError as exc:
+        raise ExperimentFormatError(f"{source}: {exc}") from None
     except yaml.YAMLError as exc:
-        detail = str(exc)
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
-            detail = f"line {mark.line + 1}: {getattr(exc, 'problem', detail)}"
+            detail = f"line {mark.line + 1}: {getattr(exc, 'problem', exc)}"
+        else:  # a ``ReaderError`` carries its position on a second line
+            detail = " ".join(str(exc).split())
         raise ExperimentFormatError(f"{source}: invalid YAML ({detail})") from exc
+    except UnicodeEncodeError as exc:  # libyaml reads UTF-8; a lone surrogate has none
+        raise ExperimentFormatError(
+            f"{source}: invalid YAML (position {exc.start}: {exc.reason})"
+        ) from None
+    except (ValueError, LookupError, AttributeError):
+        # PyYAML's own constructors on an explicit tag they cannot build,
+        # e.g. ``!!bool maybe`` or ``!!timestamp soon``.
+        raise ExperimentFormatError(
+            f"{source}: invalid YAML (a value does not fit its explicit tag)"
+        ) from None
 
+
+def _experiment(doc, source: str) -> ExperimentFile:
     if not isinstance(doc, dict):
         raise ExperimentFormatError(f"{source}: top level must be a mapping")
     # Keys may be any YAML scalar (null, numbers, dates), so sort their text.
     unknown = sorted(str(k) for k in doc if k not in _TOP_LEVEL_FIELDS)
     if unknown:
-        raise ExperimentFormatError(f"{source}: unknown field(s) {unknown}")
+        raise ExperimentFormatError(f"{source}: unknown field(s) {reprlib.repr(unknown)}")
 
     name = doc.get("name")
     if not isinstance(name, str) or not name.strip():
@@ -168,7 +221,9 @@ def parse_experiment(text: str, *, source: str = "<string>") -> ExperimentFile:
             raise ExperimentFormatError(f"{where} must be a mapping")
         extra = sorted(str(k) for k in entry if k not in ("id", "utility", "f"))
         if extra:
-            raise ExperimentFormatError(f"{where} has unknown field(s) {extra}")
+            raise ExperimentFormatError(
+                f"{where} has unknown field(s) {reprlib.repr(extra)}"
+            )
         pid = entry.get("id")
         if not isinstance(pid, str) or not pid.strip():
             raise ExperimentFormatError(f"{where}.id must be a non-empty string")
@@ -208,7 +263,7 @@ def parse_experiment(text: str, *, source: str = "<string>") -> ExperimentFile:
     if not isinstance(rank, list) or sorted(str(r) for r in rank) != sorted(ids):
         raise ExperimentFormatError(
             f"{source}: field 'attractiveness_rank' must list every prospect id "
-            f"exactly once, got {rank!r}"
+            f"exactly once, got {reprlib.repr(rank)}"
         )
     rank = [str(r) for r in rank]
 
@@ -227,7 +282,7 @@ def parse_experiment(text: str, *, source: str = "<string>") -> ExperimentFile:
             pid = entry["id"]
             if pid not in ids:
                 raise ExperimentFormatError(
-                    f"{where}.id {pid!r} does not match any prospect"
+                    f"{where}.id {reprlib.repr(pid)} does not match any prospect"
                 )
             if pid in freq_by_id:
                 raise ExperimentFormatError(f"{source}: duplicate empirical id {pid!r}")
@@ -239,7 +294,7 @@ def parse_experiment(text: str, *, source: str = "<string>") -> ExperimentFile:
         missing = [pid for pid in ids if pid not in freq_by_id]
         if missing:
             raise ExperimentFormatError(
-                f"{source}: empirical frequencies missing for {missing}"
+                f"{source}: empirical frequencies missing for {reprlib.repr(missing)}"
             )
         total, deviation = _checks.sum_deviation(freq_by_id.values(), 1)
         if deviation > _checks.EMPIRICAL_SUM_TOL:
@@ -258,14 +313,16 @@ def parse_experiment(text: str, *, source: str = "<string>") -> ExperimentFile:
             raise ExperimentFormatError(f"{source}: field 'config' must be a mapping")
         extra = sorted(str(k) for k in config if k not in _CONFIG_FIELDS)
         if extra:
-            raise ExperimentFormatError(f"{source}: config has unknown field(s) {extra}")
+            raise ExperimentFormatError(
+                f"{source}: config has unknown field(s) {reprlib.repr(extra)}"
+            )
         alpha = _positive_setting(config, "alpha", source)
         gamma = _positive_setting(config, "gamma", source)
         util_kind = config.get("utility_kind", "linear")
         if util_kind not in ("linear", "power"):
             raise ExperimentFormatError(
                 f"{source}: config.utility_kind must be 'linear' or 'power', "
-                f"got {util_kind!r}"
+                f"got {reprlib.repr(util_kind)}"
             )
         if util_kind == "power":
             utility = UtilityFunction.power(

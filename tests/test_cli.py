@@ -96,6 +96,24 @@ def _assert_one_error_line(argv, capsys):
     assert "Traceback" not in err
 
 
+class TestPredictEdges:
+    def test_factors_pinned_within_sum_tolerance(self, tmp_path, capsys):
+        # f sums to 1 - 1e-9: accepted, and every q ends pinned at a bound.
+        path = tmp_path / "pinned.exp"
+        path.write_text(DEMO.replace("0.4", "0.95").replace("0.6", "0.049999999"), encoding="utf-8")
+        assert main(["predict", str(path), "--format", "record"]) == 0
+        rows = json.loads(capsys.readouterr().out)["report"]["prospects"]
+        assert [row["p_exact"] for row in rows] == ["1", "0"]
+
+    @pytest.mark.parametrize("fmt", ["record", "csv"])
+    def test_machine_formats_skip_the_table(self, fmt, monkeypatch, capsys):
+        def unused(*args):
+            raise AssertionError("table built for a machine-readable format")
+
+        monkeypatch.setattr(cli, "_prediction_table", unused)
+        assert main(["predict", "microwave", "--format", fmt]) == 0
+
+
 class TestInputErrors:
     def test_directory_input(self, tmp_path, capsys):
         directory = tmp_path / "study.exp"

@@ -426,7 +426,19 @@ class TestTrustedReports:
         assert _revalidated(scored) == scored
 
 
+def test_pinned_values_within_the_sum_tolerance_are_accepted():
+    # ChoiceSet accepts these factors (they sum to 1 within 1e-9); every
+    # attraction value ends pinned and sum(q) misses zero by exactly 1e-9.
+    f = (F(95, 100), F(49999999, 10**9))
+    q, clamped = enforce_bounds(f, [F(1, 4), F(-1, 4)])
+    assert q == [F(1, 20), -f[1]] and clamped
+    report = predict_decoy(f, [0, 1])
+    assert report.probabilities == (1, 0)
+
+
 def test_infeasible_error_is_exported():
-    # The infeasible path needs adversarial inputs that the public
-    # constructors already reject; the type stays part of the contract.
+    # Factors accepted within SUM_TOL of 1 leave a fully pinned q at most
+    # SUM_TOL off zero, and that is accepted (test above); the infeasible
+    # path needs a larger miss, which the public constructors reject.
+    # The type stays part of the contract.
     assert issubclass(InfeasibleBoundsError, Exception)

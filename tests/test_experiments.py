@@ -5,9 +5,11 @@ import contextlib
 import io
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+import yaml
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qchoice import (
@@ -24,6 +26,7 @@ from qchoice import (
     parse_experiment,
     run_prediction,
 )
+from qchoice import experiments
 from qchoice.cli import main
 
 F = Fraction
@@ -81,6 +84,26 @@ class TestExactNumbers:
     def test_nan_literal_rejected(self):
         text = perturb("f: 0.4", "f: .nan")
         with pytest.raises(ExperimentFormatError, match="unsupported numeric literal"):
+            parse_experiment(text)
+
+    def test_tagged_infinity_rejected(self):
+        text = perturb("f: 0.4", "f: !!float inf")
+        with pytest.raises(ExperimentFormatError, match="unsupported numeric literal"):
+            parse_experiment(text)
+
+    def test_exponent_bound_keeps_the_double_range_and_more(self):
+        text = MINIMAL.replace("f: 0.4", "utility: 1e1000").replace("f: 0.6", "utility: 1e-1000")
+        assert parse_experiment(text).utilities == (F(10) ** 1000, F(1, 10**1000))
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["1e40025", "1e-40025", "1e1001", "1e30000000", "0." + "1" * 1001, "9" * 1002],
+    )
+    def test_exponent_far_outside_double_range_refused(self, literal):
+        # Refused before the Fraction is built: 1e30000000 returns at once,
+        # and 1e40025 no longer reaches a message that prints 40,026 digits.
+        text = perturb("f: 0.4", f"utility: {literal}").replace("f: 0.6", "utility: 1")
+        with pytest.raises(ExperimentFormatError, match=r"^<string>: numeric literal .* at line 4 "):
             parse_experiment(text)
 
 
@@ -255,6 +278,54 @@ class TestParseErrors:
         text = perturb("attractiveness_rank: [a, b]", "")
         with pytest.raises(ExperimentFormatError, match="attractiveness_rank"):
             parse_experiment(text)
+
+
+@contextlib.contextmanager
+def pure_python_parser():
+    """``_ExactNumberLoader``'s own constructors and resolvers on PyYAML's
+    pure-Python scanner, the path of installs built without libyaml."""
+
+    class PureLoader(yaml.SafeLoader):
+        yaml_constructors = experiments._ExactNumberLoader.yaml_constructors
+        yaml_implicit_resolvers = experiments._ExactNumberLoader.yaml_implicit_resolvers
+
+    with mock.patch.object(experiments, "_ExactNumberLoader", PureLoader):
+        yield
+
+
+PARSERS = {"default": contextlib.nullcontext, "pure-python": pure_python_parser}
+
+
+def one_line_error(text: str) -> str:
+    with pytest.raises(ExperimentFormatError) as info:
+        parse_experiment(text)
+    message = str(info.value)
+    assert "\n" not in message and len(message) < 300, message
+    return message
+
+
+@pytest.mark.parametrize("parser", sorted(PARSERS))
+class TestBoundedErrors:
+    """Every rejected input ends in one short line, on either scanner."""
+
+    @pytest.mark.parametrize("field", ["f: 0.4", "attractiveness_rank: [a, b]"])
+    def test_deep_nesting(self, parser, field):
+        key = field.split(":")[0]
+        with PARSERS[parser]():
+            one_line_error(perturb(field, f"{key}: " + "[" * 500 + "]" * 500))
+
+    def test_control_character(self, parser):
+        with PARSERS[parser]():
+            assert "position 7" in one_line_error(perturb("name: demo", "name: a\x01b"))
+
+    def test_lone_surrogate(self, parser):
+        with PARSERS[parser]():
+            one_line_error(perturb("name: demo", "name: a\udc80b"))
+
+    @pytest.mark.parametrize("value", ["!!int abc", "!!int 0x", "!!bool maybe", "!!timestamp soon"])
+    def test_value_that_does_not_fit_its_tag(self, parser, value):
+        with PARSERS[parser]():
+            one_line_error(perturb("f: 0.4", f"f: {value}"))
 
 
 class TestEmpiricalSection:
@@ -509,9 +580,20 @@ def mutated_experiment(draw) -> bytes:
     return data
 
 
+# Literals far outside the double range, found by the fuzz: the first
+# escaped as a raw ValueError from a 40,026-digit message, the second
+# kept ``predict`` busy building 10**30000000.
+HUGE_EXPONENTS = (
+    FUZZ_BASES[1].replace("f: 0.25", "f: 1e40025").encode(),
+    FUZZ_BASE.replace("utility: 3", "utility: 1e30000000").encode(),
+)
+
+
 class TestFuzz:
     @settings(max_examples=150, deadline=None)
     @given(mutated_experiment())
+    @example(HUGE_EXPONENTS[0])
+    @example(HUGE_EXPONENTS[1])
     def test_parse_raises_only_package_errors(self, data):
         try:
             exp = parse_experiment(data.decode("utf-8", errors="replace"))
@@ -521,6 +603,8 @@ class TestFuzz:
 
     @settings(max_examples=100, deadline=None)
     @given(data=mutated_experiment())
+    @example(data=HUGE_EXPONENTS[0])
+    @example(data=HUGE_EXPONENTS[1])
     def test_predict_exits_cleanly(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("fuzz") / "mutated.exp"
         path.write_bytes(data)
@@ -531,3 +615,102 @@ class TestFuzz:
         assert "Traceback" not in err.getvalue()
         if code == 1:
             assert err.getvalue().lower().startswith("error:")
+
+
+@st.composite
+def number_literal(draw, numerator: int, places: int) -> str:
+    """``numerator / 10**places`` in one of the spellings YAML resolves."""
+    spelling = draw(st.sampled_from(["decimal", "exponent", "dotted", "underscore", "int"]))
+    if spelling == "exponent":  # a YAML 1.2 float; the exact loader's own resolver
+        return f"{numerator}e-{places}"
+    if spelling == "dotted":
+        return f"{numerator}.0E-{places}"
+    if spelling == "int" and numerator % 10**places == 0:
+        return str(numerator // 10**places)
+    digits = str(numerator).rjust(places + 1, "0")
+    point = "._" if spelling == "underscore" else "."
+    return f"{digits[:-places]}{point}{digits[-places:]}"
+
+
+@st.composite
+def decoy_file(draw) -> str:
+    """A valid decoy-style ``.exp`` file, in block or flow style."""
+    n = draw(st.integers(2, 8))
+    ids = draw(
+        st.lists(
+            st.text("abcxyz019_-", max_size=6).map("p".__add__),
+            min_size=n, max_size=n, unique=True,
+        )
+    )
+    places = draw(st.integers(1, 4))
+    cuts = sorted(draw(st.lists(st.integers(0, 10**places), min_size=n - 1, max_size=n - 1)))
+    shares = [b - a for a, b in zip([0] + cuts, cuts + [10**places])]  # sum to 10**places
+    if draw(st.booleans()):
+        key, values = "f", [draw(number_literal(c, places)) for c in shares]
+    else:
+        sign = draw(st.sampled_from(["", "-"]))
+        key, values = "utility", [sign + draw(number_literal(c + 1, places)) for c in shares]
+
+    lines = [draw(st.sampled_from(["", "---", "# a decoy study"])), f"name: study-{n}", "prospects:"]
+    flow = draw(st.booleans())
+    for pid, value in zip(ids, values):
+        if flow:
+            lines.append(f"  - {{id: {pid}, {key}: {value}}}")
+        else:
+            lines += [f"  - id: {pid}", f"    {key}: {value}"]
+    lines.append(f"attractiveness_rank: [{', '.join(draw(st.permutations(ids)))}]")
+    if draw(st.booleans()):
+        lines.append("empirical:")
+        for pid, c in zip(ids, reversed(shares)):
+            lines.append(f"  - {{id: {pid}, frequency: {draw(number_literal(c, places))}}}")
+    if draw(st.booleans()):
+        lines.append("config:")
+        for setting in ("alpha", "gamma"):
+            lines.append(f"  {setting}: {draw(number_literal(draw(st.integers(1, 300)), 2))}")
+        if draw(st.booleans()):
+            lines += ["  utility_kind: power", "  utility_exponent: 0.88"]
+    return "\n".join(lines) + "\n"
+
+
+def parse_outcome(text: str) -> str:
+    """``repr`` of the parsed file (it shows every number's type), or the error."""
+    try:
+        return repr(parse_experiment(text))
+    except ExperimentFormatError as exc:
+        return f"error: {exc}"
+
+
+class TestLibyamlAgreesWithPurePython:
+    """The libyaml scanner and PyYAML's pure-Python one, under the same
+    constructors and resolvers, give identical ``ExperimentFile``s."""
+
+    def test_default_loader_uses_libyaml_when_present(self):
+        assert issubclass(experiments._ExactNumberLoader, yaml.CSafeLoader) == (
+            yaml.__with_libyaml__
+        )
+
+    @pytest.mark.parametrize("name", list_bundled_experiments())
+    def test_bundled_studies(self, name):
+        text = bundled_experiment_text(name)
+        with pure_python_parser():
+            reference = parse_experiment(text)
+        assert repr(parse_experiment(text)) == repr(reference)  # types as well as values
+
+    @settings(max_examples=80, deadline=None)
+    @given(decoy_file())
+    def test_generated_decoy_files(self, text):
+        with pure_python_parser():
+            reference = parse_outcome(text)
+        assert parse_outcome(text) == reference
+
+    @settings(max_examples=100, deadline=None)
+    @given(mutated_experiment())
+    def test_mutated_files_agree_where_both_parse(self, data):
+        # The scanners word syntax errors differently, and libyaml also
+        # accepts a tab after ``key:``; accepted files must agree.
+        text = data.decode("utf-8", errors="replace")
+        with pure_python_parser():
+            reference = parse_outcome(text)
+        outcome = parse_outcome(text)
+        if not (outcome.startswith("error:") or reference.startswith("error:")):
+            assert outcome == reference

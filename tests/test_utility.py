@@ -44,6 +44,12 @@ class TestLottery:
         with pytest.raises(ValidationError, match="sum to 1"):
             Lottery((1, 2), (0.5, 0.4))
 
+    def test_sum_message_survives_a_total_beyond_double_range(self):
+        # Each weight is a finite double, their sum is not: the message
+        # used to raise OverflowError from float(total).
+        with pytest.raises(ValidationError, match=r"got 2\.000000e\+308"):
+            Lottery((1, 2), (F(10) ** 308, F(10) ** 308))
+
     def test_rejects_negative_probability(self):
         with pytest.raises(ValidationError, match="non-negative"):
             Lottery((1, 2), (1.5, -0.5))
