@@ -10,7 +10,6 @@ puts the pieces together and scores them against observed frequencies.
 from __future__ import annotations
 
 from .attraction import (
-    AttractionDistribution,
     AttractionSet,
     asymptotic_attraction,
     attraction_gap,
@@ -56,23 +55,17 @@ from .quantum import (
     EventOperator,
     ProbabilityTriple,
     Prospect,
-    StateVector,
     decohere,
-    make_projector,
     normalize_prospect_set,
     prospect_probability,
     prospect_projector,
     prospect_state,
     random_density_operator,
-    random_state_vector,
     sample_inconclusive,
-    tensor,
 )
 from .utility import (
     LINEAR_UTILITY,
-    Lottery,
     UtilityFunction,
-    expected_utility,
     information_functional_gains,
     information_functional_losses,
     utility_factors_gains,
@@ -90,7 +83,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttractionDistribution",
     "AttractionSet",
     "ChoiceSet",
     "DegenerateSetError",
@@ -100,7 +92,6 @@ __all__ = [
     "ExperimentFormatError",
     "InfeasibleBoundsError",
     "LINEAR_UTILITY",
-    "Lottery",
     "NormalizationError",
     "PredictionReport",
     "ProbabilityTriple",
@@ -109,7 +100,6 @@ __all__ = [
     "RegularityCheck",
     "RunRecord",
     "SignDomainError",
-    "StateVector",
     "SuiteResult",
     "UtilityFunction",
     "ValidationError",
@@ -123,13 +113,11 @@ __all__ = [
     "decohere",
     "derive_utility_factors",
     "enforce_bounds",
-    "expected_utility",
     "information_functional_gains",
     "information_functional_losses",
     "input_digest",
     "list_bundled_experiments",
     "load_experiment",
-    "make_projector",
     "normalize_prospect_set",
     "ordered_uniform_gap_check",
     "parse_experiment",
@@ -140,13 +128,11 @@ __all__ = [
     "quantized_attraction_set",
     "quarter_law_check",
     "random_density_operator",
-    "random_state_vector",
     "regularity_violation_check",
     "run_prediction",
     "run_suite",
     "sample_inconclusive",
     "score_against_empirical",
-    "tensor",
     "utility_factors_gains",
     "utility_factors_losses",
     "verify_entropy",

@@ -16,7 +16,7 @@ from numbers import Real
 
 from .errors import ValidationError
 
-#: Sums to 1 or 0 (factors, probabilities, attractions, lottery weights)
+#: Sums to 1 or 0 (factors, probabilities, attractions)
 #: and the slack on [0, 1].
 SUM_TOL = 1e-9
 #: Sums of observed frequencies, which the literature rounds.
@@ -29,13 +29,11 @@ HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 #: Most negative eigenvalue still accepted as "positive semi-definite".
 PSD_EIGENVALUE_SLACK = -1e-10
-#: Absolute tolerance for projector idempotence.
-IDEMPOTENCE_TOL = 1e-10
 #: Largest imaginary residue tolerated in a quantity that must be real.
 IMAG_TOL = 1e-10
 #: Internal consistency tolerance for the p = f + q identity.
 IDENTITY_TOL = 1e-12
-#: Unit-norm tolerance of state vectors.
+#: Unit-norm tolerance of pure-state amplitudes.
 NORM_TOL = 1e-12
 #: Most negative raw probability ``normalize`` clips to zero.
 RAW_PROBABILITY_SLACK = 1e-12

@@ -31,25 +31,6 @@ _CHUNK_TARGET = 1_000_000  # keep Monte Carlo scratch arrays around 8 MB
 
 
 @dataclass(frozen=True)
-class AttractionDistribution:
-    """Non-informative prior for a single attraction value: uniform on [-1, 1]."""
-
-    lower: float = -1.0
-    upper: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (self.lower < self.upper):
-            raise ValidationError(
-                f"invalid support [{self.lower}, {self.upper}] for attraction prior"
-            )
-
-    def sample(self, samples: int, seed: int | np.random.Generator) -> np.ndarray:
-        samples = _checks.count(samples, what="sample count", minimum=1)
-        rng = np.random.default_rng(seed)
-        return rng.uniform(self.lower, self.upper, samples)
-
-
-@dataclass(frozen=True)
 class AttractionSet:
     """A quantized ladder of attraction values for N competing prospects.
 
@@ -182,23 +163,21 @@ def asymptotic_attraction(n_prospects: int, rank: int) -> float:
 def quarter_law_check(
     samples: int,
     seed: int | np.random.Generator = 0,
-    prior: AttractionDistribution | None = None,
 ) -> float:
     """Monte Carlo estimate of the typical attraction magnitude.
 
-    Draws attraction values from the non-informative prior on [-1, 1] and
-    averages their positive part over *all* draws.  The attracting and
-    repelling halves of the prior are mirror images, so keeping the
-    positive side at its natural half weight is exactly the two-sided
-    average of the attracting branch:  E[max(q, 0)] =
+    Draws attraction values from the non-informative prior, uniform on
+    [-1, 1], and averages their positive part over *all* draws.  The
+    attracting and repelling halves of the prior are mirror images, so
+    keeping the positive side at its natural half weight is exactly the
+    two-sided average of the attracting branch:  E[max(q, 0)] =
     integral_0^1 q * (1/2) dq = 1/4.  The estimate converges to 0.25.
     """
     samples = _checks.count(samples, what="sample count", minimum=1)
-    dist = prior if prior is not None else AttractionDistribution()
     rng = np.random.default_rng(seed)
     total = 0.0
     for rows in row_chunks(samples, 1):
-        draws = dist.sample(rows, rng)
+        draws = rng.uniform(-1.0, 1.0, rows)
         total += float(np.sum(np.maximum(draws, 0.0)))
     return total / samples
 

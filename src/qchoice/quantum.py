@@ -10,13 +10,16 @@ probability under a state ``rho`` splits into
 * a diagonal part ``f`` — the classical, utility-like contribution, and
 * an off-diagonal part ``q`` — the interference contribution,
 
-with ``p = f + q`` holding identically.  The functions here build states,
-projectors and prospect states, evaluate that split, renormalize families
-of prospects, and damp interference with a decoherence knob.
+with ``p = f + q`` holding identically.  The functions here build density
+operators, prospect states and their POVM effects, evaluate that split,
+renormalize families of prospects, and damp interference with a
+decoherence knob.
 
 Basis convention: the composite index of choice ``n`` with inconclusive
 component ``alpha`` is ``n * b_dim + alpha`` (row-major, choice register
-first).  ``tensor`` follows the same convention.
+first).  ``prospect_state`` places a prospect's coefficients by it, so
+its result equals ``np.kron(e_n, b)`` for the basis vector ``e_n`` of the
+choice register.
 
 The work is done by array kernels over stacks of states: ``split`` (the
 ``p/f/q`` split of every choice index), ``normalize`` (family
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _checks
-from ._checks import HERMITIAN_TOL, IDEMPOTENCE_TOL, IDENTITY_TOL, IMAG_TOL
+from ._checks import HERMITIAN_TOL, IDENTITY_TOL, IMAG_TOL, NORM_TOL
 from ._checks import PSD_EIGENVALUE_SLACK, TRACE_TOL
 from .errors import DegenerateSetError, NormalizationError, ValidationError
 
@@ -107,56 +110,6 @@ def _check_density(arr: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class StateVector:
-    """A vector in a finite-dimensional complex state space.
-
-    Not required to be normalized at construction time; operations that
-    need unit norm (``make_projector``, ``DensityOperator.from_pure``)
-    check it themselves.
-    """
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = _as_complex_vector(self.amplitudes, what="state vector")
-        object.__setattr__(self, "amplitudes", arr)
-
-    @property
-    def dim(self) -> int:
-        return int(self.amplitudes.size)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def is_normalized(self, tol: float = _checks.NORM_TOL) -> bool:
-        return abs(self.norm() - 1.0) <= tol
-
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise NormalizationError("cannot normalize the zero vector")
-        return StateVector(self.amplitudes / n)
-
-    def overlap(self, other: "StateVector") -> complex:
-        """Inner product ``<self|other>`` (conjugate-linear in self)."""
-        if other.dim != self.dim:
-            raise ValidationError(
-                f"dimension mismatch in overlap: {self.dim} vs {other.dim}"
-            )
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    @classmethod
-    def basis_state(cls, dim: int, index: int) -> "StateVector":
-        """Computational basis vector ``|index>`` in ``dim`` dimensions."""
-        dim = _checks.count(dim, what="dimension", minimum=1)
-        if not 0 <= index < dim:
-            raise ValidationError(f"basis index {index} out of range for dimension {dim}")
-        amp = np.zeros(dim, dtype=np.complex128)
-        amp[index] = 1.0
-        return cls(amp)
-
-
-@dataclass(frozen=True)
 class DensityOperator:
     """A density operator: Hermitian, unit-trace, positive semi-definite.
 
@@ -176,41 +129,29 @@ class DensityOperator:
     def dim(self) -> int:
         return int(self.matrix.shape[0])
 
-    def diagonal(self) -> np.ndarray:
-        """Real diagonal (populations) of the operator."""
-        return np.real(np.diag(self.matrix)).copy()
-
     @classmethod
-    def from_pure(cls, state: StateVector) -> "DensityOperator":
-        if not state.is_normalized():
+    def from_pure(cls, amplitudes) -> "DensityOperator":
+        """``|psi><psi|`` for array-like amplitudes ``psi``: one-dimensional,
+        finite and of unit norm within 1e-12 (else ``NormalizationError``)."""
+        psi = _as_complex_vector(amplitudes, what="pure state amplitudes")
+        norm = float(np.linalg.norm(psi))
+        if abs(norm - 1.0) > NORM_TOL:
             raise NormalizationError(
-                f"pure density operator needs a unit vector; norm is {state.norm()!r}"
+                f"pure density operator needs a unit vector; norm is {norm!r}"
             )
-        return cls(np.outer(state.amplitudes, state.amplitudes.conj()))
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityOperator":
-        dim = _checks.count(dim, what="dimension", minimum=1)
-        return cls(np.eye(dim, dtype=np.complex128) / dim)
+        return cls(np.outer(psi, psi.conj()))
 
 
 @dataclass(frozen=True)
 class EventOperator:
-    """An event: an orthogonal projector or a POVM element.
-
-    ``kind`` is ``"projector"`` (checked idempotent to 1e-10) or
-    ``"povm-element"`` (only Hermitian and positive semi-definite,
-    eigenvalues within [0, 1] up to slack).
+    """An event: a POVM effect, Hermitian with eigenvalues in [0, 1] up to
+    slack (-1e-10).  An orthogonal projector passes the same checks; the
+    prospect operators of unnormalized coefficients are effects only.
     """
 
     matrix: np.ndarray
-    kind: str = "projector"
 
     def __post_init__(self) -> None:
-        if self.kind not in ("projector", "povm-element"):
-            raise ValidationError(
-                f"event kind must be 'projector' or 'povm-element', got {self.kind!r}"
-            )
         arr = _as_operator_matrix(self.matrix, what="event operator")
         eigs = np.linalg.eigvalsh(arr)
         if float(eigs[0]) < PSD_EIGENVALUE_SLACK:
@@ -221,13 +162,6 @@ class EventOperator:
             raise ValidationError(
                 f"event operator has eigenvalue {float(eigs[-1]):.6f} above 1"
             )
-        if self.kind == "projector":
-            defect = float(np.max(np.abs(arr @ arr - arr)))
-            if defect > IDEMPOTENCE_TOL:
-                raise ValidationError(
-                    f"projector is not idempotent: max |P^2 - P| = {defect:.3e} "
-                    f"exceeds {IDEMPOTENCE_TOL:.0e}"
-                )
         object.__setattr__(self, "matrix", arr)
 
     @property
@@ -297,22 +231,6 @@ class ProbabilityTriple:
             )
 
 
-def make_projector(state: StateVector) -> EventOperator:
-    """Rank-one projector ``|state><state|`` onto a normalized state."""
-    if not state.is_normalized():
-        raise NormalizationError(
-            f"projector needs a normalized state; norm is {state.norm()!r}"
-        )
-    return EventOperator(
-        np.outer(state.amplitudes, state.amplitudes.conj()), kind="projector"
-    )
-
-
-def tensor(left: StateVector, right: StateVector) -> StateVector:
-    """Tensor product; component ``(i, j)`` lands at index ``i * right.dim + j``."""
-    return StateVector(np.kron(left.amplitudes, right.amplitudes))
-
-
 def _check_register(prospect: Prospect, n_dim: int, b_dim: int) -> None:
     _checks.count(n_dim, what="choice dimension", minimum=1)
     _checks.count(b_dim, what="inconclusive dimension", minimum=1)
@@ -328,32 +246,33 @@ def _check_register(prospect: Prospect, n_dim: int, b_dim: int) -> None:
         )
 
 
-def prospect_state(prospect: Prospect, n_dim: int, b_dim: int) -> StateVector:
+def prospect_state(prospect: Prospect, n_dim: int, b_dim: int) -> np.ndarray:
     """Embed a prospect into the composite space ``n_dim * b_dim``.
 
-    The result is ``|n> (x) sum_alpha b_alpha |alpha>``: the coefficients
-    occupy the block of rows belonging to choice index ``n`` and every
-    other entry is zero.  Not normalized unless ``b_coeffs`` is.
+    The result is ``|n> (x) sum_alpha b_alpha |alpha>`` as a read-only
+    complex vector: the coefficients occupy the block of entries belonging
+    to choice index ``n`` and every other entry is zero.  Not normalized
+    unless ``b_coeffs`` is.
     """
     _check_register(prospect, n_dim, b_dim)
     amp = np.zeros(n_dim * b_dim, dtype=np.complex128)
     start = prospect.choice_index * b_dim
     amp[start : start + b_dim] = prospect.b_coeffs
-    return StateVector(amp)
+    amp.setflags(write=False)
+    return amp
 
 
 def prospect_projector(prospect: Prospect, n_dim: int, b_dim: int) -> EventOperator:
     """Event operator ``|pi_n><pi_n|`` of the embedded prospect state.
 
-    Returned as a ``povm-element``: for unnormalized coefficients the
-    operator is not idempotent, and the probability rule ``Tr(rho P)``
-    applies either way.
+    A POVM effect; for unnormalized coefficients it is not idempotent,
+    and the probability rule ``Tr(rho P)`` applies either way.
     """
     _check_register(prospect, n_dim, b_dim)
     matrix = prospect_projector_stack(
         prospect.b_coeffs[None], prospect.choice_index, (n_dim, b_dim)
     )[0]
-    return EventOperator(matrix, kind="povm-element")
+    return EventOperator(matrix)
 
 
 def prospect_projector_stack(
@@ -641,12 +560,6 @@ def decohere(
 def _check_dim(dim: int) -> None:
     if _checks.count(dim, what="dimension", minimum=1) > DEFAULT_DIM_CAP:
         raise ValidationError(f"dimension {dim} exceeds the cap of {DEFAULT_DIM_CAP}")
-
-
-def random_state_vector(dim: int, seed: int | np.random.Generator) -> StateVector:
-    """Haar-random normalized state via normalized complex Gaussians."""
-    _check_dim(dim)
-    return StateVector(sample_inconclusive(dim, seed))
 
 
 def _densities_from_gaussians(g: np.ndarray) -> np.ndarray:

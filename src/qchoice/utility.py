@@ -1,4 +1,4 @@
-"""Expected utilities and non-informative-prior utility factors.
+"""Payoff utilities and non-informative-prior utility factors.
 
 The classical part of a choice probability — the utility factor — orders
 prospects by expected utility.  When nothing is known about the agent
@@ -37,41 +37,6 @@ def _power(base, exponent, *, what: str):
         return base ** exponent
     except OverflowError:
         raise ValidationError(f"{what} overflows floating point") from None
-
-
-@dataclass(frozen=True)
-class Lottery:
-    """A finite lottery: payoffs with their probabilities.
-
-    Probabilities must be non-negative and sum to 1 within 1e-9.
-    """
-
-    payoffs: tuple
-    probs: tuple
-
-    def __post_init__(self) -> None:
-        payoffs = tuple(self.payoffs)
-        probs = tuple(self.probs)
-        if len(payoffs) == 0:
-            raise ValidationError("a lottery needs at least one payoff")
-        if len(payoffs) != len(probs):
-            raise ValidationError(
-                f"payoff/probability length mismatch: {len(payoffs)} vs {len(probs)}"
-            )
-        for x in payoffs:
-            _checks.real(x, what="payoff")
-        for pr in probs:
-            _checks.real(pr, what="probability")
-            if pr < 0:
-                raise ValidationError(f"probabilities must be non-negative, got {pr!r}")
-        _checks.check_sum(probs, 1, what="lottery probabilities")
-        object.__setattr__(self, "payoffs", payoffs)
-        object.__setattr__(self, "probs", probs)
-
-    @classmethod
-    def certain(cls, payoff) -> "Lottery":
-        """Degenerate lottery paying ``payoff`` with certainty."""
-        return cls((payoff,), (1,))
 
 
 @dataclass(frozen=True)
@@ -115,14 +80,6 @@ class UtilityFunction:
 
 
 LINEAR_UTILITY = UtilityFunction.linear()
-
-
-def expected_utility(lottery: Lottery, utility: UtilityFunction = LINEAR_UTILITY):
-    """Probability-weighted utility of a lottery.
-
-    Exact for exact payoffs/probabilities under the linear utility.
-    """
-    return sum(pr * utility(x) for x, pr in zip(lottery.payoffs, lottery.probs))
 
 
 def utility_factors_gains(utilities: Sequence, alpha: Real = 1) -> list:
@@ -179,6 +136,19 @@ def utility_factors_losses(utilities: Sequence, gamma: Real = 1) -> list:
     return [w / total for w in weights]
 
 
+def _log_magnitude(u) -> float:
+    """``ln |u|`` of a non-zero utility, through ``float(u)``.
+
+    An exact ``u`` that underflows to 0.0 as a float takes the logarithm
+    of its numerator and denominator instead.  Only there: elsewhere that
+    form can differ from ``math.log(float(u))`` in the last bit.
+    """
+    magnitude = abs(float(u))
+    if magnitude == 0.0 and isinstance(u, Rational):
+        return math.log(abs(u.numerator)) - math.log(u.denominator)
+    return math.log(magnitude)
+
+
 def _xlogx(value: float) -> float:
     # 0 * log 0 -> 0 by continuity.
     if value == 0.0:
@@ -225,7 +195,7 @@ def information_functional_gains(
             if f_n > 0.0:
                 return math.inf
             continue  # 0 weight on an infinite penalty contributes nothing
-        penalty += f_n * (-math.log(float(u)))
+        penalty += f_n * (-_log_magnitude(u))
     entropy = sum(_xlogx(f_n) for f_n in f)
     return (
         entropy
@@ -255,9 +225,7 @@ def information_functional_losses(
             raise SignDomainError(
                 f"losses functional needs strictly negative utilities, got {u!r}"
             )
-    penalty = sum(
-        f_n * (-math.log(abs(float(u)))) for f_n, u in zip(f, values)
-    )
+    penalty = sum(f_n * (-_log_magnitude(u)) for f_n, u in zip(f, values))
     entropy = sum(_xlogx(f_n) for f_n in f)
     return (
         entropy

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qchoice import (
-    AttractionDistribution,
     AttractionSet,
     ValidationError,
     asymptotic_attraction,
@@ -217,28 +216,6 @@ class TestQuarterLaw:
     def test_rejects_bad_sample_count(self):
         with pytest.raises(ValidationError):
             quarter_law_check(0)
-
-    def test_custom_prior_support(self):
-        # A one-sided positive prior has mean positive part = its plain mean.
-        prior = AttractionDistribution(lower=0.0, upper=1.0)
-        est = quarter_law_check(200_000, seed=1, prior=prior)
-        assert est == pytest.approx(0.5, abs=0.01)
-
-
-class TestAttractionDistribution:
-    def test_sample_range_and_determinism(self):
-        d = AttractionDistribution()
-        xs = d.sample(1000, seed=3)
-        assert np.all(xs >= -1.0) and np.all(xs <= 1.0)
-        assert np.array_equal(xs, d.sample(1000, seed=3))
-
-    def test_invalid_support(self):
-        with pytest.raises(ValidationError):
-            AttractionDistribution(lower=1.0, upper=-1.0)
-
-    def test_invalid_sample_count(self):
-        with pytest.raises(ValidationError):
-            AttractionDistribution().sample(0, seed=0)
 
 
 class TestOrderedUniformGaps:

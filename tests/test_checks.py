@@ -3,10 +3,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchoice import _checks
+from qchoice import ValidationError, _checks
 
 F = Fraction
 
@@ -45,3 +46,11 @@ class TestNumberText:
     def test_values_beyond_the_double_range_do_not_overflow(self):
         assert _checks.number_text(F(10) ** 308 * 2) == "2.000000e+308"
         assert _checks.number_text(-(10**5000) // 3) == "-3.333333e+4999"
+
+
+class TestCheckSum:
+    def test_sum_message_survives_a_total_beyond_double_range(self):
+        # Each weight is a finite double, their sum is not: the message
+        # used to raise OverflowError from float(total).
+        with pytest.raises(ValidationError, match=r"got 2\.000000e\+308"):
+            _checks.check_sum((F(10) ** 308, F(10) ** 308), 1, what="weights")

@@ -4,7 +4,6 @@ from __future__ import annotations
 import qchoice
 
 PUBLIC_NAMES = [
-    "AttractionDistribution",
     "AttractionSet",
     "ChoiceSet",
     "DegenerateSetError",
@@ -14,7 +13,6 @@ PUBLIC_NAMES = [
     "ExperimentFormatError",
     "InfeasibleBoundsError",
     "LINEAR_UTILITY",
-    "Lottery",
     "NormalizationError",
     "PredictionReport",
     "ProbabilityTriple",
@@ -23,7 +21,6 @@ PUBLIC_NAMES = [
     "RegularityCheck",
     "RunRecord",
     "SignDomainError",
-    "StateVector",
     "SuiteResult",
     "UtilityFunction",
     "ValidationError",
@@ -37,13 +34,11 @@ PUBLIC_NAMES = [
     "decohere",
     "derive_utility_factors",
     "enforce_bounds",
-    "expected_utility",
     "information_functional_gains",
     "information_functional_losses",
     "input_digest",
     "list_bundled_experiments",
     "load_experiment",
-    "make_projector",
     "normalize_prospect_set",
     "ordered_uniform_gap_check",
     "parse_experiment",
@@ -54,13 +49,11 @@ PUBLIC_NAMES = [
     "quantized_attraction_set",
     "quarter_law_check",
     "random_density_operator",
-    "random_state_vector",
     "regularity_violation_check",
     "run_prediction",
     "run_suite",
     "sample_inconclusive",
     "score_against_empirical",
-    "tensor",
     "utility_factors_gains",
     "utility_factors_losses",
     "verify_entropy",
@@ -71,7 +64,7 @@ PUBLIC_NAMES = [
 
 
 def test_all_is_pinned_and_resolves():
-    assert len(PUBLIC_NAMES) == 63
+    assert len(PUBLIC_NAMES) == 56
     assert sorted(qchoice.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(qchoice, name) is not None, name

@@ -1,4 +1,4 @@
-"""Operator-level tests: states, projectors, the p = f + q split, decoherence."""
+"""Operator-level tests: states, POVM effects, the p = f + q split, decoherence."""
 from __future__ import annotations
 
 import math
@@ -15,18 +15,14 @@ from qchoice import (
     NormalizationError,
     ProbabilityTriple,
     Prospect,
-    StateVector,
     ValidationError,
     decohere,
-    make_projector,
     normalize_prospect_set,
     prospect_probability,
     prospect_projector,
     prospect_state,
     random_density_operator,
-    random_state_vector,
     sample_inconclusive,
-    tensor,
 )
 from qchoice.quantum import (
     decohere_levels,
@@ -41,63 +37,37 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 class TestStateVector:
-    def test_basis_state(self):
-        s = StateVector.basis_state(3, 1)
-        assert s.dim == 3
-        assert s.amplitudes.tolist() == [0, 1, 0]
-        assert s.is_normalized()
-
-    def test_basis_state_bad_index(self):
-        with pytest.raises(ValidationError):
-            StateVector.basis_state(3, 3)
-        with pytest.raises(ValidationError):
-            StateVector.basis_state(0, 0)
+    """Amplitude vectors: the inputs of ``from_pure`` and ``Prospect``, and
+    the output of ``prospect_state``."""
 
     def test_rejects_empty_and_matrix_shaped(self):
-        with pytest.raises(ValidationError):
-            StateVector(np.array([]))
-        with pytest.raises(ValidationError):
-            StateVector(np.eye(2))
+        for amplitudes in (np.array([]), np.eye(2)):
+            with pytest.raises(ValidationError):
+                DensityOperator.from_pure(amplitudes)
+            with pytest.raises(ValidationError):
+                Prospect(0, amplitudes)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
-            StateVector([1.0, float("nan")])
-
-    def test_normalized(self):
-        s = StateVector([3.0, 4.0])
-        assert s.norm() == pytest.approx(5.0)
-        assert not s.is_normalized()
-        assert s.normalized().is_normalized()
-        with pytest.raises(NormalizationError):
-            StateVector([0.0, 0.0]).normalized()
-
-    def test_overlap_conjugate_linearity(self):
-        a = StateVector([1.0, 1j]).normalized()
-        b = StateVector([1.0, 0.0])
-        assert a.overlap(b) == pytest.approx(INV_SQRT2)
-        assert b.overlap(a) == pytest.approx(INV_SQRT2)
+            DensityOperator.from_pure([1.0, float("nan")])
         with pytest.raises(ValidationError):
-            a.overlap(StateVector([1.0, 0.0, 0.0]))
+            Prospect(0, [1.0, float("nan")])
 
     def test_amplitudes_frozen(self):
-        s = StateVector([1.0, 0.0])
+        state = prospect_state(Prospect(0, [1.0]), 2, 1)
+        assert state.dtype == np.complex128
         with pytest.raises(ValueError):
-            s.amplitudes[0] = 2.0
+            state[0] = 2.0
 
 
 class TestDensityOperator:
     def test_pure_state(self):
-        rho = DensityOperator.from_pure(StateVector([INV_SQRT2, INV_SQRT2]))
+        rho = DensityOperator.from_pure([INV_SQRT2, INV_SQRT2])
         assert np.allclose(rho.matrix, 0.5 * np.ones((2, 2)))
 
     def test_from_pure_requires_unit_norm(self):
         with pytest.raises(NormalizationError):
-            DensityOperator.from_pure(StateVector([1.0, 1.0]))
-
-    def test_maximally_mixed(self):
-        rho = DensityOperator.maximally_mixed(4)
-        assert np.allclose(rho.matrix, np.eye(4) / 4)
-        assert rho.diagonal().tolist() == [0.25] * 4
+            DensityOperator.from_pure([1.0, 1.0])
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError, match="Hermitian"):
@@ -130,83 +100,73 @@ class TestDensityOperator:
     def test_random_dim_cap(self):
         with pytest.raises(ValidationError, match="cap"):
             random_density_operator(65, 0)
-        with pytest.raises(ValidationError, match="cap"):
-            random_state_vector(65, 0)
 
 
 class TestEventOperator:
     def test_projector_from_basis_state(self):
-        proj = make_projector(StateVector.basis_state(2, 0))
-        assert proj.kind == "projector"
+        proj = prospect_projector(Prospect(0, [1.0]), 2, 1)
         assert np.allclose(proj.matrix, np.diag([1.0, 0.0]))
 
     def test_projector_from_superposition(self):
-        proj = make_projector(StateVector([INV_SQRT2, INV_SQRT2]))
+        proj = prospect_projector(Prospect(0, [INV_SQRT2, INV_SQRT2]), 1, 2)
         assert np.allclose(proj.matrix, 0.5 * np.ones((2, 2)))
 
-    def test_make_projector_requires_normalized(self):
-        with pytest.raises(NormalizationError):
-            make_projector(StateVector([1.0, 1.0]))
-
-    def test_rejects_non_idempotent_projector(self):
-        with pytest.raises(ValidationError, match="idempotent"):
-            EventOperator(np.diag([0.5, 0.5]), kind="projector")
-
     def test_povm_element_allows_subunit_weight(self):
-        op = EventOperator(np.diag([0.5, 0.25]), kind="povm-element")
+        op = EventOperator(np.diag([0.5, 0.25]))
         assert op.dim == 2
 
     def test_povm_rejects_eigenvalue_above_one(self):
         with pytest.raises(ValidationError, match="above 1"):
-            EventOperator(np.diag([1.5, 0.0]), kind="povm-element")
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValidationError, match="kind"):
-            EventOperator(np.eye(2), kind="effect")
+            EventOperator(np.diag([1.5, 0.0]))
 
     def test_expectation_under_maximally_mixed(self):
-        proj = make_projector(StateVector.basis_state(4, 2))
-        rho = DensityOperator.maximally_mixed(4)
-        assert proj.expectation(rho) == pytest.approx(0.25, abs=1e-14)
+        event = EventOperator(np.diag([0.0, 0.0, 1.0, 0.0]))
+        rho = DensityOperator(np.eye(4) / 4)
+        assert event.expectation(rho) == pytest.approx(0.25, abs=1e-14)
 
     def test_expectation_dim_mismatch(self):
-        proj = make_projector(StateVector.basis_state(2, 0))
+        event = EventOperator(np.diag([1.0, 0.0]))
         with pytest.raises(ValidationError, match="mismatch"):
-            proj.expectation(DensityOperator.maximally_mixed(3))
+            event.expectation(DensityOperator(np.eye(3) / 3))
 
 
 class TestTensor:
+    """The basis convention of the composite space, which ``prospect_state``
+    follows: ``(n, alpha)`` lands at ``n * b_dim + alpha``, as in ``np.kron``."""
+
     def test_basis_index_convention(self):
-        # (i, j) -> i * right_dim + j: choice register first.
-        left = StateVector.basis_state(2, 1)
-        right = StateVector.basis_state(3, 2)
-        assert tensor(left, right).amplitudes.tolist() == [0, 0, 0, 0, 0, 1]
+        # Choice register first.
+        state = prospect_state(Prospect(1, [0.0, 0.0, 1.0]), 2, 3)
+        assert state.tolist() == [0, 0, 0, 0, 0, 1]
+        assert state.tolist() == np.kron([0, 1], [0, 0, 1]).tolist()
 
     def test_coefficients_fill_choice_block(self):
-        got = tensor(StateVector.basis_state(2, 0), StateVector([0.6, 0.8]))
-        assert got.amplitudes.tolist() == [0.6, 0.8, 0.0, 0.0]
+        state = prospect_state(Prospect(0, [0.6, 0.8]), 2, 2)
+        assert state.tolist() == [0.6, 0.8, 0.0, 0.0]
+        assert state.tolist() == np.kron([1, 0], [0.6, 0.8]).tolist()
 
     @settings(max_examples=50, deadline=None)
     @given(
-        st.lists(st.floats(-3, 3, allow_nan=False), min_size=1, max_size=4),
+        st.integers(0, 3),
         st.lists(st.floats(-3, 3, allow_nan=False), min_size=1, max_size=4),
     )
-    def test_norm_multiplicative(self, xs, ys):
-        a, b = StateVector(xs), StateVector(ys)
-        assert tensor(a, b).norm() == pytest.approx(a.norm() * b.norm(), abs=1e-9)
+    def test_norm_multiplicative(self, n, ys):
+        # |e_n (x) b| = |e_n| |b| = |b|.
+        state = prospect_state(Prospect(n, ys), 4, len(ys))
+        assert np.linalg.norm(state) == pytest.approx(np.linalg.norm(ys), abs=1e-9)
 
 
 class TestProspectState:
     def test_embeds_in_choice_block(self):
         pr = Prospect(1, [INV_SQRT2, INV_SQRT2])
         state = prospect_state(pr, 2, 2)
-        assert np.allclose(state.amplitudes, [0, 0, INV_SQRT2, INV_SQRT2])
+        assert np.allclose(state, [0, 0, INV_SQRT2, INV_SQRT2])
 
     def test_matches_tensor_construction(self):
         b = sample_inconclusive(3, 5)
         via_embed = prospect_state(Prospect(2, b), 4, 3)
-        via_tensor = tensor(StateVector.basis_state(4, 2), StateVector(b))
-        assert np.allclose(via_embed.amplitudes, via_tensor.amplitudes, atol=1e-15)
+        via_kron = np.kron(np.eye(4)[2], b)
+        assert np.allclose(via_embed, via_kron, atol=1e-15)
 
     def test_index_out_of_range(self):
         with pytest.raises(ValidationError, match="out of range"):
@@ -235,21 +195,21 @@ class TestProspectState:
         prospect = Prospect(index, [1.0])
         assert prospect.choice_index == 1
         assert type(prospect.choice_index) is int
-        rho = DensityOperator.maximally_mixed(2)
+        rho = DensityOperator(np.eye(2) / 2)
         assert prospect_probability(rho, prospect, (2, 1)).p == pytest.approx(0.5)
 
 
 class TestProbabilitySplit:
     def test_pure_constructive_interference(self):
         # State (1,1)/sqrt2 probed by matching coefficients: p = 1 = 1/2 + 1/2.
-        rho = DensityOperator.from_pure(StateVector([INV_SQRT2, INV_SQRT2]))
+        rho = DensityOperator.from_pure([INV_SQRT2, INV_SQRT2])
         t = prospect_probability(rho, Prospect(0, [INV_SQRT2, INV_SQRT2]), (1, 2))
         assert t.p == pytest.approx(1.0, abs=1e-12)
         assert t.f == pytest.approx(0.5, abs=1e-12)
         assert t.q == pytest.approx(0.5, abs=1e-12)
 
     def test_pure_destructive_interference(self):
-        rho = DensityOperator.from_pure(StateVector([INV_SQRT2, -INV_SQRT2]))
+        rho = DensityOperator.from_pure([INV_SQRT2, -INV_SQRT2])
         t = prospect_probability(rho, Prospect(0, [INV_SQRT2, INV_SQRT2]), (1, 2))
         assert t.p == pytest.approx(0.0, abs=1e-12)
         assert t.f == pytest.approx(0.5, abs=1e-12)
@@ -277,7 +237,7 @@ class TestProbabilitySplit:
         assert t.p == pytest.approx(float(np.real(rho.matrix[2, 2])), abs=1e-14)
 
     def test_maximally_mixed_gives_uniform_raw(self):
-        rho = DensityOperator.maximally_mixed(6)
+        rho = DensityOperator(np.eye(6) / 6)
         b = sample_inconclusive(2, 3)
         for n in range(3):
             t = prospect_probability(rho, Prospect(n, b), (3, 2))
@@ -286,13 +246,13 @@ class TestProbabilitySplit:
 
     def test_pure_state_overlap_oracle(self):
         # Independent route: for rho = |psi><psi|, p must be |<pi|psi>|^2.
-        psi = random_state_vector(12, 21)
+        psi = sample_inconclusive(12, 21)
         rho = DensityOperator.from_pure(psi)
         b = sample_inconclusive(3, 22)
         for n in range(4):
             t = prospect_probability(rho, Prospect(n, b), (4, 3))
             pi = prospect_state(Prospect(n, b), 4, 3)
-            assert t.p == pytest.approx(abs(pi.overlap(psi)) ** 2, abs=1e-12)
+            assert t.p == pytest.approx(abs(np.vdot(pi, psi)) ** 2, abs=1e-12)
 
     def test_trace_rule_oracle(self):
         rho = random_density_operator(12, 9)
@@ -435,7 +395,7 @@ class TestDecohere:
         assert t.q == 0.0
 
     def test_damping_out_of_range(self):
-        rho = DensityOperator.maximally_mixed(2)
+        rho = DensityOperator(np.eye(2) / 2)
         with pytest.raises(ValidationError, match="damping"):
             decohere(rho, 1.5)
         with pytest.raises(ValidationError, match="damping"):
@@ -578,7 +538,7 @@ class TestBatchedKernels:
             normalize([[0.5, 0.5], [0.0, 0.0]], [[0.5, 0.5], [0.5, 0.5]])
 
     def test_decohere_levels_rejects_bad_levels(self):
-        rho = DensityOperator.maximally_mixed(2)
+        rho = DensityOperator(np.eye(2) / 2)
         with pytest.raises(ValidationError, match="damping must lie"):
             decohere_levels(rho, [0.0, 0.5, 1.5])
         with pytest.raises(ValidationError, match="damping must lie"):

@@ -1,4 +1,4 @@
-"""Tests for expected utilities, factor rules, and the information functionals."""
+"""Tests for utility functions, factor rules, and the information functionals."""
 from __future__ import annotations
 
 import math
@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 from qchoice import (
     DegenerateSetError,
     LINEAR_UTILITY,
-    Lottery,
     SignDomainError,
     UtilityFunction,
     ValidationError,
-    expected_utility,
     information_functional_gains,
     information_functional_losses,
     utility_factors_gains,
@@ -24,43 +22,6 @@ from qchoice import (
 )
 
 F = Fraction
-
-
-class TestLottery:
-    def test_certain(self):
-        lot = Lottery.certain(10)
-        assert expected_utility(lot) == 10
-
-    def test_expected_utility_linear(self):
-        lot = Lottery((0, 100), (F(1, 2), F(1, 2)))
-        assert expected_utility(lot) == 50
-
-    def test_expected_utility_mixed_payoffs_exact(self):
-        # 0.2*(-2) + 0.3*4 + 0.5*1 = 13/10
-        lot = Lottery((-2, 4, 1), (F(1, 5), F(3, 10), F(1, 2)))
-        assert expected_utility(lot) == F(13, 10)
-
-    def test_probabilities_must_sum_to_one(self):
-        with pytest.raises(ValidationError, match="sum to 1"):
-            Lottery((1, 2), (0.5, 0.4))
-
-    def test_sum_message_survives_a_total_beyond_double_range(self):
-        # Each weight is a finite double, their sum is not: the message
-        # used to raise OverflowError from float(total).
-        with pytest.raises(ValidationError, match=r"got 2\.000000e\+308"):
-            Lottery((1, 2), (F(10) ** 308, F(10) ** 308))
-
-    def test_rejects_negative_probability(self):
-        with pytest.raises(ValidationError, match="non-negative"):
-            Lottery((1, 2), (1.5, -0.5))
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValidationError, match="mismatch"):
-            Lottery((1, 2, 3), (0.5, 0.5))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValidationError):
-            Lottery((), ())
 
 
 class TestUtilityFunction:
@@ -86,10 +47,6 @@ class TestUtilityFunction:
             UtilityFunction.power(0)
         with pytest.raises(ValidationError):
             UtilityFunction.power(-1)
-
-    def test_expected_utility_with_power(self):
-        lot = Lottery((4, 0), (F(1, 2), F(1, 2)))
-        assert expected_utility(lot, UtilityFunction.power(F(1, 2))) == pytest.approx(1.0)
 
 
 class TestGainsFactors:
@@ -267,6 +224,15 @@ class TestInformationFunctionals:
         a = information_functional_gains(f, [1.0, 3.0], alpha=1.5, baseline=0.0)
         b = information_functional_gains(f, [1.0, 3.0], alpha=1.5, baseline=2.0)
         assert a - b == pytest.approx(1.5 * 2.0, abs=1e-12)
+
+    def test_exact_utility_below_the_double_range(self):
+        # float(1/10**400) is 0.0; its logarithm used to raise "math domain error".
+        tiny = F(1, 10**400)
+        log_tiny = -math.log(10**400)
+        gains = information_functional_gains([0.5, 0.5], [tiny, 1])
+        assert gains == pytest.approx(-math.log(2) - 0.5 * log_tiny, rel=1e-15)
+        losses = information_functional_losses([0.5, 0.5], [-tiny, -1])
+        assert losses == pytest.approx(-math.log(2) + 0.5 * log_tiny, rel=1e-15)
 
     def test_zero_utility_with_weight_is_infinite(self):
         assert information_functional_gains([0.5, 0.5], [0, 1]) == math.inf
