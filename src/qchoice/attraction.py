@@ -14,7 +14,6 @@ the two distributional facts behind them.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,9 +23,6 @@ import numpy as np
 from . import _checks
 from .errors import ValidationError
 
-#: Expected mean attraction magnitude under the non-informative prior.
-QUARTER = Fraction(1, 4)
-
 _CHUNK_TARGET = 1_000_000  # keep Monte Carlo scratch arrays around 8 MB
 
 
@@ -35,9 +31,11 @@ class AttractionSet:
     """A quantized ladder of attraction values for N competing prospects.
 
     Values are exact rationals, sorted descending with a constant gap,
-    summing to zero, with mean magnitude exactly 1/4 (for N >= 2).  A
-    caller's ``AttractionSet(values)`` checks all of that, exactly; the
-    closed forms of ``quantized_attraction_set`` guarantee it unchecked.
+    summing to zero, with mean magnitude exactly 1/4 (for N >= 2); a
+    single prospect gets ``(0,)``.  Those rules admit one ladder per N, so
+    a caller's ``AttractionSet(values)`` is compared, exactly, with the
+    closed form of ``quantized_attraction_set(len(values))``, which is
+    built unchecked.
     """
 
     values: tuple[Fraction, ...]
@@ -45,45 +43,19 @@ class AttractionSet:
     def __post_init__(self) -> None:
         if len(self.values) < 1:
             raise ValidationError("attraction set needs at least one value")
-        coerced = []
-        for v in self.values:
-            if isinstance(v, float):
-                raise ValidationError(
-                    "attraction sets are exact; pass Fraction or int values, not floats"
-                )
-            coerced.append(Fraction(v))
-        values = tuple(coerced)
+        if any(isinstance(v, float) for v in self.values):
+            raise ValidationError(
+                "attraction sets are exact; pass Fraction or int values, not floats"
+            )
+        values = tuple(Fraction(v) for v in self.values)
         object.__setattr__(self, "values", values)
         n = len(values)
-        for v in values:
-            if not -1 <= v <= 1:
-                raise ValidationError(f"attraction value {v} outside [-1, 1]")
-        if n >= 2:
-            # Exact checks on integer numerators over a common denominator;
-            # plain Fraction arithmetic is needlessly slow for long ladders.
-            den = 1
-            for v in values:
-                den = math.lcm(den, v.denominator)
-            nums = [v.numerator * (den // v.denominator) for v in values]
-            gap = nums[0] - nums[1]
-            if gap <= 0:
-                raise ValidationError("attraction values must be strictly descending")
-            if any(a - b != gap for a, b in zip(nums, nums[1:])):
-                raise ValidationError(
-                    "attraction values must be equally spaced in descending order"
-                )
-            if sum(nums) != 0:
-                raise ValidationError("attraction values must sum to zero exactly")
-            if 4 * sum(abs(x) for x in nums) != n * den:
-                raise ValidationError(
-                    f"mean attraction magnitude must be 1/4, got "
-                    f"{sum(abs(v) for v in values) / n}"
-                )
-        else:
-            if values[0] != 0:
-                raise ValidationError(
-                    "a single uncontested prospect carries zero attraction"
-                )
+        if values != quantized_attraction_set(n).values:
+            raise ValidationError(
+                f"attraction values are not the quantized ladder for N = {n}: "
+                "exact, descending in equal steps, summing to zero, with mean "
+                "magnitude 1/4 ((0,) for N = 1)"
+            )
 
     @property
     def n_prospects(self) -> int:
@@ -105,23 +77,29 @@ class AttractionSet:
         return np.array([float(v) for v in self.values], dtype=float)
 
 
+def _ladder(n: int) -> tuple[int, int]:
+    """``(scale, den)`` for ``n >= 2`` prospects: rung ``k`` (0-based),
+    ``q_max - k * delta``, is ``scale * (n - 1 - 2k) / den``, one numerator
+    over a shared denominator, which keeps long ladders cheap to build."""
+    if n % 2 == 0:
+        return 1, 2 * n
+    return n, 2 * (n * n - 1)
+
+
 def attraction_gap(n_prospects: int) -> Fraction:
     """Spacing of the quantized attraction ladder for ``n_prospects`` >= 2.
 
     Exact closed forms: ``1/N`` for even N and ``N/(N^2 - 1)`` for odd N.
     """
-    n = _checks.count(n_prospects, what="prospect count", minimum=2)
-    if n % 2 == 0:
-        return Fraction(1, n)
-    return Fraction(n, n * n - 1)
+    scale, den = _ladder(_checks.count(n_prospects, what="prospect count", minimum=2))
+    return Fraction(2 * scale, den)
 
 
 def attraction_qmax(n_prospects: int) -> Fraction:
     """Top of the quantized ladder: ``(N-1)/(2N)`` for even N, ``N/(2(N+1))`` for odd."""
     n = _checks.count(n_prospects, what="prospect count", minimum=2)
-    if n % 2 == 0:
-        return Fraction(n - 1, 2 * n)
-    return Fraction(n, 2 * (n + 1))
+    scale, den = _ladder(n)
+    return Fraction(scale * (n - 1), den)
 
 
 def quantized_attraction_set(n_prospects: int) -> AttractionSet:
@@ -134,13 +112,7 @@ def quantized_attraction_set(n_prospects: int) -> AttractionSet:
     n = _checks.count(n_prospects, what="prospect count", minimum=1)
     if n == 1:
         return _checks.trusted(AttractionSet, values=(Fraction(0),))
-    # Rung k (0-based) is q_max - k * delta; with the closed forms for the
-    # gap and the top this collapses to one numerator per rung over a
-    # shared denominator, which keeps long ladders cheap to build.
-    if n % 2 == 0:
-        scale, den = 1, 2 * n
-    else:
-        scale, den = n, 2 * (n * n - 1)
+    scale, den = _ladder(n)
     return _checks.trusted(
         AttractionSet,
         values=tuple(Fraction(scale * (n - 1 - 2 * k), den) for k in range(n)),

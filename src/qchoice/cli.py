@@ -26,7 +26,6 @@ from .experiments import (
     run_prediction,
 )
 from .quantum import (
-    DEFAULT_DIM_CAP,
     chunk_slices,
     decohere_levels,
     normalize,
@@ -162,11 +161,10 @@ def predict(experiment_file: str, fmt: str, out: str | None) -> None:
         input_digest=digest,
         seeds=(),
         report=report,
-        created_at=_now(),
     )
     table = None
     if fmt == "table":
-        table = _prediction_table(exp, report, digest, record.created_at)
+        table = _prediction_table(exp, report, digest, _now())
     _emit(record, table, fmt, out)
 
 
@@ -201,7 +199,6 @@ def attraction_set(n_prospects: int, fmt: str, out: str | None) -> None:
         input_digest=None,
         seeds=(),
         statistics=stats,
-        created_at=_now(),
     )
     _emit(record, "\n".join(lines), fmt, out)
 
@@ -226,7 +223,6 @@ def verify(suite: str, samples: int | None, seed: int, fmt: str, out: str | None
         input_digest=None,
         seeds=(seed,),
         statistics=stats,
-        created_at=_now(),
     )
     _emit(record, table, fmt, out)
     if not result.passed:
@@ -243,11 +239,6 @@ def _parse_dims(text: str) -> tuple[int, int]:
         raise click.UsageError(f"--dims expects two integers, got {text!r}")
     if n_dim < 1 or b_dim < 1:
         raise click.UsageError(f"--dims components must be >= 1, got {text!r}")
-    if n_dim * b_dim > DEFAULT_DIM_CAP:
-        raise click.UsageError(
-            f"--dims {text} gives composite dimension {n_dim * b_dim}, "
-            f"above the cap of {DEFAULT_DIM_CAP}"
-        )
     return n_dim, b_dim
 
 
@@ -310,7 +301,6 @@ def simulate(dims: str, seed: int, sweep_steps: int, fmt: str, out: str | None) 
         input_digest=None,
         seeds=(seed,),
         statistics=stats,
-        created_at=_now(),
     )
     _emit(record, "\n".join(lines), fmt, out)
 

@@ -278,33 +278,26 @@ def predict_decoy(
 
 def score_against_empirical(
     report: PredictionReport,
-    empirical: Sequence | Mapping[str, object],
+    empirical: Sequence,
 ) -> PredictionReport:
     """Attach observed choice frequencies and absolute errors to a report.
 
-    ``empirical`` is either a sequence aligned with the report's
-    prospects or a mapping from prospect id to frequency.  Frequencies
-    must be non-negative and sum to 1 within 2e-2 (empirical vectors in
-    the literature are rounded).  Exact inputs give exact errors.
+    ``empirical`` is a sequence aligned with the report's prospects; a
+    mapping is refused, since iterating one would read its keys as the
+    frequencies.  Frequencies must be non-negative and sum to 1 within
+    2e-2 (empirical vectors in the literature are rounded).  Exact inputs
+    give exact errors.
     """
     if isinstance(empirical, Mapping):
-        missing = [pid for pid in report.prospect_ids if pid not in empirical]
-        if missing:
-            raise ValidationError(
-                f"empirical frequencies missing for prospects: {missing}"
-            )
-        extra = [pid for pid in empirical if pid not in report.prospect_ids]
-        if extra:
-            raise ValidationError(
-                f"empirical frequencies name unknown prospects: {extra}"
-            )
-        freqs = tuple(empirical[pid] for pid in report.prospect_ids)
-    else:
-        freqs = tuple(empirical)
-        if len(freqs) != report.n_prospects:
-            raise ValidationError(
-                f"{report.n_prospects} prospects but {len(freqs)} empirical values"
-            )
+        raise ValidationError(
+            "empirical frequencies must be a sequence aligned with the "
+            "prospects, not a mapping"
+        )
+    freqs = tuple(empirical)
+    if len(freqs) != report.n_prospects:
+        raise ValidationError(
+            f"{report.n_prospects} prospects but {len(freqs)} empirical values"
+        )
     for v in freqs:
         _checks.real(v, what="empirical frequency")
         if v < 0:

@@ -27,8 +27,7 @@ are exact rational arithmetic end to end.
 ``RunRecord`` captures one command invocation.  Its machine-readable
 forms (JSON, CSV) are byte-deterministic: the same file, flags and seed
 always serialize identically, so records can be diffed; the wall-clock
-timestamp lives only on the in-memory object and in human-readable
-output.
+timestamp appears only in the human-readable table of ``predict``.
 """
 from __future__ import annotations
 
@@ -41,7 +40,6 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Mapping
 
 import yaml
 
@@ -455,31 +453,21 @@ def _report_payload(report: PredictionReport) -> dict:
     return payload
 
 
-def _plain(value):
-    if isinstance(value, Fraction):
-        return float(value)
-    if isinstance(value, Mapping):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
-
-
 @dataclass(frozen=True)
 class RunRecord:
     """One command invocation with its deterministic payload.
 
-    ``created_at`` is for human consumption only; the machine-readable
-    serializations depend on nothing but input and flags, so identical
-    invocations produce byte-identical JSON and CSV.
+    The serializations depend on nothing but input and flags, so identical
+    invocations produce byte-identical JSON and CSV.  ``statistics`` is a
+    JSON-ready dict; a value JSON has no form for, such as a ``Fraction``,
+    is written as its ``float``.
     """
 
     command: str
     input_digest: str | None
     seeds: tuple[int, ...]
     report: PredictionReport | None = None
-    statistics: Mapping | None = None
-    created_at: str | None = None
+    statistics: dict | None = None
 
     def to_json(self) -> str:
         payload: dict[str, object] = {
@@ -490,8 +478,8 @@ class RunRecord:
         if self.report is not None:
             payload["report"] = _report_payload(self.report)
         if self.statistics is not None:
-            payload["statistics"] = _plain(self.statistics)
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            payload["statistics"] = self.statistics
+        return json.dumps(payload, sort_keys=True, indent=2, default=float) + "\n"
 
     def to_csv(self) -> str:
         if self.report is None:

@@ -69,44 +69,16 @@ def _as_operator_matrix(values, *, what: str) -> np.ndarray:
         raise ValidationError(f"{what} must be a square matrix, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise ValidationError(f"{what} must have dimension at least 1")
-    _check_hermitian(arr, what=what)
-    arr.setflags(write=False)
-    return arr
-
-
-def _check_hermitian(arr: np.ndarray, *, what: str) -> None:
-    """Finite entries and Hermitian symmetry of a ``(..., d, d)`` stack, in one pass."""
     if not np.isfinite(arr).all():
         raise ValidationError(f"{what} contains non-finite entries")
-    herm_defect = float(np.abs(arr - np.swapaxes(arr, -1, -2).conj()).max())
+    herm_defect = float(np.abs(arr - arr.T.conj()).max())
     if herm_defect > HERMITIAN_TOL:
         raise ValidationError(
             f"{what} is not Hermitian: max |A - A^dagger| = {herm_defect:.3e} "
             f"exceeds {HERMITIAN_TOL:.0e}"
         )
-
-
-def _check_density(arr: np.ndarray) -> None:
-    """Unit trace and positive semi-definiteness of a ``(..., d, d)`` stack.
-
-    One ``trace`` and one ``eigvalsh`` call cover the whole stack; the
-    first offending matrix is reported.
-    """
-    traces = np.trace(arr, axis1=-2, axis2=-1)
-    defects = np.abs(traces - 1.0)
-    if defects.max() > TRACE_TOL:
-        worst = int(np.argmax(defects > TRACE_TOL))
-        trace = complex(traces.flat[worst])
-        raise ValidationError(
-            f"density operator trace must be 1, got {trace.real!r} "
-            f"(defect {abs(trace - 1.0):.3e} exceeds {TRACE_TOL:.0e})"
-        )
-    eigmin = float(np.linalg.eigvalsh(arr)[..., 0].min())
-    if eigmin < PSD_EIGENVALUE_SLACK:
-        raise ValidationError(
-            f"density operator has negative eigenvalue {eigmin:.3e} "
-            f"below slack {PSD_EIGENVALUE_SLACK:.0e}"
-        )
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -122,7 +94,18 @@ class DensityOperator:
 
     def __post_init__(self) -> None:
         arr = _as_operator_matrix(self.matrix, what="density operator")
-        _check_density(arr)
+        trace = complex(np.trace(arr))
+        if abs(trace - 1.0) > TRACE_TOL:
+            raise ValidationError(
+                f"density operator trace must be 1, got {trace.real!r} "
+                f"(defect {abs(trace - 1.0):.3e} exceeds {TRACE_TOL:.0e})"
+            )
+        eigmin = float(np.linalg.eigvalsh(arr)[0])
+        if eigmin < PSD_EIGENVALUE_SLACK:
+            raise ValidationError(
+                f"density operator has negative eigenvalue {eigmin:.3e} "
+                f"below slack {PSD_EIGENVALUE_SLACK:.0e}"
+            )
         object.__setattr__(self, "matrix", arr)
 
     @property
@@ -493,10 +476,8 @@ def normalize_prospect_set(
     and ``f`` values likewise; the interference parts are recomputed as
     ``q' = p' - f'``, which makes them sum to zero by construction (the
     alternation property: positive and negative interference across a
-    complete family cancels).
+    complete family cancels).  An empty family raises ``ValidationError``.
     """
-    if len(triples) == 0:
-        raise ValidationError("cannot normalize an empty prospect family")
     p, f, q = normalize([[t.p for t in triples]], [[t.f for t in triples]])
     return [
         _checks.trusted(ProbabilityTriple, p=a, f=b, q=c)
@@ -559,42 +540,33 @@ def decohere(
 
 def _check_dim(dim: int) -> None:
     if _checks.count(dim, what="dimension", minimum=1) > DEFAULT_DIM_CAP:
-        raise ValidationError(f"dimension {dim} exceeds the cap of {DEFAULT_DIM_CAP}")
+        raise ValidationError(f"dimension {dim} is above the cap of {DEFAULT_DIM_CAP}")
 
 
 def _densities_from_gaussians(g: np.ndarray) -> np.ndarray:
-    """Validated ``G G^dagger / Tr(G G^dagger)`` for a ``(B, dim, rank)`` stack.
+    """``G G^dagger / Tr(G G^dagger)`` for a ``(B, dim, dim)`` stack, read-only.
 
-    Each product is symmetrized against rounding and trace-normalized;
-    the stack is then checked as density operators in one pass
-    (Hermitian, trace, smallest eigenvalue) and returned read-only.
+    Valid density operators by construction, so nothing is re-checked:
+    ``G G^dagger`` is positive semi-definite, symmetrizing each product
+    makes it Hermitian bit for bit, and dividing by the trace leaves that
+    within a few roundings of 1.
     """
     m = np.matmul(g, np.swapaxes(g.conj(), -1, -2))
     m = (m + np.swapaxes(m.conj(), -1, -2)) / 2.0
     m = m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
-    _check_hermitian(m, what="density operator")
-    _check_density(m)
     m.setflags(write=False)
     return m
 
 
-def random_density_operator(
-    dim: int,
-    seed: int | np.random.Generator,
-    rank: int | None = None,
-) -> DensityOperator:
-    """Random full-rank (or ``rank``-limited) density operator.
+def random_density_operator(dim: int, seed: int | np.random.Generator) -> DensityOperator:
+    """Random full-rank density operator.
 
-    Built as ``G G^dagger`` from a complex Gaussian ``dim x rank`` matrix,
-    symmetrized and trace-normalized — positive semi-definite by
-    construction.
+    Built as ``G G^dagger`` from a complex Gaussian ``dim x dim`` matrix,
+    symmetrized and trace-normalized, so it is a valid density operator
+    by construction and is not re-checked.
     """
     _check_dim(dim)
-    if rank is None:
-        rank = dim
-    if not 1 <= rank <= dim:
-        raise ValidationError(f"rank must lie in [1, {dim}], got {rank}")
-    g = _complex_gaussian(np.random.default_rng(seed), (dim, rank))
+    g = _complex_gaussian(np.random.default_rng(seed), (dim, dim))
     return _checks.trusted(DensityOperator, matrix=_densities_from_gaussians(g[None])[0])
 
 
@@ -610,7 +582,7 @@ def random_prospect_draws(
     Draw ``k`` takes the state's Gaussians and then the amplitudes from
     the one stream, so the result equals ``count`` alternating calls of
     ``random_density_operator(d, rng)`` and ``sample_inconclusive(b_dim,
-    rng)`` bit for bit; the states are built and validated as one stack.
+    rng)`` bit for bit; the states are built as one stack.
     """
     count = _checks.count(count, what="draw count", minimum=1)
     n_dim, b_dim = dims

@@ -139,14 +139,21 @@ def utility_factors_losses(utilities: Sequence, gamma: Real = 1) -> list:
 def _log_magnitude(u) -> float:
     """``ln |u|`` of a non-zero utility, through ``float(u)``.
 
-    An exact ``u`` that underflows to 0.0 as a float takes the logarithm
-    of its numerator and denominator instead.  Only there: elsewhere that
-    form can differ from ``math.log(float(u))`` in the last bit.
+    A ``u`` that underflows to 0.0 as a float takes the logarithm of the
+    numerator and denominator of ``u.as_integer_ratio()`` instead; a real
+    without that method raises ``ValidationError``.  Only there: elsewhere
+    that form can differ from ``math.log(float(u))`` in the last bit.
     """
     magnitude = abs(float(u))
-    if magnitude == 0.0 and isinstance(u, Rational):
-        return math.log(abs(u.numerator)) - math.log(u.denominator)
-    return math.log(magnitude)
+    if magnitude != 0.0:
+        return math.log(magnitude)
+    try:
+        n, d = u.as_integer_ratio()
+    except AttributeError:
+        raise ValidationError(
+            f"utility {u!r} underflows floating point and has no exact ratio"
+        ) from None
+    return math.log(abs(n)) - math.log(d)
 
 
 def _xlogx(value: float) -> float:
@@ -172,14 +179,11 @@ def information_functional_gains(
     utilities: Sequence,
     lam: float = 0.0,
     alpha: float = 1.0,
-    baseline: float = 0.0,
 ) -> float:
     """Information functional whose minimizer is the gains factor rule.
 
-    ``sum f ln f + lam * (sum f - 1) + alpha * (sum f * L - baseline)``
-    with log-penalties ``L_n = -ln U_n``.  ``baseline`` is the constant
-    the log-penalty average is anchored to; it shifts the value but not
-    the minimizer, and defaults to 0.  A zero utility carries an infinite
+    ``sum f ln f + lam * (sum f - 1) + alpha * sum f * L`` with
+    log-penalties ``L_n = -ln U_n``.  A zero utility carries an infinite
     penalty: if its factor is positive the functional is ``math.inf``,
     while a zero factor silences the term.
     """
@@ -197,11 +201,7 @@ def information_functional_gains(
             continue  # 0 weight on an infinite penalty contributes nothing
         penalty += f_n * (-_log_magnitude(u))
     entropy = sum(_xlogx(f_n) for f_n in f)
-    return (
-        entropy
-        + float(lam) * (sum(f) - 1.0)
-        + float(alpha) * (penalty - float(baseline))
-    )
+    return entropy + float(lam) * (sum(f) - 1.0) + float(alpha) * penalty
 
 
 def information_functional_losses(
@@ -209,13 +209,12 @@ def information_functional_losses(
     utilities: Sequence,
     lam: float = 0.0,
     gamma: float = 1.0,
-    baseline: float = 0.0,
 ) -> float:
     """Information functional whose minimizer is the losses factor rule.
 
     Same structure as the gains functional but the log-penalty term
     enters with the opposite sign,
-    ``sum f ln f + lam * (sum f - 1) + gamma * (baseline - sum f * L)``
+    ``sum f ln f + lam * (sum f - 1) - gamma * sum f * L``
     with ``L_n = -ln |U_n|``, which is what flips the minimizer to
     ``f_n`` proportional to ``|U_n| ** -gamma``.
     """
@@ -227,8 +226,4 @@ def information_functional_losses(
             )
     penalty = sum(f_n * (-_log_magnitude(u)) for f_n, u in zip(f, values))
     entropy = sum(_xlogx(f_n) for f_n in f)
-    return (
-        entropy
-        + float(lam) * (sum(f) - 1.0)
-        + float(gamma) * (float(baseline) - penalty)
-    )
+    return entropy + float(lam) * (sum(f) - 1.0) + float(gamma) * (0.0 - penalty)

@@ -31,9 +31,6 @@ from .utility import (
     utility_factors_losses,
 )
 
-SUITE_NAMES = ("quarter-law", "gaps", "entropy", "quantum-identity")
-
-
 @dataclass(frozen=True)
 class SuiteResult:
     """Outcome of one self-check suite."""
@@ -248,16 +245,23 @@ def verify_quantum_identity(
     )
 
 
+_SUITES = {
+    "quarter-law": verify_quarter_law,
+    "gaps": verify_gaps,
+    "entropy": verify_entropy,
+    "quantum-identity": verify_quantum_identity,
+}
+SUITE_NAMES = tuple(_SUITES)
+
+
 def run_suite(name: str, samples: int | None = None, seed: int = 0) -> SuiteResult:
-    """Run one named suite; ``samples`` maps to its sampling knob."""
-    if name == "quarter-law":
-        return verify_quarter_law(samples if samples is not None else 1_000_000, seed)
-    if name == "gaps":
-        return verify_gaps(samples if samples is not None else 100_000, seed)
-    if name == "entropy":
-        return verify_entropy(samples if samples is not None else 10_000, seed)
-    if name == "quantum-identity":
-        return verify_quantum_identity(samples if samples is not None else 1000, seed)
-    raise ValidationError(
-        f"unknown verification suite {name!r}; choose from {', '.join(SUITE_NAMES)}"
-    )
+    """Run one named suite; ``samples`` maps to its sampling knob, the
+    first parameter, whose own default applies when it is ``None``."""
+    suite = _SUITES.get(name)
+    if suite is None:
+        raise ValidationError(
+            f"unknown verification suite {name!r}; choose from {', '.join(SUITE_NAMES)}"
+        )
+    if samples is None:
+        return suite(seed=seed)
+    return suite(samples, seed)

@@ -117,13 +117,15 @@ class TestQuantizedLadder:
         assert floats.tolist() == [0.25, -0.25]
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(2, 400))
+    @given(st.integers(2, 2000))
     def test_ladder_properties(self, n):
         ladder = quantized_attraction_set(n)
         values = ladder.values
+        gap = attraction_gap(n)
         assert len(values) == n
-        assert all(a > b for a, b in zip(values, values[1:]))
+        assert all(a - b == gap for a, b in zip(values, values[1:]))
         assert sum(values) == 0
+        assert sum(abs(v) for v in values) == F(n, 4)
         assert values[0] <= F(1, 2)  # ladders never leave the admissible range
 
 
@@ -131,42 +133,46 @@ class TestAttractionSetValidation:
     def test_accepts_valid_ladder(self):
         AttractionSet((F(1, 4), F(-1, 4)))
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 2000))
-    def test_closed_form_ladders_pass_full_validation(self, n):
-        # quantized_attraction_set skips the check; the closed forms must
-        # still satisfy every rule a caller-built ladder is held to.
-        ladder = quantized_attraction_set(n)
-        assert AttractionSet(ladder.values) == ladder
-
     def test_rejects_floats(self):
         with pytest.raises(ValidationError, match="exact"):
             AttractionSet((0.25, -0.25))
 
     def test_rejects_wrong_mean_magnitude(self):
         # Equal gaps and zero sum, but mean |q| = 1/3.
-        with pytest.raises(ValidationError, match="1/4"):
+        with pytest.raises(ValidationError, match="quantized ladder for N = 3"):
             AttractionSet((F(1, 2), F(0), F(-1, 2)))
 
     def test_rejects_uneven_spacing(self):
-        with pytest.raises(ValidationError, match="equally spaced"):
+        with pytest.raises(ValidationError, match="quantized ladder for N = 3"):
             AttractionSet((F(3, 8), F(1, 8), F(-4, 8)))
 
     def test_rejects_ascending(self):
-        with pytest.raises(ValidationError, match="descending"):
+        with pytest.raises(ValidationError, match="quantized ladder for N = 2"):
             AttractionSet((F(-1, 4), F(1, 4)))
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValidationError, match=r"\[-1, 1\]"):
+        with pytest.raises(ValidationError, match="quantized ladder for N = 4"):
             AttractionSet((F(3, 2), F(1, 2), F(-1, 2), F(-3, 2)))
 
     def test_rejects_nonzero_single_value(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="quantized ladder for N = 1"):
             AttractionSet((F(1, 4),))
 
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             AttractionSet(())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 2000), st.data())
+    def test_rejects_one_rung_moved(self, n, data):
+        # The closed-form ladder over its shared denominator, one rung
+        # nudged by a single unit of it.
+        den = 2 * n if n % 2 == 0 else 2 * (n * n - 1)
+        values = list(quantized_attraction_set(n).values)
+        k = data.draw(st.integers(0, n - 1))
+        values[k] += data.draw(st.sampled_from([F(1, den), F(-1, den)]))
+        with pytest.raises(ValidationError, match=f"quantized ladder for N = {n}"):
+            AttractionSet(tuple(values))
 
 
 class TestAsymptoticLadder:

@@ -267,8 +267,11 @@ class TestSimulate:
         assert sweep[-1]["max_abs_q"] < 1e-12
 
     def test_dimension_cap(self, capsys):
+        # The cap is the quantum module's rule, reported as one error line.
         assert main(["simulate", "--dims", "9,8"]) == 1
-        assert "above the cap of 64" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: dimension 72 is above the cap of 64"]
+        assert captured.out == ""
 
     def test_malformed_dims(self, capsys):
         assert main(["simulate", "--dims", "3"]) == 1

@@ -469,14 +469,18 @@ class TestRunRecord:
         return RunRecord(**defaults)
 
     def test_json_is_byte_deterministic(self):
-        a = self._record(created_at="2026-01-01T00:00:00Z")
-        b = self._record(created_at="2026-06-30T23:59:59Z")
-        assert a.to_json() == b.to_json()
+        assert self._record().to_json() == self._record().to_json()
 
-    def test_json_has_no_timestamp(self):
-        payload = json.loads(self._record(created_at="now").to_json())
-        flat = json.dumps(payload)
-        assert "created_at" not in flat and "now" not in flat
+    def test_json_has_no_timestamp(self, capsys):
+        # The run time goes to the table of ``predict`` and nowhere else.
+        stamp = "2026-06-30T23:59:59+00:00"
+        outputs = {}
+        with mock.patch("qchoice.cli._now", return_value=stamp):
+            for fmt in ("record", "table"):
+                assert main(["predict", "microwave", "--format", fmt]) == 0
+                outputs[fmt] = capsys.readouterr().out
+        assert stamp not in outputs["record"] and "created" not in outputs["record"]
+        assert outputs["table"].rstrip().endswith(f"run at {stamp}")
 
     def test_json_carries_exact_fields(self):
         payload = json.loads(self._record().to_json())

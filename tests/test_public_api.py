@@ -1,5 +1,12 @@
-"""The public surface: ``qchoice.__all__`` is pinned, and every name resolves."""
+"""The public surface: ``qchoice.__all__`` is pinned, and every name resolves.
+
+The parameters of the functions that lost an option, and the fields of
+``RunRecord``, are pinned too, so re-adding one is a deliberate API change.
+"""
 from __future__ import annotations
+
+import dataclasses
+import inspect
 
 import qchoice
 
@@ -68,3 +75,21 @@ def test_all_is_pinned_and_resolves():
     assert sorted(qchoice.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(qchoice, name) is not None, name
+
+
+PINNED_PARAMETERS = {
+    "random_density_operator": ["dim", "seed"],
+    "information_functional_gains": ["factors", "utilities", "lam", "alpha"],
+    "information_functional_losses": ["factors", "utilities", "lam", "gamma"],
+    "score_against_empirical": ["report", "empirical"],
+}
+
+
+def test_parameters_are_pinned():
+    for name, expected in PINNED_PARAMETERS.items():
+        assert list(inspect.signature(getattr(qchoice, name)).parameters) == expected, name
+
+
+def test_run_record_fields_are_pinned():
+    fields = [field.name for field in dataclasses.fields(qchoice.RunRecord)]
+    assert fields == ["command", "input_digest", "seeds", "report", "statistics"]

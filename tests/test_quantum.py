@@ -92,11 +92,6 @@ class TestDensityOperator:
         c = random_density_operator(6, 43)
         assert not np.array_equal(a.matrix, c.matrix)
 
-    def test_random_rank_limited(self):
-        rho = random_density_operator(5, 0, rank=2)
-        eigs = np.linalg.eigvalsh(rho.matrix)
-        assert np.sum(eigs > 1e-10) == 2
-
     def test_random_dim_cap(self):
         with pytest.raises(ValidationError, match="cap"):
             random_density_operator(65, 0)
@@ -421,6 +416,14 @@ def _register_dims():
     )
 
 
+def _low_rank_state(dim: int, rank: int, rng: np.random.Generator) -> DensityOperator:
+    """Checked ``G G^dagger / tr`` for complex Gaussians ``G`` of shape ``(dim, rank)``."""
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    m = g @ g.conj().T
+    m = (m + m.conj().T) / 2.0
+    return DensityOperator(m / np.trace(m).real)
+
+
 class TestBatchedKernels:
     """The array kernels against the scalar wrappers and the closed forms."""
 
@@ -435,7 +438,7 @@ class TestBatchedKernels:
         n_dim, b_dim = dims
         dim = n_dim * b_dim
         rng = np.random.default_rng(seed)
-        rho = random_density_operator(dim, rng, rank=min(rank_cap, dim))
+        rho = _low_rank_state(dim, min(rank_cap, dim), rng)
         b = sample_inconclusive(b_dim, rng)
         levels = np.array([0.0] + damping)
         stack = decohere_levels(rho, levels)
@@ -472,11 +475,21 @@ class TestBatchedKernels:
     )
     def test_decohered_stack_is_a_valid_density_operator(self, dim, seed, rank_cap, damping):
         # decohere_levels skips re-validation; its output must still pass it.
-        rho = random_density_operator(dim, seed, rank=min(rank_cap, dim))
+        rho = _low_rank_state(dim, min(rank_cap, dim), np.random.default_rng(seed))
         for matrix in decohere_levels(rho, damping):
             DensityOperator(matrix.copy())
         for level in damping:
             DensityOperator(decohere(rho, level).matrix.copy())
+
+    @settings(max_examples=40, deadline=None)
+    @given(_register_dims(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_random_states_pass_full_validation(self, dims, count, seed):
+        # Neither generator re-checks the states it builds; each must pass.
+        dim = dims[0] * dims[1]
+        DensityOperator(random_density_operator(dim, seed).matrix.copy())
+        rhos, _ = random_prospect_draws(count, dims, seed)
+        for matrix in rhos:
+            DensityOperator(matrix.copy())
 
     def test_stacked_trace_rule_matches_expectation(self):
         rng = np.random.default_rng(5)
