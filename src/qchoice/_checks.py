@@ -122,8 +122,9 @@ def number_text(value) -> str:
         return f"{_WIDE.divide(Decimal(exact.numerator), Decimal(exact.denominator)):.6e}"
 
 
-def count(value, *, what: str, minimum: int = 0) -> int:
-    """``value`` as an ``int`` >= ``minimum``; numpy integers pass, ``bool`` does not."""
+def count(value, *, what: str, minimum: int = 0, maximum: int | None = None) -> int:
+    """``value`` as an ``int`` >= ``minimum`` (and <= ``maximum`` if given);
+    numpy integers pass, ``bool`` does not."""
     try:
         n = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
@@ -132,6 +133,8 @@ def count(value, *, what: str, minimum: int = 0) -> int:
         raise ValidationError(f"{what} must be an integer, got {value!r}")
     if n < minimum:
         raise ValidationError(f"{what} must be >= {minimum}, got {n}")
+    if maximum is not None and n > maximum:
+        raise ValidationError(f"{what} must be <= {maximum}, got {n}")
     return n
 
 

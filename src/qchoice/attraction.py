@@ -35,7 +35,9 @@ class AttractionSet:
     single prospect gets ``(0,)``.  Those rules admit one ladder per N, so
     a caller's ``AttractionSet(values)`` is compared, exactly, with the
     closed form of ``quantized_attraction_set(len(values))``, which is
-    built unchecked.
+    built unchecked.  The closed form is the integer kernel
+    ``ladder_numerators``; ``delta`` and ``q_max`` come from ``gap_and_top``
+    in O(1), and ``as_floats()`` is one array division.
     """
 
     values: tuple[Fraction, ...]
@@ -64,26 +66,48 @@ class AttractionSet:
     @property
     def delta(self) -> Fraction:
         """Constant gap between consecutive values (0 for a single prospect)."""
-        if len(self.values) < 2:
-            return Fraction(0)
-        return self.values[0] - self.values[1]
+        return gap_and_top(self.n_prospects)[0]
 
     @property
     def q_max(self) -> Fraction:
         """Largest (most attracting) value of the ladder."""
-        return self.values[0]
+        return gap_and_top(self.n_prospects)[1]
 
     def as_floats(self) -> np.ndarray:
-        return np.array([float(v) for v in self.values], dtype=float)
+        """The values as floats, each the correctly rounded ``float(v)``
+        (see ``ladder_numerators`` for the range where that holds)."""
+        nums, den = ladder_numerators(self.n_prospects)
+        return nums / den
 
 
 def _ladder(n: int) -> tuple[int, int]:
-    """``(scale, den)`` for ``n >= 2`` prospects: rung ``k`` (0-based),
+    """``(scale, den)`` for ``n >= 1`` prospects: rung ``k`` (0-based),
     ``q_max - k * delta``, is ``scale * (n - 1 - 2k) / den``, one numerator
-    over a shared denominator, which keeps long ladders cheap to build."""
+    over a shared denominator; a single prospect gets ``(0, 1)``."""
+    if n == 1:
+        return 0, 1
     if n % 2 == 0:
         return 1, 2 * n
     return n, 2 * (n * n - 1)
+
+
+def gap_and_top(n: int) -> tuple[Fraction, Fraction]:
+    """``(delta, q_max)`` of the ``n``-prospect ladder, ``(0, 0)`` for one."""
+    scale, den = _ladder(n)
+    return Fraction(2 * scale, den), Fraction(scale * (n - 1), den)
+
+
+def ladder_numerators(n: int) -> tuple[np.ndarray, int]:
+    """The ladder for ``n`` checked prospects as ``(nums, den)``: int64 rung
+    numerators, descending, over one shared denominator (unreduced).
+
+    The numerators are exact while ``n * (n - 1) < 2**63`` (N up to about
+    3e9, far beyond any ladder that fits in memory).  ``nums / den`` is
+    ``float(Fraction(num, den))`` bit for bit while ``den < 2**53``, that
+    is for N below about 6.7e7: each is then one correctly rounded division.
+    """
+    scale, den = _ladder(n)
+    return scale * np.arange(n - 1, -n, -2, dtype=np.int64), den
 
 
 def attraction_gap(n_prospects: int) -> Fraction:
@@ -91,15 +115,12 @@ def attraction_gap(n_prospects: int) -> Fraction:
 
     Exact closed forms: ``1/N`` for even N and ``N/(N^2 - 1)`` for odd N.
     """
-    scale, den = _ladder(_checks.count(n_prospects, what="prospect count", minimum=2))
-    return Fraction(2 * scale, den)
+    return gap_and_top(_checks.count(n_prospects, what="prospect count", minimum=2))[0]
 
 
 def attraction_qmax(n_prospects: int) -> Fraction:
     """Top of the quantized ladder: ``(N-1)/(2N)`` for even N, ``N/(2(N+1))`` for odd."""
-    n = _checks.count(n_prospects, what="prospect count", minimum=2)
-    scale, den = _ladder(n)
-    return Fraction(scale * (n - 1), den)
+    return gap_and_top(_checks.count(n_prospects, what="prospect count", minimum=2))[1]
 
 
 def quantized_attraction_set(n_prospects: int) -> AttractionSet:
@@ -107,15 +128,13 @@ def quantized_attraction_set(n_prospects: int) -> AttractionSet:
 
     Values are ``q_max - (k - 1) * delta`` for ``k = 1..N``: descending,
     equally spaced, zero-sum, with mean magnitude exactly 1/4.  A single
-    prospect gets the degenerate ladder ``(0,)``.
+    prospect gets the degenerate ladder ``(0,)``.  The rationals are built
+    from the integer kernel ``ladder_numerators``.
     """
     n = _checks.count(n_prospects, what="prospect count", minimum=1)
-    if n == 1:
-        return _checks.trusted(AttractionSet, values=(Fraction(0),))
-    scale, den = _ladder(n)
+    nums, den = ladder_numerators(n)
     return _checks.trusted(
-        AttractionSet,
-        values=tuple(Fraction(scale * (n - 1 - 2 * k), den) for k in range(n)),
+        AttractionSet, values=tuple(Fraction(num, den) for num in nums.tolist())
     )
 
 

@@ -12,7 +12,8 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .attraction import quantized_attraction_set
+from . import _checks
+from .attraction import gap_and_top, ladder_numerators
 from .decision import PredictionReport, regularity_verdict
 from .errors import QChoiceError, VerificationFailure
 from .experiments import (
@@ -36,15 +37,24 @@ from .quantum import (
 from .verify import SUITE_NAMES, run_suite
 
 _FORMATS = ("table", "record", "csv")
+#: Most prospects ``attraction-set`` builds a ladder for: the record of
+#: 10**6 takes about 3.7 s and a 360 MB peak, and both grow linearly in N.
+MAX_PROSPECTS = 1_000_000
+#: Most damping levels one ``simulate`` sweep holds: 10,000 levels at
+#: dims (64,1) take about 6 s and 360 MB, and the record grows linearly.
+MAX_SWEEP_STEPS = 10_000
 
 
 def _fmt_number(value) -> str:
     """Decimal rendering, with the exact rational alongside when available."""
     if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{float(value):.6g} ({value})"
+        return _fmt_rational(float(value), str(value))
     return f"{float(value):.6g}"
+
+
+def _fmt_rational(value: float, exact: str) -> str:
+    """``_fmt_number`` of a Fraction, given its ``float`` and its ``str``."""
+    return exact if "/" not in exact else f"{value:.6g} ({exact})"
 
 
 def _now() -> str:
@@ -176,31 +186,57 @@ def attraction_set(n_prospects: int, fmt: str, out: str | None) -> None:
     """Print the quantized attraction ladder for N_PROSPECTS prospects."""
     if fmt == "csv":
         raise click.UsageError("csv output is only available for predict")
-    ladder = quantized_attraction_set(n_prospects)
-    lines = [f"quantized attraction ladder for {ladder.n_prospects} prospects"]
-    lines.append(f"{'rank':<6} {'value':>24}")
-    for k, value in enumerate(ladder.values, start=1):
-        lines.append(f"{k:<6} {_fmt_number(value):>24}")
-    lines.append(
-        f"gap {_fmt_number(ladder.delta)}   top {_fmt_number(ladder.q_max)}   "
-        f"mean magnitude 1/4"
+    n = _checks.count(
+        n_prospects, what="prospect count", minimum=1, maximum=MAX_PROSPECTS
     )
-    stats = {
-        "n_prospects": ladder.n_prospects,
-        "values": [float(v) for v in ladder.values],
-        "values_exact": [str(v) for v in ladder.values],
-        "delta": float(ladder.delta),
-        "delta_exact": str(ladder.delta),
-        "q_max": float(ladder.q_max),
-        "q_max_exact": str(ladder.q_max),
-    }
+    stats = _ladder_statistics(n)
     record = RunRecord(
-        command=f"attraction-set {ladder.n_prospects}",
+        command=f"attraction-set {n}",
         input_digest=None,
         seeds=(),
         statistics=stats,
     )
-    _emit(record, "\n".join(lines), fmt, out)
+    table = None
+    if fmt == "table":
+        table = _ladder_table(stats)
+    _emit(record, table, fmt, out)
+
+
+def _ladder_statistics(n: int) -> dict:
+    """The record of the ``n``-prospect ladder.  Each rung's float and its
+    reduced text are ``float()`` and ``str()`` of its Fraction, computed
+    from the integer numerators with one division and one ``gcd``."""
+    nums, den = ladder_numerators(n)
+    values = (nums / den).tolist()
+    g = np.gcd(nums, den)
+    values_exact = [
+        str(a) if b == 1 else f"{a}/{b}"
+        for a, b in zip((nums // g).tolist(), (den // g).tolist())
+    ]
+    delta = gap_and_top(n)[0]
+    return {
+        "n_prospects": n,
+        "values": values,
+        "values_exact": values_exact,
+        "delta": float(delta),
+        "delta_exact": str(delta),
+        "q_max": values[0],
+        "q_max_exact": values_exact[0],
+    }
+
+
+def _ladder_table(stats: dict) -> str:
+    n = stats["n_prospects"]
+    lines = [f"quantized attraction ladder for {n} prospects"]
+    lines.append(f"{'rank':<6} {'value':>24}")
+    for k, (value, exact) in enumerate(zip(stats["values"], stats["values_exact"]), start=1):
+        lines.append(f"{k:<6} {_fmt_rational(value, exact):>24}")
+    lines.append(
+        f"gap {_fmt_rational(stats['delta'], stats['delta_exact'])}   "
+        f"top {_fmt_rational(stats['q_max'], stats['q_max_exact'])}   "
+        f"mean magnitude {'1/4' if n > 1 else '0'}"
+    )
+    return "\n".join(lines)
 
 
 @cli.command()
@@ -250,7 +286,7 @@ def _parse_dims(text: str) -> tuple[int, int]:
     type=int,
     default=5,
     show_default=True,
-    help="number of damping levels from 0 to 1",
+    help=f"number of damping levels from 0 to 1 (2 to {MAX_SWEEP_STEPS})",
 )
 @_format_option
 @_out_option
@@ -258,8 +294,7 @@ def simulate(dims: str, seed: int, sweep_steps: int, fmt: str, out: str | None) 
     """Random strategic state: probability split under a decoherence sweep."""
     if fmt == "csv":
         raise click.UsageError("csv output is only available for predict")
-    if sweep_steps < 2:
-        raise click.UsageError(f"--sweep-steps must be >= 2, got {sweep_steps}")
+    _checks.count(sweep_steps, what="--sweep-steps", minimum=2, maximum=MAX_SWEEP_STEPS)
     n_dim, b_dim = _parse_dims(dims)
     rng = np.random.default_rng(seed)
     rho = random_density_operator(n_dim * b_dim, rng)

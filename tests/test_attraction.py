@@ -18,6 +18,8 @@ from qchoice import (
     quantized_attraction_set,
     quarter_law_check,
 )
+from qchoice import cli
+from qchoice.attraction import ladder_numerators
 
 F = Fraction
 
@@ -127,6 +129,84 @@ class TestQuantizedLadder:
         assert sum(values) == 0
         assert sum(abs(v) for v in values) == F(n, 4)
         assert values[0] <= F(1, 2)  # ladders never leave the admissible range
+
+
+def float_bits(values) -> bytes:
+    """The IEEE bytes of ``values``, so ``0.0`` and ``-0.0`` differ."""
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def reference(n: int, k: int) -> Fraction:
+    """Rung ``k`` (0-based) from the public closed forms, not the int64 kernel."""
+    return F(0) if n == 1 else attraction_qmax(n) - k * attraction_gap(n)
+
+
+def sample_rungs(n: int) -> list[int]:
+    """Every rung of a short ladder; else both ends, the middle and a spread."""
+    if n <= 64:
+        return list(range(n))
+    mid = n // 2
+    return sorted({*range(4), *range(mid - 2, mid + 3), *range(n - 4, n), *range(0, n, n // 16)})
+
+
+class TestNumeratorKernel:
+    def test_single_prospect(self):
+        nums, den = ladder_numerators(1)
+        assert nums.dtype == np.int64
+        assert nums.tolist() == [0] and den == 1
+
+    @pytest.mark.parametrize("n", [cli.MAX_PROSPECTS - 1, cli.MAX_PROSPECTS])
+    def test_exact_as_doubles_up_to_the_cap(self, n):
+        # Below 2**53 each integer is a double, so nums / den is one
+        # correctly rounded division, like float(Fraction(num, den)).
+        nums, den = ladder_numerators(n)
+        assert int(np.abs(nums).max()) < 2**53 and den < 2**53
+
+
+class TestNumeratorPathMatchesFractions:
+    """The record and ``as_floats`` come from the integer numerators; they
+    must equal ``float(v)`` and ``str(v)`` of the Fraction ladder."""
+
+    @staticmethod
+    def check_record(n, rungs):
+        stats = cli._ladder_statistics(n)
+        assert len(stats["values"]) == len(stats["values_exact"]) == n
+        expected = [reference(n, k) for k in rungs]
+        got = [stats["values"][k] for k in rungs]
+        assert float_bits(got) == float_bits([float(v) for v in expected])
+        assert [stats["values_exact"][k] for k in rungs] == [str(v) for v in expected]
+        gap, top = reference(n, 0) - reference(n, 1), reference(n, 0)
+        assert float_bits([stats["delta"], stats["q_max"]]) == float_bits([float(gap), float(top)])
+        assert (stats["delta_exact"], stats["q_max_exact"]) == (str(gap), str(top))
+
+    def test_record_every_n_up_to_3000(self):
+        for n in range(1, 3001):
+            self.check_record(n, sample_rungs(n))
+
+    def test_largest_ladder(self):
+        # The largest odd N has the largest numerators and denominator,
+        # and they sit at the ends; the middle rung is zero.
+        self.check_record(cli.MAX_PROSPECTS - 1, sample_rungs(cli.MAX_PROSPECTS - 1))
+
+    @settings(max_examples=3, deadline=None)
+    @given(n=st.integers(3001, cli.MAX_PROSPECTS), data=st.data())
+    def test_drawn_n_up_to_the_cap(self, n, data):
+        drawn = data.draw(st.lists(st.integers(0, n - 1), max_size=50))
+        self.check_record(n, sorted({*sample_rungs(n), *drawn}))
+
+    def test_as_floats_every_n_up_to_1000(self):
+        for n in range(1, 1001):
+            ladder = quantized_attraction_set(n)
+            values = ladder.values
+            assert float_bits(ladder.as_floats()) == float_bits([float(v) for v in values])
+            gap = values[0] - values[1] if n > 1 else F(0)
+            assert (ladder.delta, ladder.q_max) == (gap, values[0])
+
+    @pytest.mark.parametrize("n", [4999, 5000, 50001])
+    def test_as_floats_long_ladders(self, n):
+        rungs = sample_rungs(n)
+        floats = quantized_attraction_set(n).as_floats()[rungs]
+        assert float_bits(floats) == float_bits([float(reference(n, k)) for k in rungs])
 
 
 class TestAttractionSetValidation:

@@ -1,4 +1,4 @@
-"""Tests for the shared checks: the exact ``total`` and overflow-safe messages."""
+"""Tests for the shared checks: the exact ``total``, overflow-safe messages and ``count``."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -54,3 +54,16 @@ class TestCheckSum:
         # used to raise OverflowError from float(total).
         with pytest.raises(ValidationError, match=r"got 2\.000000e\+308"):
             _checks.check_sum((F(10) ** 308, F(10) ** 308), 1, what="weights")
+
+
+class TestCount:
+    def test_bounds_are_inclusive(self):
+        assert _checks.count(2, what="n", minimum=2, maximum=5) == 2
+        assert _checks.count(5, what="n", minimum=2, maximum=5) == 5
+
+    def test_above_maximum(self):
+        with pytest.raises(ValidationError, match=r"^n must be <= 5, got 6$"):
+            _checks.count(6, what="n", minimum=2, maximum=5)
+
+    def test_no_maximum_by_default(self):
+        assert _checks.count(10**30, what="n") == 10**30

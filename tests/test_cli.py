@@ -187,7 +187,31 @@ class TestAttractionSet:
 
     def test_single_prospect(self, capsys):
         assert main(["attraction-set", "1"]) == 0
-        assert "1 prospects" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "1 prospects" in out
+        # The ladder is (0,), so its mean magnitude is 0, not 1/4.
+        assert out.splitlines()[-1] == "gap 0   top 0   mean magnitude 0"
+
+    @pytest.mark.parametrize("fmt", ["table", "record"])
+    def test_above_the_cap(self, fmt, monkeypatch, capsys):
+        def unused(n):
+            raise AssertionError("ladder built for a rejected N")
+
+        monkeypatch.setattr(cli, "ladder_numerators", unused)
+        n = cli.MAX_PROSPECTS + 1
+        assert main(["attraction-set", str(n), "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: prospect count must be <= {cli.MAX_PROSPECTS}, got {n}"
+        ]
+        assert captured.out == ""
+
+    def test_record_skips_the_table(self, monkeypatch, capsys):
+        def unused(stats):
+            raise AssertionError("table built for the record format")
+
+        monkeypatch.setattr(cli, "_ladder_table", unused)
+        assert main(["attraction-set", "4", "--format", "record"]) == 0
 
     def test_invalid_count(self, capsys):
         assert main(["attraction-set", "0"]) == 1
@@ -282,6 +306,21 @@ class TestSimulate:
     def test_sweep_steps_minimum(self, capsys):
         assert main(["simulate", "--sweep-steps", "1"]) == 1
         assert "--sweep-steps must be >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", [cli.MAX_SWEEP_STEPS + 1, 10**13])
+    def test_sweep_steps_bound(self, steps, monkeypatch, capsys):
+        # 10**13 levels used to escape main() as a numpy memory error.
+        def unused(*args):
+            raise AssertionError("sweep allocated for rejected --sweep-steps")
+
+        monkeypatch.setattr(cli, "random_density_operator", unused)
+        monkeypatch.setattr(cli.np, "linspace", unused)
+        assert main(["simulate", "--sweep-steps", str(steps)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: --sweep-steps must be <= {cli.MAX_SWEEP_STEPS}, got {steps}"
+        ]
+        assert captured.out == ""
 
 
 class TestSeedOption:

@@ -1,0 +1,195 @@
+"""Alternating base/change benchmark pairs, summarised into ``BENCH_<label>.json``.
+
+Usage, from the root of a qchoice git checkout::
+
+    python3 tools/bench_pairs.py --base c523ce4 --label pr8 [--pairs 10] \\
+        [--workload theory-checks ...]
+
+REV is checked out with ``git worktree add --detach`` under ``.bench_work/``
+(local git, no network) and removed again at the end.  Pair ``i`` runs
+this tree's ``perfbench/run.py --trace 0`` with seed ``901 + i`` once in
+each tree, for the ``run_seconds`` of ``BENCHMARK.json``, the working
+directory set to that tree so the package comes from its ``src/``; even
+pairs run the base first, odd pairs the change, so drift of the
+machine's speed falls on both sides alike.
+
+For each workload and end-to-end metric of ``BENCHMARK.json`` the file
+holds the base and change medians, the base inter-quartile range, the
+pairs the change won, the ratio of the medians, the metric's bound and a
+verdict:
+
+- ``unresolved``: the base runs spread wider than the bound (IQR above
+  ``bound * |base median|``) and the two sides' runs overlap, so neither
+  a gain nor a regression can be told from noise;
+- ``regression``: the change median is worse than the base median by more
+  than the bound, or the change failed a larger share of commands;
+- ``gain``: the change won at least nine pairs in ten and its median is
+  better by more than the base IQR;
+- ``within noise``: anything else.
+
+Beside those go the src line count, ``len(qchoice.__all__)`` and the
+benchmark's provenance line for both trees.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+FIRST_SEED = 901
+#: Share of pairs the change must win for a ``gain``.
+GAIN_WIN_SHARE = 0.9
+
+
+def median(values: list[float]) -> float:
+    return statistics.median(values)
+
+
+def iqr(values: list[float]) -> float:
+    """Distance between the first and third quartiles (0 for one value)."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def wins(base: list[float], change: list[float], better: str) -> int:
+    """Pairs in which the change is strictly better than the base."""
+    sign = 1 if better == "higher" else -1
+    return sum(sign * (c - b) > 0 for b, c in zip(base, change))
+
+
+def verdict(base: list[float], change: list[float], better: str, bound: float) -> str:
+    sign = 1 if better == "higher" else -1
+    base_med, change_med = median(base), median(change)
+    separated = min(change) > max(base) or max(change) < min(base)
+    if iqr(base) > bound * abs(base_med) and not separated:
+        return "unresolved"
+    if sign * (change_med - base_med) < -bound * abs(base_med):
+        return "regression"
+    enough_wins = wins(base, change, better) >= math.ceil(GAIN_WIN_SHARE * len(base))
+    if enough_wins and sign * (change_med - base_med) > iqr(base):
+        return "gain"
+    return "within noise"
+
+
+def summarize(base_runs: list[dict], change_runs: list[dict], metrics: list[dict]) -> dict:
+    """One workload's row from the paired ``run.py`` results, in pair order."""
+    row = {}
+    for spec in metrics:
+        name = spec["name"]
+        base = [r["metrics"][name]["value"] for r in base_runs]
+        change = [r["metrics"][name]["value"] for r in change_runs]
+        base_med, change_med = median(base), median(change)
+        row[name] = {
+            "unit": spec["unit"],
+            "better": spec["better"],
+            "base": base,
+            "change": change,
+            "base_median": base_med,
+            "change_median": change_med,
+            "base_iqr": iqr(base),
+            "wins": wins(base, change, spec["better"]),
+            "pairs": len(base),
+            "ratio": change_med / base_med if base_med else None,
+            "bound": spec["bound"],
+            "verdict": verdict(base, change, spec["better"], spec["bound"]),
+        }
+    failed = {
+        side: sum(r["failed"] for r in runs) / sum(r["attempted"] for r in runs)
+        for side, runs in (("base", base_runs), ("change", change_runs))
+    }
+    row["failed_ratio"] = dict(failed, verdict="regression" if failed["change"] > failed["base"] else "ok")
+    return row
+
+
+def _run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """``run.py``'s result line and its provenance line."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True, check=True,
+    )
+    lines = done.stdout.splitlines()
+    provenance = next(line for line in lines if line.startswith("provenance "))
+    return json.loads(lines[-1]), json.loads(provenance.removeprefix("provenance "))
+
+
+def tree_facts(tree: Path) -> dict:
+    """The src line count and the size of ``qchoice.__all__``."""
+    src_lines = sum(
+        len(p.read_text(encoding="utf-8").splitlines()) for p in (tree / "src" / "qchoice").glob("*.py")
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, 'src'); import qchoice; print(len(qchoice.__all__))"],
+        cwd=tree, capture_output=True, text=True, check=True,
+    )
+    return {"src_lines": src_lines, "all_names": int(done.stdout)}
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--workload", action="append", help="default: every workload of BENCHMARK.json")
+    args = parser.parse_args(argv)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
+
+    base_rev = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
+    base_tree = ROOT / ".bench_work" / f"base-{base_rev[:12]}"
+    _git("worktree", "add", "--detach", "--force", str(base_tree), base_rev)
+    try:
+        sides = {"base": base_tree, "change": ROOT}
+        runs = {w: {"base": [], "change": []} for w in workloads}
+        provenance = {}
+        for i in range(args.pairs):
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            for w in workloads:
+                for side in order:
+                    result, prov = _run(sides[side], w, FIRST_SEED + i, seconds)
+                    provenance.setdefault(side, prov)
+                    runs[w][side].append(result)
+                    value = result["metrics"]["cmds_per_s"]["value"]
+                    print(f"pair {i + 1}/{args.pairs} {w} {side}: cmds_per_s {value:.1f}", file=sys.stderr)
+        facts = {side: tree_facts(tree) for side, tree in sides.items()}
+    finally:
+        _git("worktree", "remove", "--force", str(base_tree))
+
+    report = {
+        "label": args.label,
+        "base": base_rev,
+        "change": {"head": _git("rev-parse", "HEAD"), "dirty": bool(_git("status", "--porcelain", "--", "src"))},
+        "pairs": args.pairs,
+        "seeds": [FIRST_SEED + i for i in range(args.pairs)],
+        "seconds": seconds,
+        "order": "even pairs run the base first, odd pairs the change",
+        "trees": {side: dict(facts[side], provenance=provenance[side]) for side in facts},
+        "workloads": {
+            w: summarize(runs[w]["base"], runs[w]["change"], bench["end_to_end"]) for w in workloads
+        },
+    }
+    out = ROOT / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    for w, row in report["workloads"].items():
+        for name, m in row.items():
+            if name != "failed_ratio":
+                print(f"{w:<14} {name:<12} {m['base_median']:>10.4g} -> {m['change_median']:<10.4g} "
+                      f"wins {m['wins']}/{m['pairs']}  {m['verdict']}")
+    print(f"wrote {out.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
