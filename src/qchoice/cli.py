@@ -8,6 +8,7 @@ from __future__ import annotations
 import datetime as _dt
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 import click
 import numpy as np
@@ -19,6 +20,7 @@ from .errors import QChoiceError, VerificationFailure
 from .experiments import (
     ExperimentFile,
     RunRecord,
+    _report_columns,
     bundled_experiment_text,
     input_digest,
     list_bundled_experiments,
@@ -36,7 +38,6 @@ from .quantum import (
 )
 from .verify import SUITE_NAMES, run_suite
 
-_FORMATS = ("table", "record", "csv")
 #: Most prospects ``attraction-set`` builds a ladder for: the record of
 #: 10**6 takes about 3.7 s and a 360 MB peak, and both grow linearly in N.
 MAX_PROSPECTS = 1_000_000
@@ -61,29 +62,35 @@ def _now() -> str:
     return _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
 
 
-def _emit(record: RunRecord, table_text: str | None, fmt: str, out: str | None) -> None:
-    """Print ``record`` in ``fmt``; ``table_text`` is needed only for "table"."""
+def _emit(record: RunRecord, table: Callable[[], str], fmt: str, out: str | None) -> None:
+    """Print ``record`` in ``fmt``; ``table()`` builds the text of "table"
+    and is called for that format only."""
     if out:
         try:
             Path(out).write_text(record.to_json(), encoding="utf-8")
         except OSError as exc:
             raise QChoiceError(f"cannot write run record {out}: {exc}") from exc
     if fmt == "table":
-        click.echo(table_text)
+        click.echo(table())
     elif fmt == "record":
         click.echo(record.to_json(), nl=False)
     else:
         click.echo(record.to_csv(), nl=False)
 
 
-_format_option = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(_FORMATS),
-    default="table",
-    show_default=True,
-    help="stdout format; 'csv' is available for predict only",
-)
+def _format_option(*formats: str):
+    """``--format`` over ``formats``: "table" is text for people, "record"
+    the JSON run record, "csv" one row per prospect of a prediction."""
+    return click.option(
+        "--format",
+        "fmt",
+        type=click.Choice(formats),
+        default="table",
+        show_default=True,
+        help="stdout format; 'record' is the JSON run record",
+    )
+
+
 _out_option = click.option(
     "--out",
     type=click.Path(dir_okay=False, writable=True),
@@ -97,26 +104,17 @@ def cli() -> None:
     """Choice probabilities split into utility and attraction factors."""
 
 
+#: Heading and width of each column of ``experiments._report_columns``.
+_TABLE_COLUMNS = (("f", 16), ("q", 16), ("p", 16), ("observed", 12), ("|err|", 12))
+
+
 def _prediction_table(exp: ExperimentFile, report: PredictionReport, digest: str, created: str) -> str:
     lines = [f"experiment: {exp.name}   [{digest[:19]}]"]
-    has_emp = report.empirical is not None
-    header = f"{'prospect':<14} {'f':>16} {'q':>16} {'p':>16}"
-    if has_emp:
-        header += f" {'observed':>12} {'|err|':>12}"
-    lines.append(header)
+    columns = list(zip(_report_columns(report), _TABLE_COLUMNS))
+    lines.append(f"{'prospect':<14}" + "".join(f" {head:>{w}}" for _, (head, w) in columns))
     for k, pid in enumerate(report.prospect_ids):
-        row = (
-            f"{pid:<14} {_fmt_number(report.utility_factors[k]):>16} "
-            f"{_fmt_number(report.attraction_factors[k]):>16} "
-            f"{_fmt_number(report.probabilities[k]):>16}"
-        )
-        if has_emp:
-            row += (
-                f" {_fmt_number(report.empirical[k]):>12}"
-                f" {_fmt_number(report.abs_errors[k]):>12}"
-            )
-        lines.append(row)
-    if has_emp:
+        lines.append(f"{pid:<14}" + "".join(f" {_fmt_number(c[k]):>{w}}" for c, (_, w) in columns))
+    if report.empirical is not None:
         lines.append(
             f"max |error| {_fmt_number(report.max_abs_error)}   "
             f"mean |error| {_fmt_number(report.mean_abs_error)}"
@@ -140,7 +138,7 @@ def _prediction_table(exp: ExperimentFile, report: PredictionReport, digest: str
 
 @cli.command()
 @click.argument("experiment_file")
-@_format_option
+@_format_option("table", "record", "csv")
 @_out_option
 def predict(experiment_file: str, fmt: str, out: str | None) -> None:
     """Predict choice probabilities for an experiment description.
@@ -172,20 +170,15 @@ def predict(experiment_file: str, fmt: str, out: str | None) -> None:
         seeds=(),
         report=report,
     )
-    table = None
-    if fmt == "table":
-        table = _prediction_table(exp, report, digest, _now())
-    _emit(record, table, fmt, out)
+    _emit(record, lambda: _prediction_table(exp, report, digest, _now()), fmt, out)
 
 
 @cli.command("attraction-set")
 @click.argument("n_prospects", type=int)
-@_format_option
+@_format_option("table", "record")
 @_out_option
 def attraction_set(n_prospects: int, fmt: str, out: str | None) -> None:
     """Print the quantized attraction ladder for N_PROSPECTS prospects."""
-    if fmt == "csv":
-        raise click.UsageError("csv output is only available for predict")
     n = _checks.count(
         n_prospects, what="prospect count", minimum=1, maximum=MAX_PROSPECTS
     )
@@ -196,10 +189,7 @@ def attraction_set(n_prospects: int, fmt: str, out: str | None) -> None:
         seeds=(),
         statistics=stats,
     )
-    table = None
-    if fmt == "table":
-        table = _ladder_table(stats)
-    _emit(record, table, fmt, out)
+    _emit(record, lambda: _ladder_table(stats), fmt, out)
 
 
 def _ladder_statistics(n: int) -> dict:
@@ -243,15 +233,12 @@ def _ladder_table(stats: dict) -> str:
 @click.argument("suite", type=click.Choice(SUITE_NAMES))
 @click.option("--samples", type=int, default=None, help="sampling effort of the suite")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@_format_option
+@_format_option("table", "record")
 @_out_option
 def verify(suite: str, samples: int | None, seed: int, fmt: str, out: str | None) -> None:
     """Run a self-check suite; exits 2 if it misses its target."""
-    if fmt == "csv":
-        raise click.UsageError("csv output is only available for predict")
     result = run_suite(suite, samples=samples, seed=seed)
     verdict = "PASS" if result.passed else "FAIL"
-    table = f"suite {result.suite}: {result.summary} -> {verdict}"
     stats = dict(result.statistics)
     stats["passed"] = result.passed
     record = RunRecord(
@@ -260,7 +247,7 @@ def verify(suite: str, samples: int | None, seed: int, fmt: str, out: str | None
         seeds=(seed,),
         statistics=stats,
     )
-    _emit(record, table, fmt, out)
+    _emit(record, lambda: f"suite {result.suite}: {result.summary} -> {verdict}", fmt, out)
     if not result.passed:
         raise VerificationFailure(f"suite {result.suite}: {result.summary}")
 
@@ -288,12 +275,10 @@ def _parse_dims(text: str) -> tuple[int, int]:
     show_default=True,
     help=f"number of damping levels from 0 to 1 (2 to {MAX_SWEEP_STEPS})",
 )
-@_format_option
+@_format_option("table", "record")
 @_out_option
 def simulate(dims: str, seed: int, sweep_steps: int, fmt: str, out: str | None) -> None:
     """Random strategic state: probability split under a decoherence sweep."""
-    if fmt == "csv":
-        raise click.UsageError("csv output is only available for predict")
     _checks.count(sweep_steps, what="--sweep-steps", minimum=2, maximum=MAX_SWEEP_STEPS)
     n_dim, b_dim = _parse_dims(dims)
     rng = np.random.default_rng(seed)
@@ -302,29 +287,21 @@ def simulate(dims: str, seed: int, sweep_steps: int, fmt: str, out: str | None) 
     levels = np.linspace(0.0, 1.0, sweep_steps)
 
     sweep = []
-    lines = [
-        f"decoherence sweep   dims=({n_dim},{b_dim}) seed={seed}",
-        f"{'damping':<10} {'p (normalized)':<{9 * n_dim + 2}} {'max |q|':>12}",
-    ]
     for chunk in chunk_slices(sweep_steps):
         p_raw, f_raw, _ = split(decohere_levels(rho, levels[chunk]), b, (n_dim, b_dim))
         p, f, q = normalize(p_raw, f_raw)
         for level, p_row, f_row, q_row in zip(
             levels[chunk].tolist(), p.tolist(), f.tolist(), q.tolist()
         ):
-            max_q = max(abs(x) for x in q_row)
             sweep.append(
                 {
                     "damping": level,
                     "p": p_row,
                     "f": f_row,
                     "q": q_row,
-                    "max_abs_q": max_q,
+                    "max_abs_q": max(abs(x) for x in q_row),
                 }
             )
-            p_text = " ".join(f"{x:8.5f}" for x in p_row)
-            lines.append(f"{level:<10.3f} {p_text:<{9 * n_dim + 2}} {max_q:12.3e}")
-    lines.append("interference dies off linearly; at damping 1 only f survives")
     stats = {
         "dims": [n_dim, b_dim],
         "seed": int(seed),
@@ -337,7 +314,20 @@ def simulate(dims: str, seed: int, sweep_steps: int, fmt: str, out: str | None) 
         seeds=(seed,),
         statistics=stats,
     )
-    _emit(record, "\n".join(lines), fmt, out)
+    _emit(record, lambda: _sweep_table(stats), fmt, out)
+
+
+def _sweep_table(stats: dict) -> str:
+    n_dim = stats["dims"][0]
+    lines = [
+        f"decoherence sweep   dims=({n_dim},{stats['dims'][1]}) seed={stats['seed']}",
+        f"{'damping':<10} {'p (normalized)':<{9 * n_dim + 2}} {'max |q|':>12}",
+    ]
+    for row in stats["sweep"]:
+        p_text = " ".join(f"{x:8.5f}" for x in row["p"])
+        lines.append(f"{row['damping']:<10.3f} {p_text:<{9 * n_dim + 2}} {row['max_abs_q']:12.3e}")
+    lines.append("interference dies off linearly; at damping 1 only f survives")
+    return "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -15,6 +15,7 @@ in and the predictions come out as exact rationals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from . import _checks
@@ -65,69 +66,103 @@ class ChoiceSet:
 class PredictionReport:
     """Predicted choice probabilities with their additive decomposition.
 
-    Per prospect (aligned tuples): utility factor ``f``, attraction
-    ``q`` after bounds enforcement, probability ``p = f + q``.  The
-    empirical fields are attached by ``score_against_empirical`` and stay
-    ``None`` until then.
+    Per prospect (aligned tuples): utility factor ``f`` and attraction
+    ``q`` after bounds enforcement, plus the observed frequencies in
+    ``empirical`` once ``score_against_empirical`` attached them.  The
+    rest is derived, each on first use: ``probabilities`` is ``p = f + q``,
+    ``abs_errors`` is ``|p - e|`` per prospect, and ``max_abs_error`` and
+    ``mean_abs_error`` summarize it; the three error attributes are
+    ``None`` without ``empirical``.
     """
 
     prospect_ids: tuple[str, ...]
     utility_factors: tuple
     attraction_factors: tuple
-    probabilities: tuple
     clamping_applied: bool
     empirical: tuple | None = None
-    abs_errors: tuple | None = None
-    max_abs_error: object | None = None
-    mean_abs_error: object | None = None
 
     def __post_init__(self) -> None:
         ids = tuple(str(i) for i in self.prospect_ids)
         f = tuple(self.utility_factors)
         q = tuple(self.attraction_factors)
-        p = tuple(self.probabilities)
-        if not (len(ids) == len(f) == len(q) == len(p)):
+        if not (len(ids) == len(f) == len(q)):
             raise ValidationError("report columns must have equal length")
         if len(ids) == 0:
             raise ValidationError("report needs at least one prospect")
         _checks.unit_interval(f, what="utility factor")
-        _checks.unit_interval(p, what="probability")
         _checks.check_sum(f, 1.0, what="utility factors")
-        _checks.check_sum(p, 1.0, what="probabilities")
         _checks.check_sum(q, 0.0, what="attraction factors")
         object.__setattr__(self, "prospect_ids", ids)
         object.__setattr__(self, "utility_factors", f)
         object.__setattr__(self, "attraction_factors", q)
-        object.__setattr__(self, "probabilities", p)
+        _checks.unit_interval(self.probabilities, what="probability")
+        _checks.check_sum(self.probabilities, 1.0, what="probabilities")
         if self.empirical is not None:
-            emp = tuple(self.empirical)
-            if len(emp) != len(ids):
-                raise ValidationError("empirical frequencies must match prospects")
-            object.__setattr__(self, "empirical", emp)
-        if self.abs_errors is not None:
-            errs = tuple(self.abs_errors)
-            if len(errs) != len(ids):
-                raise ValidationError("error column must match prospects")
-            object.__setattr__(self, "abs_errors", errs)
+            object.__setattr__(self, "empirical", _frequencies(self.empirical, len(ids)))
 
     @property
     def n_prospects(self) -> int:
         return len(self.prospect_ids)
+
+    @cached_property
+    def probabilities(self) -> tuple:
+        return tuple(f_n + q_n for f_n, q_n in zip(self.utility_factors, self.attraction_factors))
+
+    @cached_property
+    def abs_errors(self) -> tuple | None:
+        if self.empirical is None:
+            return None
+        return tuple(abs(p - e) for p, e in zip(self.probabilities, self.empirical))
+
+    @cached_property
+    def max_abs_error(self):
+        return None if self.abs_errors is None else max(self.abs_errors)
+
+    @cached_property
+    def mean_abs_error(self):
+        errors = self.abs_errors
+        return None if errors is None else _checks.total(errors) / len(errors)
+
+
+def _frequencies(empirical, n: int) -> tuple:
+    """``empirical`` as a tuple of ``n`` observed frequencies, each ``real``
+    and >= 0, summing to 1 within ``EMPIRICAL_SUM_TOL``.  A mapping is
+    refused, since iterating one would read its keys as the frequencies."""
+    if isinstance(empirical, Mapping):
+        raise ValidationError(
+            "empirical frequencies must be a sequence aligned with the "
+            "prospects, not a mapping"
+        )
+    freqs = tuple(empirical)
+    if len(freqs) != n:
+        raise ValidationError(f"{n} prospects but {len(freqs)} empirical values")
+    for v in freqs:
+        _checks.real(v, what="empirical frequency")
+        if v < 0:
+            raise ValidationError(f"empirical frequency {v!r} is negative")
+    _checks.check_sum(
+        freqs, 1.0, what="empirical frequencies", tol=_checks.EMPIRICAL_SUM_TOL
+    )
+    return freqs
 
 
 @dataclass(frozen=True)
 class RegularityCheck:
     """Outcome of comparing the utility leader against the overall leader.
 
-    ``reversal`` is True when attraction strictly overturned the utility
-    ordering.  Ties at either argmax are never counted as reversals;
-    they set ``tie`` instead.  Truthiness follows ``reversal``.
+    ``reversal``, derived, is True when attraction strictly overturned the
+    utility ordering: no ``tie`` and the two leaders differ.  Ties at
+    either argmax are never counted as reversals; they set ``tie``
+    instead.  Truthiness follows ``reversal``.
     """
 
-    reversal: bool
     tie: bool
     favored_by_utility: int
     favored_overall: int
+
+    @property
+    def reversal(self) -> bool:
+        return not self.tie and self.favored_by_utility != self.favored_overall
 
     def __bool__(self) -> bool:
         return self.reversal
@@ -228,16 +263,15 @@ def compose_probabilities(choice_set: ChoiceSet) -> PredictionReport:
     rung_of = {pid: ladder[k] for k, pid in enumerate(choice_set.attractiveness_rank)}
     f = choice_set.utility_factors
     q, clamped = _clip_to_bounds(f, [rung_of[pid] for pid in choice_set.prospect_ids])
-    p = tuple(f_n + q_n for f_n, q_n in zip(f, q))
-    _checks.check_sum(p, 1.0, what="probabilities")
-    return _checks.trusted(
+    report = _checks.trusted(
         PredictionReport,
         prospect_ids=choice_set.prospect_ids,
         utility_factors=f,
         attraction_factors=tuple(q),
-        probabilities=p,
         clamping_applied=clamped,
     )
+    _checks.check_sum(report.probabilities, 1.0, what="probabilities")
+    return report
 
 
 def predict_decoy(
@@ -280,43 +314,21 @@ def score_against_empirical(
     report: PredictionReport,
     empirical: Sequence,
 ) -> PredictionReport:
-    """Attach observed choice frequencies and absolute errors to a report.
+    """A copy of ``report`` with the observed choice frequencies attached.
 
     ``empirical`` is a sequence aligned with the report's prospects; a
     mapping is refused, since iterating one would read its keys as the
     frequencies.  Frequencies must be non-negative and sum to 1 within
-    2e-2 (empirical vectors in the literature are rounded).  Exact inputs
-    give exact errors.
+    2e-2 (empirical vectors in the literature are rounded).  The report
+    derives the absolute errors from them; exact inputs give exact errors.
     """
-    if isinstance(empirical, Mapping):
-        raise ValidationError(
-            "empirical frequencies must be a sequence aligned with the "
-            "prospects, not a mapping"
-        )
-    freqs = tuple(empirical)
-    if len(freqs) != report.n_prospects:
-        raise ValidationError(
-            f"{report.n_prospects} prospects but {len(freqs)} empirical values"
-        )
-    for v in freqs:
-        _checks.real(v, what="empirical frequency")
-        if v < 0:
-            raise ValidationError(f"empirical frequency {v!r} is negative")
-    _checks.check_sum(
-        freqs, 1.0, what="empirical frequencies", tol=_checks.EMPIRICAL_SUM_TOL
-    )
-    errors = tuple(abs(p - e) for p, e in zip(report.probabilities, freqs))
     return _checks.trusted(
         PredictionReport,
         prospect_ids=report.prospect_ids,
         utility_factors=report.utility_factors,
         attraction_factors=report.attraction_factors,
-        probabilities=report.probabilities,
         clamping_applied=report.clamping_applied,
-        empirical=freqs,
-        abs_errors=errors,
-        max_abs_error=max(errors),
-        mean_abs_error=_checks.total(errors) / len(errors),
+        empirical=_frequencies(empirical, report.n_prospects),
     )
 
 
@@ -350,7 +362,4 @@ def regularity_verdict(f: Sequence, p: Sequence) -> RegularityCheck:
     f_max, p_max = max(f), max(p)
     f_arg, p_arg = f.index(f_max), p.index(p_max)
     tie = sum(1 for v in f if v == f_max) > 1 or sum(1 for v in p if v == p_max) > 1
-    reversal = (not tie) and f_arg != p_arg
-    return RegularityCheck(
-        reversal=reversal, tie=tie, favored_by_utility=f_arg, favored_overall=p_arg
-    )
+    return RegularityCheck(tie=tie, favored_by_utility=f_arg, favored_overall=p_arg)

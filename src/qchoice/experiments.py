@@ -60,7 +60,9 @@ from .utility import (
 
 _TOP_LEVEL_FIELDS = {"name", "prospects", "attractiveness_rank", "empirical", "config"}
 _CONFIG_FIELDS = {"alpha", "gamma", "utility_kind", "utility_exponent"}
-_CSV_HEADER = "id,f,q,p,p_exp,abs_error"
+#: A report's per-prospect columns, in the order of the CSV and of the
+#: ``predict`` table; the last two need ``empirical``.
+_COLUMNS = ("f", "q", "p", "p_exp", "abs_error")
 
 
 # libyaml's scanner where PyYAML was built with it; the resolvers and
@@ -432,22 +434,27 @@ def _number_fields(prefix: str, value) -> list[tuple[str, object]]:
     return fields
 
 
+def _report_columns(report: PredictionReport) -> list[tuple]:
+    """The value tuples of the ``_COLUMNS`` that ``report`` has."""
+    columns = [report.utility_factors, report.attraction_factors, report.probabilities]
+    if report.empirical is not None:
+        columns += [report.empirical, report.abs_errors]
+    return columns
+
+
 def _report_payload(report: PredictionReport) -> dict:
+    columns = list(zip(_COLUMNS, _report_columns(report)))
     rows = []
     for k, pid in enumerate(report.prospect_ids):
         row: dict[str, object] = {"id": pid}
-        row.update(_number_fields("f", report.utility_factors[k]))
-        row.update(_number_fields("q", report.attraction_factors[k]))
-        row.update(_number_fields("p", report.probabilities[k]))
-        if report.empirical is not None:
-            row.update(_number_fields("p_exp", report.empirical[k]))
-            row.update(_number_fields("abs_error", report.abs_errors[k]))
+        for name, values in columns:
+            row.update(_number_fields(name, values[k]))
         rows.append(row)
     payload: dict[str, object] = {
         "prospects": rows,
         "clamping_applied": report.clamping_applied,
     }
-    if report.max_abs_error is not None:
+    if report.empirical is not None:
         payload["max_abs_error"] = float(report.max_abs_error)
         payload["mean_abs_error"] = float(report.mean_abs_error)
     return payload
@@ -487,19 +494,9 @@ class RunRecord:
                 f"command {self.command!r} produced no per-prospect table; "
                 "csv output needs one (use the record format)"
             )
-        lines = [_CSV_HEADER]
-        rep = self.report
-        for k, pid in enumerate(rep.prospect_ids):
-            cells = [
-                pid,
-                repr(float(rep.utility_factors[k])),
-                repr(float(rep.attraction_factors[k])),
-                repr(float(rep.probabilities[k])),
-            ]
-            if rep.empirical is not None:
-                cells.append(repr(float(rep.empirical[k])))
-                cells.append(repr(float(rep.abs_errors[k])))
-            else:
-                cells.extend(["", ""])
-            lines.append(",".join(cells))
+        columns = _report_columns(self.report)
+        blanks = [""] * (len(_COLUMNS) - len(columns))
+        lines = [",".join(("id", *_COLUMNS))]
+        for k, pid in enumerate(self.report.prospect_ids):
+            lines.append(",".join([pid, *(repr(float(c[k])) for c in columns), *blanks]))
         return "\n".join(lines) + "\n"

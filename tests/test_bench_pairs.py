@@ -100,3 +100,26 @@ class TestSummarize:
         failed = bench_pairs.summarize(base, change, METRIC)["failed_ratio"]
         assert failed == {"base": 0.0, "change": 1 / 1000, "verdict": "regression"}
         assert bench_pairs.summarize(base, base, METRIC)["failed_ratio"]["verdict"] == "ok"
+
+
+class TestPytestSummary:
+    @pytest.mark.parametrize("text, expected", [
+        ("452 passed in 27.45s", {"passed": 452, "seconds": 27.45}),
+        (
+            "........ [100%]\nFAILED tests/test_x.py::test_y - assert 1 == 2\n"
+            "1 failed, 451 passed, 5 warnings in 75.10s (0:01:15)\n",
+            {"failed": 1, "passed": 451, "warnings": 5, "seconds": 75.1},
+        ),
+        (
+            "========= 2 errors, 3 skipped, 440 passed in 3.00s =========",
+            {"errors": 2, "skipped": 3, "passed": 440, "seconds": 3.0},
+        ),
+        ("no tests ran in 0.01s", {"seconds": 0.01}),
+    ])
+    def test_last_line_is_parsed(self, text, expected):
+        assert bench_pairs.parse_pytest_summary(text) == expected
+
+    @pytest.mark.parametrize("text", ["", "Traceback (most recent call last):\n  boom", "452 passed"])
+    def test_missing_summary_raises(self, text):
+        with pytest.raises(ValueError, match="no pytest summary"):
+            bench_pairs.parse_pytest_summary(text)

@@ -222,7 +222,8 @@ class TestAttractionSet:
 
     def test_csv_not_available(self, capsys):
         assert main(["attraction-set", "4", "--format", "csv"]) == 1
-        assert "csv output is only available for predict" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "'--format'" in err and "'csv'" in err
 
     def test_record_payload(self, capsys):
         assert main(["attraction-set", "3", "--format", "record"]) == 0

@@ -329,12 +329,12 @@ class TestReversalThreshold:
 
 class TestPredictionReport:
     def test_sum_invariants_enforced(self):
+        # p = f + q = (5/4, -1/4) leaves [0, 1].
         with pytest.raises(ValidationError):
             PredictionReport(
                 prospect_ids=("A", "B"),
                 utility_factors=(F(1, 2), F(1, 2)),
-                attraction_factors=(F(1, 4), F(-1, 4)),
-                probabilities=(F(3, 4), F(3, 4)),
+                attraction_factors=(F(3, 4), F(-3, 4)),
                 clamping_applied=False,
             )
 
@@ -344,7 +344,6 @@ class TestPredictionReport:
                 prospect_ids=("A", "B"),
                 utility_factors=(F(1, 2), F(1, 2)),
                 attraction_factors=(F(1, 4), F(1, 4)),
-                probabilities=(F(3, 4), F(1, 4)),
                 clamping_applied=False,
             )
 
@@ -354,10 +353,105 @@ class TestPredictionReport:
                 prospect_ids=("A", "B"),
                 utility_factors=(F(1, 2), F(1, 2)),
                 attraction_factors=(F(1, 4), F(-1, 4)),
-                probabilities=(F(3, 4), F(1, 4)),
                 clamping_applied=False,
                 empirical=(F(1),),
             )
+
+    @pytest.mark.parametrize(
+        "empirical, match",
+        [
+            ((F(11, 10), F(-1, 10)), "negative"),
+            ({0: F(1, 2), 1: F(1, 2)}, "not a mapping"),
+            ((F(45, 100), F(45, 100)), "sum to 1"),
+            (("0.5", "0.5"), "real number"),
+        ],
+    )
+    def test_empirical_checked_where_it_enters(self, empirical, match):
+        with pytest.raises(ValidationError, match=match):
+            PredictionReport(
+                prospect_ids=("A", "B"),
+                utility_factors=(F(1, 2), F(1, 2)),
+                attraction_factors=(F(1, 4), F(-1, 4)),
+                clamping_applied=False,
+                empirical=empirical,
+            )
+
+    def test_derived_columns_are_not_fields(self):
+        with pytest.raises(TypeError):
+            PredictionReport(
+                prospect_ids=("A", "B"),
+                utility_factors=(F(1, 2), F(1, 2)),
+                attraction_factors=(F(1, 4), F(-1, 4)),
+                probabilities=(F(1, 2), F(1, 2)),
+                clamping_applied=False,
+                abs_errors=(7, 7),
+                max_abs_error="x",
+                mean_abs_error=7,
+            )
+
+    def test_constructor_derives_what_the_builders_give(self):
+        built = score_against_empirical(
+            predict_decoy((F(2, 5), F(3, 5)), (0, 1)), (F(61, 100), F(39, 100))
+        )
+        direct = PredictionReport(
+            prospect_ids=("P1", "P2"),
+            utility_factors=(F(2, 5), F(3, 5)),
+            attraction_factors=(F(1, 4), F(-1, 4)),
+            clamping_applied=False,
+            empirical=[F(61, 100), F(39, 100)],
+        )
+        assert direct == built
+        for name in ("probabilities", "abs_errors", "max_abs_error", "mean_abs_error"):
+            assert getattr(direct, name) == getattr(built, name), name
+        assert direct.empirical == (F(61, 100), F(39, 100))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(2, 7),
+        st.integers(0, 10_000),
+        st.booleans(),
+        st.one_of(st.none(), st.integers(0, 10_000)),
+    )
+    def test_derived_columns_follow_f_q_and_empirical(self, n, seed, exact, emp_seed):
+        import random
+
+        rng = random.Random(seed)
+        weights = [rng.randint(1, 20) for _ in range(n)]
+        f = [F(w, sum(weights)) for w in weights]
+        if not exact:
+            f = [float(x) for x in f]
+        ids = tuple(f"P{k}" for k in range(n))
+        rank = list(ids)
+        rng.shuffle(rank)
+        report = compose_probabilities(ChoiceSet(ids, tuple(f), tuple(rank)))
+        assert report.probabilities == tuple(
+            a + b for a, b in zip(report.utility_factors, report.attraction_factors)
+        )
+        assert report.abs_errors is None and report.max_abs_error is None
+        assert report.mean_abs_error is None
+        with pytest.raises(TypeError):
+            PredictionReport(
+                prospect_ids=ids,
+                utility_factors=report.utility_factors,
+                attraction_factors=report.attraction_factors,
+                clamping_applied=report.clamping_applied,
+                probabilities=report.probabilities,
+            )
+        if emp_seed is None:
+            return
+        emp_rng = random.Random(emp_seed)
+        counts = [emp_rng.randint(0, 9) for _ in range(n)]
+        counts[0] += 1
+        e = [F(c, sum(counts)) for c in counts]
+        if not exact:
+            e = [float(x) for x in e]
+        scored = score_against_empirical(report, e)
+        errors = tuple(abs(p - x) for p, x in zip(scored.probabilities, e))
+        assert scored.probabilities == report.probabilities
+        assert scored.empirical == tuple(e)
+        assert scored.abs_errors == errors
+        assert scored.max_abs_error == max(errors)
+        assert scored.mean_abs_error == sum(errors) / n
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 7), st.integers(0, 10_000))

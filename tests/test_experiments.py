@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from qchoice import (
     ExperimentFormatError,
+    PredictionReport,
     QChoiceError,
     RunRecord,
     SignDomainError,
@@ -519,6 +520,21 @@ class TestRunRecord:
         assert lines[0] == "id,f,q,p,p_exp,abs_error"
         assert lines[1] == "a,0.4,0.25,0.65,,"
         assert lines[2] == "b,0.6,-0.25,0.35,,"
+
+    def test_library_built_report_renders_its_error_columns(self):
+        report = PredictionReport(
+            prospect_ids=("target", "competitor"),
+            utility_factors=(F(2, 5), F(3, 5)),
+            attraction_factors=(F(1, 4), F(-1, 4)),
+            clamping_applied=False,
+            empirical=(F(61, 100), F(39, 100)),
+        )
+        rec = RunRecord(command="predict", input_digest=None, seeds=(), report=report)
+        assert rec.to_csv() == self._record().to_csv()
+        payload = json.loads(rec.to_json())["report"]
+        assert payload == json.loads(self._record().to_json())["report"]
+        assert payload["prospects"][1]["abs_error_exact"] == "1/25"
+        assert payload["mean_abs_error"] == 0.04
 
     def test_csv_needs_a_report(self):
         rec = RunRecord(command="verify", input_digest=None, seeds=(0,), statistics={})

@@ -1,7 +1,8 @@
 """The public surface: ``qchoice.__all__`` is pinned, and every name resolves.
 
 The parameters of the functions that lost an option, and the fields of
-``RunRecord``, are pinned too, so re-adding one is a deliberate API change.
+``RunRecord``, ``PredictionReport`` and ``RegularityCheck``, are pinned
+too, so re-adding one is a deliberate API change.
 """
 from __future__ import annotations
 
@@ -93,3 +94,13 @@ def test_parameters_are_pinned():
 def test_run_record_fields_are_pinned():
     fields = [field.name for field in dataclasses.fields(qchoice.RunRecord)]
     assert fields == ["command", "input_digest", "seeds", "report", "statistics"]
+
+
+def test_report_fields_are_pinned():
+    # ``probabilities``, the error columns and ``reversal`` are derived.
+    fields = [field.name for field in dataclasses.fields(qchoice.PredictionReport)]
+    assert fields == [
+        "prospect_ids", "utility_factors", "attraction_factors", "clamping_applied", "empirical"
+    ]
+    fields = [field.name for field in dataclasses.fields(qchoice.RegularityCheck)]
+    assert fields == ["tie", "favored_by_utility", "favored_overall"]

@@ -5,8 +5,8 @@ Usage, from the root of a qchoice git checkout::
     python3 tools/bench_pairs.py --base c523ce4 --label pr8 [--pairs 10] \\
         [--workload theory-checks ...]
 
-REV is checked out with ``git worktree add --detach`` under ``.bench_work/``
-(local git, no network) and removed again at the end.  Pair ``i`` runs
+REV is extracted with ``git archive`` under ``.bench_work/`` (local git, no
+network) and removed again at the end.  Pair ``i`` runs
 this tree's ``perfbench/run.py --trace 0`` with seed ``901 + i`` once in
 each tree, for the ``run_seconds`` of ``BENCHMARK.json``, the working
 directory set to that tree so the package comes from its ``src/``; even
@@ -27,17 +27,24 @@ verdict:
   better by more than the base IQR;
 - ``within noise``: anything else.
 
-Beside those go the src line count, ``len(qchoice.__all__)`` and the
-benchmark's provenance line for both trees.
+Beside those go, for both trees, the src line count, ``len(qchoice.__all__)``,
+the benchmark's provenance line and the tier-1 suite's outcome counts and
+wall time (``PYTHONPATH=src python -m pytest -q
+--continue-on-collection-errors``, run once per tree after the pairs).
 """
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
+import os
+import re
+import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -132,6 +139,27 @@ def tree_facts(tree: Path) -> dict:
     return {"src_lines": src_lines, "all_names": int(done.stdout)}
 
 
+def parse_pytest_summary(output: str) -> dict:
+    """Outcome counts and wall seconds from the last line of pytest's output,
+    e.g. ``{"passed": 452, "warnings": 5, "seconds": 27.45}`` from
+    ``452 passed, 5 warnings in 27.45s``."""
+    lines = output.strip().splitlines()
+    found = re.fullmatch(r"=*\s*(.*?) in ([0-9.]+)s(?: \([0-9:]+\))?\s*=*", lines[-1] if lines else "")
+    if found is None:
+        raise ValueError(f"no pytest summary line in {output[-200:]!r}")
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", found[1])}
+    return dict(counts, seconds=float(found[2]))
+
+
+def tier1(tree: Path) -> dict:
+    """``parse_pytest_summary`` of the tier-1 suite run in ``tree``."""
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+        cwd=tree, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH="src"),
+    )
+    return parse_pytest_summary(done.stdout)
+
+
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
 
@@ -149,7 +177,10 @@ def main(argv=None) -> int:
 
     base_rev = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     base_tree = ROOT / ".bench_work" / f"base-{base_rev[:12]}"
-    _git("worktree", "add", "--detach", "--force", str(base_tree), base_rev)
+    shutil.rmtree(base_tree, ignore_errors=True)
+    archive = subprocess.run(["git", "archive", base_rev], cwd=ROOT, capture_output=True, check=True)
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(base_tree, filter="data")
     try:
         sides = {"base": base_tree, "change": ROOT}
         runs = {w: {"base": [], "change": []} for w in workloads}
@@ -163,9 +194,9 @@ def main(argv=None) -> int:
                     runs[w][side].append(result)
                     value = result["metrics"]["cmds_per_s"]["value"]
                     print(f"pair {i + 1}/{args.pairs} {w} {side}: cmds_per_s {value:.1f}", file=sys.stderr)
-        facts = {side: tree_facts(tree) for side, tree in sides.items()}
+        facts = {side: dict(tree_facts(tree), tier1=tier1(tree)) for side, tree in sides.items()}
     finally:
-        _git("worktree", "remove", "--force", str(base_tree))
+        shutil.rmtree(base_tree)
 
     report = {
         "label": args.label,
@@ -187,6 +218,8 @@ def main(argv=None) -> int:
             if name != "failed_ratio":
                 print(f"{w:<14} {name:<12} {m['base_median']:>10.4g} -> {m['change_median']:<10.4g} "
                       f"wins {m['wins']}/{m['pairs']}  {m['verdict']}")
+    for side, tree in report["trees"].items():
+        print(f"tier-1 {side}: {tree['tier1']}")
     print(f"wrote {out.name}")
     return 0
 
