@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .attraction import (
     AttractionSet,
-    asymptotic_attraction,
     attraction_gap,
     attraction_qmax,
     ordered_uniform_gap_check,
@@ -104,7 +103,6 @@ __all__ = [
     "UtilityFunction",
     "ValidationError",
     "VerificationFailure",
-    "asymptotic_attraction",
     "attraction_gap",
     "attraction_qmax",
     "bundled_experiment",

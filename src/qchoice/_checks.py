@@ -1,4 +1,4 @@
-"""The package's one tolerance table and its shared input checks.
+"""The package's one tolerance table, its shared input checks and chunking.
 
 Modules that document a tolerance (``quantum.IDENTITY_TOL``,
 ``verify.QUARTER_LAW_TOL``, ...) re-export it from here.  Inputs are
@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import operator
+from collections.abc import Iterator
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from numbers import Real
@@ -136,6 +137,14 @@ def count(value, *, what: str, minimum: int = 0, maximum: int | None = None) -> 
     if maximum is not None and n > maximum:
         raise ValidationError(f"{what} must be <= {maximum}, got {n}")
     return n
+
+
+def chunks(total: int, size: int) -> Iterator[slice]:
+    """Consecutive slices of ``max(1, size)`` items, the last one possibly
+    shorter, covering ``range(total)``: how the kernels' callers bound memory."""
+    size = max(1, size)
+    for start in range(0, total, size):
+        yield slice(start, min(start + size, total))
 
 
 def trusted(cls, **values):

@@ -14,9 +14,9 @@ the two distributional facts behind them.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 
@@ -45,10 +45,11 @@ class AttractionSet:
     def __post_init__(self) -> None:
         if len(self.values) < 1:
             raise ValidationError("attraction set needs at least one value")
-        if any(isinstance(v, float) for v in self.values):
-            raise ValidationError(
-                "attraction sets are exact; pass Fraction or int values, not floats"
-            )
+        for v in self.values:
+            if not isinstance(_checks.real(v, what="attraction value"), Rational):
+                raise ValidationError(
+                    "attraction sets are exact; pass Fraction or int values, not floats"
+                )
         values = tuple(Fraction(v) for v in self.values)
         object.__setattr__(self, "values", values)
         n = len(values)
@@ -138,19 +139,6 @@ def quantized_attraction_set(n_prospects: int) -> AttractionSet:
     )
 
 
-def asymptotic_attraction(n_prospects: int, rank: int) -> float:
-    """Large-N approximation ``1/2 - (2 rank - 1)/(2N)`` to the ladder value.
-
-    ``rank`` counts from 1 (most attracting).  For even N the expression
-    reproduces the exact ladder identically; for odd N it deviates by
-    less than 1/N.
-    """
-    n = _checks.count(n_prospects, what="prospect count", minimum=2)
-    if not 1 <= rank <= n:
-        raise ValidationError(f"rank must lie in [1, {n}], got {rank}")
-    return 0.5 - (2 * rank - 1) / (2 * n)
-
-
 def quarter_law_check(
     samples: int,
     seed: int | np.random.Generator = 0,
@@ -167,8 +155,8 @@ def quarter_law_check(
     samples = _checks.count(samples, what="sample count", minimum=1)
     rng = np.random.default_rng(seed)
     total = 0.0
-    for rows in row_chunks(samples, 1):
-        draws = rng.uniform(-1.0, 1.0, rows)
+    for chunk in _checks.chunks(samples, _CHUNK_TARGET):
+        draws = rng.uniform(-1.0, 1.0, chunk.stop - chunk.start)
         total += float(np.sum(np.maximum(draws, 0.0)))
     return total / samples
 
@@ -190,17 +178,10 @@ def ordered_uniform_gap_check(
     samples = _checks.count(samples, what="sample count", minimum=1)
     rng = np.random.default_rng(seed)
     gap_sums = np.zeros(n - 1, dtype=float)
-    for rows in row_chunks(samples, n):
-        draws = rng.uniform(0.0, 1.0, (rows, n))
+    for chunk in _checks.chunks(samples, _CHUNK_TARGET // n):
+        draws = rng.uniform(0.0, 1.0, (chunk.stop - chunk.start, n))
         draws.sort(axis=1)
         ordered = draws[:, ::-1]  # descending
         gap_sums += np.sum(ordered[:, :-1] - ordered[:, 1:], axis=0)
     return gap_sums / samples
 
-
-def row_chunks(rows: int, width: int) -> Iterator[int]:
-    """Sizes of consecutive chunks of ``rows`` rows, ``width`` values a row,
-    about ``_CHUNK_TARGET`` values (and at least one row) each."""
-    per_chunk = max(1, _CHUNK_TARGET // width)
-    for start in range(0, rows, per_chunk):
-        yield min(per_chunk, rows - start)

@@ -13,7 +13,7 @@ from typing import Callable
 import click
 import numpy as np
 
-from . import _checks
+from . import _checks, quantum
 from .attraction import gap_and_top, ladder_numerators
 from .decision import PredictionReport, regularity_verdict
 from .errors import QChoiceError, VerificationFailure
@@ -29,7 +29,6 @@ from .experiments import (
     run_prediction,
 )
 from .quantum import (
-    chunk_slices,
     decohere_levels,
     normalize,
     random_density_operator,
@@ -64,16 +63,17 @@ def _now() -> str:
 
 def _emit(record: RunRecord, table: Callable[[], str], fmt: str, out: str | None) -> None:
     """Print ``record`` in ``fmt``; ``table()`` builds the text of "table"
-    and is called for that format only."""
+    and is called for that format only.  The JSON is rendered once."""
+    text = record.to_json() if out or fmt == "record" else None
     if out:
         try:
-            Path(out).write_text(record.to_json(), encoding="utf-8")
+            Path(out).write_text(text, encoding="utf-8")
         except OSError as exc:
             raise QChoiceError(f"cannot write run record {out}: {exc}") from exc
     if fmt == "table":
         click.echo(table())
     elif fmt == "record":
-        click.echo(record.to_json(), nl=False)
+        click.echo(text, nl=False)
     else:
         click.echo(record.to_csv(), nl=False)
 
@@ -287,7 +287,7 @@ def simulate(dims: str, seed: int, sweep_steps: int, fmt: str, out: str | None) 
     levels = np.linspace(0.0, 1.0, sweep_steps)
 
     sweep = []
-    for chunk in chunk_slices(sweep_steps):
+    for chunk in _checks.chunks(sweep_steps, quantum.BATCH_CHUNK):
         p_raw, f_raw, _ = split(decohere_levels(rho, levels[chunk]), b, (n_dim, b_dim))
         p, f, q = normalize(p_raw, f_raw)
         for level, p_row, f_row, q_row in zip(

@@ -91,6 +91,8 @@ class PredictionReport:
             raise ValidationError("report needs at least one prospect")
         _checks.unit_interval(f, what="utility factor")
         _checks.check_sum(f, 1.0, what="utility factors")
+        for v in q:
+            _checks.real(v, what="attraction factor")
         _checks.check_sum(q, 0.0, what="attraction factors")
         object.__setattr__(self, "prospect_ids", ids)
         object.__setattr__(self, "utility_factors", f)
@@ -153,7 +155,7 @@ class RegularityCheck:
     ``reversal``, derived, is True when attraction strictly overturned the
     utility ordering: no ``tie`` and the two leaders differ.  Ties at
     either argmax are never counted as reversals; they set ``tie``
-    instead.  Truthiness follows ``reversal``.
+    instead.
     """
 
     tie: bool
@@ -163,9 +165,6 @@ class RegularityCheck:
     @property
     def reversal(self) -> bool:
         return not self.tie and self.favored_by_utility != self.favored_overall
-
-    def __bool__(self) -> bool:
-        return self.reversal
 
 
 def enforce_bounds(

@@ -325,9 +325,7 @@ def _experiment(doc, source: str) -> ExperimentFile:
                 f"got {reprlib.repr(util_kind)}"
             )
         if util_kind == "power":
-            utility = UtilityFunction.power(
-                _positive_setting(config, "utility_exponent", source)
-            )
+            utility = UtilityFunction(_positive_setting(config, "utility_exponent", source))
         elif "utility_exponent" in config:
             raise ExperimentFormatError(
                 f"{source}: config.utility_exponent requires utility_kind: power"

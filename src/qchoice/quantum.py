@@ -17,9 +17,10 @@ decoherence knob.
 
 Basis convention: the composite index of choice ``n`` with inconclusive
 component ``alpha`` is ``n * b_dim + alpha`` (row-major, choice register
-first).  ``prospect_state`` places a prospect's coefficients by it, so
-its result equals ``np.kron(e_n, b)`` for the basis vector ``e_n`` of the
-choice register.
+first), spelled once in ``_block``.  ``prospect_state``,
+``prospect_projector`` and ``prospect_projector_stack`` place a prospect's
+coefficients by it (``_embed``), so a prospect state equals
+``np.kron(e_n, b)`` for the basis vector ``e_n`` of the choice register.
 
 The work is done by array kernels over stacks of states: ``split`` (the
 ``p/f/q`` split of every choice index), ``normalize`` (family
@@ -29,13 +30,12 @@ per damping level) and ``trace_rule`` (``Tr(rho A)``).  The scalar API
 ``EventOperator.expectation``) wraps them, one state, level or family at
 a time, so a batched caller and a scalar caller get bitwise-identical
 numbers.  Batched callers hand over at most ``BATCH_CHUNK`` levels or
-draws at a time (see ``chunk_slices``), which keeps memory flat however
+draws at a time (``_checks.chunks``), which keeps memory flat however
 long the sweep or suite is.
 """
 from __future__ import annotations
 
-import math
-from collections.abc import Iterator
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,32 +51,31 @@ DEFAULT_DIM_CAP = 64
 BATCH_CHUNK = 16
 
 
-def _as_complex_vector(values, *, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise ValidationError(f"{what} must be one-dimensional, got shape {arr.shape}")
+def _as_array(values, *, what: str, ndim: int) -> np.ndarray:
+    """``values`` as a read-only complex array: a non-empty vector for
+    ``ndim`` 1, a non-empty square Hermitian matrix (to 1e-12) for 2, with
+    finite entries.  Strings, bools and ragged nesting are refused."""
+    try:
+        arr = np.asarray(values)
+        arr = arr.astype(np.complex128, copy=False) if arr.dtype.kind in "iufcO" else None
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None:
+        raise ValidationError(f"{what} must be an array of numbers, got {reprlib.repr(values)}")
+    if arr.ndim != ndim or len(set(arr.shape)) > 1:
+        shape = "one-dimensional" if ndim == 1 else "a square matrix"
+        raise ValidationError(f"{what} must be {shape}, got shape {arr.shape}")
     if arr.size == 0:
-        raise ValidationError(f"{what} must have at least one component")
-    if not np.all(np.isfinite(arr.view(np.float64))):
-        raise ValidationError(f"{what} contains non-finite entries")
-    arr.setflags(write=False)
-    return arr
-
-
-def _as_operator_matrix(values, *, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"{what} must be a square matrix, got shape {arr.shape}")
-    if arr.shape[0] == 0:
-        raise ValidationError(f"{what} must have dimension at least 1")
+        raise ValidationError(f"{what} must not be empty")
     if not np.isfinite(arr).all():
         raise ValidationError(f"{what} contains non-finite entries")
-    herm_defect = float(np.abs(arr - arr.T.conj()).max())
-    if herm_defect > HERMITIAN_TOL:
-        raise ValidationError(
-            f"{what} is not Hermitian: max |A - A^dagger| = {herm_defect:.3e} "
-            f"exceeds {HERMITIAN_TOL:.0e}"
-        )
+    if ndim == 2:
+        herm_defect = float(np.abs(arr - arr.T.conj()).max())
+        if herm_defect > HERMITIAN_TOL:
+            raise ValidationError(
+                f"{what} is not Hermitian: max |A - A^dagger| = {herm_defect:.3e} "
+                f"exceeds {HERMITIAN_TOL:.0e}"
+            )
     arr.setflags(write=False)
     return arr
 
@@ -93,7 +92,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _as_operator_matrix(self.matrix, what="density operator")
+        arr = _as_array(self.matrix, what="density operator", ndim=2)
         trace = complex(np.trace(arr))
         if abs(trace - 1.0) > TRACE_TOL:
             raise ValidationError(
@@ -116,7 +115,7 @@ class DensityOperator:
     def from_pure(cls, amplitudes) -> "DensityOperator":
         """``|psi><psi|`` for array-like amplitudes ``psi``: one-dimensional,
         finite and of unit norm within 1e-12 (else ``NormalizationError``)."""
-        psi = _as_complex_vector(amplitudes, what="pure state amplitudes")
+        psi = _as_array(amplitudes, what="pure state amplitudes", ndim=1)
         norm = float(np.linalg.norm(psi))
         if abs(norm - 1.0) > NORM_TOL:
             raise NormalizationError(
@@ -135,7 +134,7 @@ class EventOperator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _as_operator_matrix(self.matrix, what="event operator")
+        arr = _as_array(self.matrix, what="event operator", ndim=2)
         eigs = np.linalg.eigvalsh(arr)
         if float(eigs[0]) < PSD_EIGENVALUE_SLACK:
             raise ValidationError(
@@ -179,7 +178,7 @@ class Prospect:
     def __post_init__(self) -> None:
         index = _checks.count(self.choice_index, what="choice index")
         object.__setattr__(self, "choice_index", index)
-        arr = _as_complex_vector(self.b_coeffs, what="inconclusive coefficients")
+        arr = _as_array(self.b_coeffs, what="inconclusive coefficients", ndim=1)
         object.__setattr__(self, "b_coeffs", arr)
 
     @property
@@ -192,10 +191,11 @@ class ProbabilityTriple:
     """The probability of one prospect with its diagonal/off-diagonal split.
 
     ``p`` is the full event probability, ``f`` the diagonal (utility-like)
-    part and ``q`` the interference part.  The defining identity
-    ``p = f + q`` is enforced at construction to 1e-12, except for the
-    triples of ``prospect_probability`` and ``normalize_prospect_set``,
-    for which ``split`` and ``normalize`` guarantee it.
+    part and ``q`` the interference part.  Each is a finite real (not
+    ``bool``).  The defining identity ``p = f + q`` is enforced at
+    construction to 1e-12, except for the triples of
+    ``prospect_probability`` and ``normalize_prospect_set``, for which
+    ``split`` and ``normalize`` guarantee it.
     """
 
     p: float
@@ -204,8 +204,7 @@ class ProbabilityTriple:
 
     def __post_init__(self) -> None:
         for label, value in (("p", self.p), ("f", self.f), ("q", self.q)):
-            if not math.isfinite(value):
-                raise ValidationError(f"probability component {label} is not finite")
+            _checks.real(value, what=f"probability component {label}")
         defect = abs(self.p - (self.f + self.q))
         if defect > IDENTITY_TOL:
             raise ValidationError(
@@ -229,6 +228,20 @@ def _check_register(prospect: Prospect, n_dim: int, b_dim: int) -> None:
         )
 
 
+def _block(choice_index: int, b_dim: int) -> slice:
+    """The composite indices of choice ``choice_index``: the basis convention."""
+    return slice(choice_index * b_dim, (choice_index + 1) * b_dim)
+
+
+def _embed(coeffs: np.ndarray, choice_index: int, dims: tuple[int, int]) -> np.ndarray:
+    """Composite vectors, zero outside ``_block(choice_index, b_dim)``,
+    which holds ``coeffs`` (shape ``(..., b_dim)``)."""
+    n_dim, b_dim = dims
+    states = np.zeros(coeffs.shape[:-1] + (n_dim * b_dim,), dtype=np.complex128)
+    states[..., _block(choice_index, b_dim)] = coeffs
+    return states
+
+
 def prospect_state(prospect: Prospect, n_dim: int, b_dim: int) -> np.ndarray:
     """Embed a prospect into the composite space ``n_dim * b_dim``.
 
@@ -238,9 +251,7 @@ def prospect_state(prospect: Prospect, n_dim: int, b_dim: int) -> np.ndarray:
     unless ``b_coeffs`` is.
     """
     _check_register(prospect, n_dim, b_dim)
-    amp = np.zeros(n_dim * b_dim, dtype=np.complex128)
-    start = prospect.choice_index * b_dim
-    amp[start : start + b_dim] = prospect.b_coeffs
+    amp = _embed(prospect.b_coeffs, prospect.choice_index, (n_dim, b_dim))
     amp.setflags(write=False)
     return amp
 
@@ -267,16 +278,8 @@ def prospect_projector_stack(
     result is a ``(B, d, d)`` stack of full projectors (not validated),
     matrix ``k`` belonging to ``Prospect(choice_index, coeffs[k])``.
     """
-    n_dim, b_dim = dims
-    states = np.zeros((coeffs.shape[0], n_dim * b_dim), dtype=np.complex128)
-    states[:, choice_index * b_dim : (choice_index + 1) * b_dim] = coeffs
+    states = _embed(coeffs, choice_index, dims)
     return states[:, :, None] * states.conj()[:, None, :]
-
-
-def chunk_slices(total: int) -> Iterator[slice]:
-    """Consecutive slices of at most ``BATCH_CHUNK`` items covering ``range(total)``."""
-    for start in range(0, total, BATCH_CHUNK):
-        yield slice(start, min(start + BATCH_CHUNK, total))
 
 
 def trace_rule(rhos, events) -> np.ndarray:
@@ -460,7 +463,7 @@ def prospect_probability(
             f"{rho.dim}-dimensional state"
         )
     _check_register(prospect, n_dim, b_dim)
-    block = slice(prospect.choice_index * b_dim, (prospect.choice_index + 1) * b_dim)
+    block = _block(prospect.choice_index, b_dim)
     p, f, q = split(rho.matrix[None, block, block], prospect.b_coeffs, (1, b_dim))
     return _checks.trusted(
         ProbabilityTriple, p=float(p[0, 0]), f=float(f[0, 0]), q=float(q[0, 0])
@@ -524,7 +527,7 @@ def decohere(
     off-diagonal entries, inside and between choice blocks alike.
 
     A one-level call to ``decohere_levels``.  Sweeps call that kernel
-    directly on chunks of at most ``BATCH_CHUNK`` levels (``chunk_slices``)
+    directly on chunks of at most ``BATCH_CHUNK`` levels (``_checks.chunks``)
     and feed each damped stack to ``split`` and ``normalize``, as
     ``qchoice simulate`` does, so memory stays bounded by the chunk size.
     """

@@ -41,20 +41,18 @@ def _power(base, exponent, *, what: str):
 
 @dataclass(frozen=True)
 class UtilityFunction:
-    """Utility of a single payoff: linear, or sign-preserving power.
+    """Utility of a single payoff: ``sign(x) * |x| ** exponent``.
 
-    ``power`` applies ``sign(x) * |x| ** exponent``, keeping gains gains
-    and losses losses for any positive exponent.
+    The exponent is a positive real; the sign is kept, so gains stay gains
+    and losses stay losses.  Exponent 1, the default, is the linear
+    utility: each checked payoff comes back as it is, exact inputs exact.
+    Another exponent maps a zero payoff to ``0`` and raises
+    ``ValidationError`` where the power overflows floating point.
     """
 
-    kind: str = "linear"
     exponent: Real = 1
 
     def __post_init__(self) -> None:
-        if self.kind not in ("linear", "power"):
-            raise ValidationError(
-                f"utility kind must be 'linear' or 'power', got {self.kind!r}"
-            )
         _checks.real(self.exponent, what="utility exponent")
         if self.exponent <= 0:
             raise ValidationError(
@@ -63,23 +61,15 @@ class UtilityFunction:
 
     def __call__(self, x):
         _checks.real(x, what="payoff")
-        if self.kind == "linear":
+        if self.exponent == 1:
             return x
         if x == 0:
             return 0
         magnitude = _power(abs(x), self.exponent, what=f"utility of payoff {x!r}")
         return magnitude if x > 0 else -magnitude
 
-    @classmethod
-    def linear(cls) -> "UtilityFunction":
-        return cls(kind="linear")
 
-    @classmethod
-    def power(cls, exponent: Real) -> "UtilityFunction":
-        return cls(kind="power", exponent=exponent)
-
-
-LINEAR_UTILITY = UtilityFunction.linear()
+LINEAR_UTILITY = UtilityFunction()
 
 
 def utility_factors_gains(utilities: Sequence, alpha: Real = 1) -> list:
@@ -87,7 +77,8 @@ def utility_factors_gains(utilities: Sequence, alpha: Real = 1) -> list:
 
     ``f_n = U_n**alpha / sum_m U_m**alpha`` with ``alpha > 0``.  A zero
     utility yields a zero factor; an all-zero family carries no signal
-    and is rejected, as is any negative utility (use the losses rule).
+    and is rejected, as is any negative utility (use the losses rule) and
+    a family whose weights all underflow to zero (``DegenerateSetError``).
     Exact inputs stay exact when ``alpha`` is 1 or a positive integer.
     """
     values = _checks.reals(utilities, what="utility")
@@ -107,8 +98,7 @@ def utility_factors_gains(utilities: Sequence, alpha: Real = 1) -> list:
         weights = list(values)
     else:
         weights = [_power(u, alpha, what="a gains weight") for u in values]
-    total = sum(weights)
-    return [w / total for w in weights]
+    return _shares(weights, "gains")
 
 
 def utility_factors_losses(utilities: Sequence, gamma: Real = 1) -> list:
@@ -117,7 +107,8 @@ def utility_factors_losses(utilities: Sequence, gamma: Real = 1) -> list:
     ``f_n = |U_n|**(-gamma) / sum_m |U_m|**(-gamma)`` with ``gamma > 0``:
     the smallest loss in magnitude receives the largest factor.  Any
     non-negative utility is rejected — mixed-sign families fit neither
-    rule and are not silently split.
+    rule and are not silently split — and so is a family whose weights
+    all underflow to zero (``DegenerateSetError``).
     """
     values = _checks.reals(utilities, what="utility")
     _checks.real(gamma, what="gamma")
@@ -132,7 +123,18 @@ def utility_factors_losses(utilities: Sequence, gamma: Real = 1) -> list:
         weights = [1 / abs(u) for u in values]
     else:
         weights = [_power(abs(u), -gamma, what="a losses weight") for u in values]
+    return _shares(weights, "losses")
+
+
+def _shares(weights: list, rule: str) -> list:
+    """Each weight over their total.  A total of zero, which only weights
+    that underflow floating point leave, raises ``DegenerateSetError``."""
     total = sum(weights)
+    if total == 0:
+        raise DegenerateSetError(
+            f"every {rule} weight underflows floating point to zero; "
+            "the rule cannot rank the utilities"
+        )
     return [w / total for w in weights]
 
 

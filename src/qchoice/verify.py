@@ -12,12 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _checks
+from . import _checks, attraction, quantum
 from ._checks import ENTROPY_MARGIN_TOL, GAP_SPREAD_TOL, IDENTITY_TOL, QUARTER_LAW_TOL
-from .attraction import ordered_uniform_gap_check, quarter_law_check, row_chunks
+from .attraction import ordered_uniform_gap_check, quarter_law_check
 from .errors import ValidationError
 from .quantum import (
-    chunk_slices,
     normalize,
     prospect_projector_stack,
     random_prospect_draws,
@@ -105,7 +104,8 @@ def _perturbation_margin(
 ) -> float:
     """Worst functional margin of random simplex points over the minimizer.
 
-    Points are drawn in ``row_chunks``, the same points as one large draw.
+    Points are drawn in chunks of about ``_CHUNK_TARGET`` values, the same
+    points as one large draw.
     """
     if losses:
         f_star = utility_factors_losses(list(utilities), exponent)
@@ -118,8 +118,8 @@ def _perturbation_margin(
         log_penalty = -np.log(utilities)
         sign = 1.0
     least = np.inf
-    for rows in row_chunks(perturbations, utilities.size):
-        points = rng.dirichlet(np.ones(utilities.size), size=rows)
+    for chunk in _checks.chunks(perturbations, attraction._CHUNK_TARGET // utilities.size):
+        points = rng.dirichlet(np.ones(utilities.size), size=chunk.stop - chunk.start)
         safe = np.where(points > 0.0, points, 1.0)  # 0 * log 0 -> 0
         entropy = np.sum(points * np.log(safe), axis=1)
         values = entropy + sign * exponent * (points @ log_penalty)
@@ -208,7 +208,7 @@ def verify_quantum_identity(
     max_p_sum = 0.0
     max_f_sum = 0.0
     max_q_sum = 0.0
-    for chunk in chunk_slices(draws):
+    for chunk in _checks.chunks(draws, quantum.BATCH_CHUNK):
         rhos, coeffs = random_prospect_draws(chunk.stop - chunk.start, dims, rng)
         p, f, q = split(rhos, coeffs, dims)
         trace_p = np.stack(

@@ -43,9 +43,9 @@ def test_consumer_goods_decoy_replication(verdict):
     elapsed = time.perf_counter() - t0
     exact = report.probabilities == (F(13, 20), F(7, 20))
     err_ok = report.max_abs_error == F(1, 25)
-    reversal = bool(
-        regularity_violation_check(report.utility_factors, report.probabilities)
-    )
+    reversal = regularity_violation_check(
+        report.utility_factors, report.probabilities
+    ).reversal
     ok = exact and err_ok and reversal and elapsed < 1.0
     verdict(
         "consumer-goods decoy replication",
@@ -65,9 +65,9 @@ def test_mate_choice_decoy_replication(verdict):
     elapsed = time.perf_counter() - t0
     exact = report.probabilities == (F(3, 5), F(2, 5))
     err_ok = report.max_abs_error == 0
-    reversal = bool(
-        regularity_violation_check(report.utility_factors, report.probabilities)
-    )
+    reversal = regularity_violation_check(
+        report.utility_factors, report.probabilities
+    ).reversal
     ok = exact and err_ok and reversal and elapsed < 1.0
     verdict(
         "mate-choice decoy replication",

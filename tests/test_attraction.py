@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from qchoice import (
     AttractionSet,
     ValidationError,
-    asymptotic_attraction,
     attraction_gap,
     attraction_qmax,
     ordered_uniform_gap_check,
@@ -216,6 +215,15 @@ class TestAttractionSetValidation:
     def test_rejects_floats(self):
         with pytest.raises(ValidationError, match="exact"):
             AttractionSet((0.25, -0.25))
+        with pytest.raises(ValidationError, match="exact"):
+            AttractionSet((np.float32(0.25), np.float32(-0.25)))
+
+    @pytest.mark.parametrize(
+        "values", [("0",), (False,), ("1/4", "-1/4"), (True, F(-1, 4)), (None,)]
+    )
+    def test_rejects_strings_and_bools(self, values):
+        with pytest.raises(ValidationError, match="real number"):
+            AttractionSet(values)
 
     def test_rejects_wrong_mean_magnitude(self):
         # Equal gaps and zero sum, but mean |q| = 1/3.
@@ -253,35 +261,6 @@ class TestAttractionSetValidation:
         values[k] += data.draw(st.sampled_from([F(1, den), F(-1, den)]))
         with pytest.raises(ValidationError, match=f"quantized ladder for N = {n}"):
             AttractionSet(tuple(values))
-
-
-class TestAsymptoticLadder:
-    def test_even_n_exact_match(self):
-        # For even N the large-N formula reproduces the ladder identically.
-        for n in (2, 4, 10, 50):
-            ladder = quantized_attraction_set(n)
-            for rank in range(1, n + 1):
-                assert asymptotic_attraction(n, rank) == pytest.approx(
-                    float(ladder.values[rank - 1]), abs=1e-15
-                )
-
-    def test_odd_n_within_one_over_n(self):
-        for n in (3, 5, 21, 99):
-            ladder = quantized_attraction_set(n)
-            for rank in range(1, n + 1):
-                err = abs(asymptotic_attraction(n, rank) - float(ladder.values[rank - 1]))
-                assert err < 1.0 / n
-
-    def test_large_n_top_value(self):
-        assert asymptotic_attraction(1000, 1) == pytest.approx(0.4995)
-
-    def test_rank_validated(self):
-        with pytest.raises(ValidationError):
-            asymptotic_attraction(5, 0)
-        with pytest.raises(ValidationError):
-            asymptotic_attraction(5, 6)
-        with pytest.raises(ValidationError):
-            asymptotic_attraction(1, 1)
 
 
 class TestQuarterLaw:

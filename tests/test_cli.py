@@ -88,6 +88,21 @@ class TestPredict:
         assert main(["predict", "microwave", "--format", "record"]) == 0
         assert target.read_text(encoding="utf-8") == capsys.readouterr().out
 
+    def test_record_rendered_once_for_out_and_stdout(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        to_json = cli.RunRecord.to_json
+
+        def counted(record):
+            calls.append(record)
+            return to_json(record)
+
+        monkeypatch.setattr(cli.RunRecord, "to_json", counted)
+        target = tmp_path / "record.json"
+        argv = ["predict", "microwave", "--format", "record", "--out", str(target)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode("utf-8") == target.read_bytes()
+        assert len(calls) == 1
+
 
 def _assert_one_error_line(argv, capsys):
     assert main(argv) == 1
@@ -134,6 +149,15 @@ class TestInputErrors:
         path.write_text(
             DEMO.replace("f: 0.4", "utility: 1.0e+400").replace("f: 0.6", "utility: 2")
             + "config:\n  utility_kind: power\n  utility_exponent: 0.88\n",
+            encoding="utf-8",
+        )
+        _assert_one_error_line(["predict", str(path)], capsys)
+
+    def test_underflowing_utility_weights(self, tmp_path, capsys):
+        path = tmp_path / "tiny.exp"
+        path.write_text(
+            DEMO.replace("f: 0.4", "utility: 1e-1000").replace("f: 0.6", "utility: 2e-1000")
+            + "config: {alpha: 0.5}\n",
             encoding="utf-8",
         )
         _assert_one_error_line(["predict", str(path)], capsys)

@@ -268,14 +268,12 @@ class TestRegularityCheck:
     def test_reversal_detected(self):
         check = regularity_violation_check((F(2, 5), F(3, 5)), (F(13, 20), F(7, 20)))
         assert check.reversal is True
-        assert bool(check) is True
         assert check.favored_by_utility == 1
         assert check.favored_overall == 0
 
     def test_no_reversal_when_order_kept(self):
         check = regularity_violation_check((F(1, 5), F(4, 5)), (F(2, 5), F(3, 5)))
         assert check.reversal is False
-        assert bool(check) is False
 
     def test_tie_flag_blocks_reversal(self):
         check = regularity_violation_check((F(2, 5), F(3, 5)), (F(1, 2), F(1, 2)))
@@ -346,6 +344,11 @@ class TestPredictionReport:
                 attraction_factors=(F(1, 4), F(1, 4)),
                 clamping_applied=False,
             )
+
+    @pytest.mark.parametrize("q", [("x", "y"), (True, -1), (None, 0)])
+    def test_attraction_factors_must_be_real(self, q):
+        with pytest.raises(ValidationError, match="attraction factor must be a real number"):
+            PredictionReport(("A", "B"), (0, 1), q, False)
 
     def test_empirical_length_checked(self):
         with pytest.raises(ValidationError, match="empirical"):

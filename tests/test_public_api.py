@@ -33,7 +33,6 @@ PUBLIC_NAMES = [
     "UtilityFunction",
     "ValidationError",
     "VerificationFailure",
-    "asymptotic_attraction",
     "attraction_gap",
     "attraction_qmax",
     "bundled_experiment",
@@ -72,7 +71,7 @@ PUBLIC_NAMES = [
 
 
 def test_all_is_pinned_and_resolves():
-    assert len(PUBLIC_NAMES) == 56
+    assert len(PUBLIC_NAMES) == 55
     assert sorted(qchoice.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(qchoice, name) is not None, name
@@ -104,3 +103,10 @@ def test_report_fields_are_pinned():
     ]
     fields = [field.name for field in dataclasses.fields(qchoice.RegularityCheck)]
     assert fields == ["tie", "favored_by_utility", "favored_overall"]
+    assert not hasattr(qchoice.RegularityCheck, "__bool__")
+
+
+def test_utility_function_is_its_exponent():
+    fields = [field.name for field in dataclasses.fields(qchoice.UtilityFunction)]
+    assert fields == ["exponent"]
+    assert qchoice.LINEAR_UTILITY == qchoice.UtilityFunction(1)

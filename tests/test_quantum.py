@@ -53,6 +53,20 @@ class TestStateVector:
         with pytest.raises(ValidationError):
             Prospect(0, [1.0, float("nan")])
 
+    @pytest.mark.parametrize(
+        "amplitudes", [["a", "b"], ["1", "0"], [True, False], [[1.0], [0.0, 1.0]], "ab"]
+    )
+    def test_rejects_strings_bools_and_ragged_nesting(self, amplitudes):
+        with pytest.raises(ValidationError, match="array of numbers"):
+            DensityOperator.from_pure(amplitudes)
+        with pytest.raises(ValidationError, match="array of numbers"):
+            Prospect(0, amplitudes)
+
+    def test_accepts_strided_amplitudes(self):
+        amplitudes = np.array([1.0, 9.0, 0.0, 9.0], dtype=np.complex128)[::2]
+        assert Prospect(0, amplitudes).b_dim == 2
+        assert DensityOperator.from_pure(amplitudes).dim == 2
+
     def test_amplitudes_frozen(self):
         state = prospect_state(Prospect(0, [1.0]), 2, 1)
         assert state.dtype == np.complex128
@@ -68,6 +82,16 @@ class TestDensityOperator:
     def test_from_pure_requires_unit_norm(self):
         with pytest.raises(NormalizationError):
             DensityOperator.from_pure([1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[["a", "0"], ["0", "b"]], [[0.5, 0.0], [0.0]], [[True, False], [False, False]]],
+    )
+    def test_rejects_strings_bools_and_ragged_nesting(self, matrix):
+        with pytest.raises(ValidationError, match="array of numbers"):
+            DensityOperator(matrix)
+        with pytest.raises(ValidationError, match="array of numbers"):
+            EventOperator(matrix)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError, match="Hermitian"):
@@ -261,6 +285,13 @@ class TestProbabilitySplit:
         rho = random_density_operator(6, 0)
         with pytest.raises(ValidationError, match="inconsistent"):
             prospect_probability(rho, Prospect(0, [1.0, 0.0]), (4, 2))
+
+    @pytest.mark.parametrize(
+        "p, f, q", [("a", 0.0, 0.0), (True, True, 0), (0.5, "0.5", 0.0), (0.0, 0.0, None)]
+    )
+    def test_triple_rejects_strings_and_bools(self, p, f, q):
+        with pytest.raises(ValidationError, match="real number"):
+            ProbabilityTriple(p=p, f=f, q=q)
 
     def test_triple_identity_enforced(self):
         with pytest.raises(ValidationError, match="p - \\(f \\+ q\\)"):

@@ -49,23 +49,33 @@ class TestUtilityFunction:
         assert LINEAR_UTILITY(-3) == -3
 
     def test_power_preserves_sign(self):
-        u = UtilityFunction.power(2)
+        u = UtilityFunction(2)
         assert u(3) == 9
         assert u(-3) == -9
         assert u(0) == 0
 
     def test_power_fractional_exponent(self):
-        u = UtilityFunction.power(0.5)
+        u = UtilityFunction(0.5)
         assert u(4) == pytest.approx(2.0)
         assert u(-4) == pytest.approx(-2.0)
 
+    def test_exponent_one_is_linear(self):
+        u = UtilityFunction(F(1))
+        assert u == LINEAR_UTILITY
+        assert u(F(2, 5)) == F(2, 5) and u(-3) == -3
+
     def test_rejects_bad_kind_and_exponent(self):
-        with pytest.raises(ValidationError):
+        # The exponent is the only field: a kind is no longer accepted.
+        with pytest.raises(TypeError):
             UtilityFunction(kind="log")
+        with pytest.raises(TypeError):
+            UtilityFunction("linear", 5)
+        with pytest.raises(ValidationError, match="real number"):
+            UtilityFunction("linear")
         with pytest.raises(ValidationError):
-            UtilityFunction.power(0)
+            UtilityFunction(0)
         with pytest.raises(ValidationError):
-            UtilityFunction.power(-1)
+            UtilityFunction(-1)
 
 
 class TestGainsFactors:
@@ -110,10 +120,10 @@ class TestGainsFactors:
         with pytest.raises(ValidationError, match="overflows"):
             utility_factors_losses([-1e-300, -1.0], gamma=2.5)
         with pytest.raises(ValidationError, match="overflows"):
-            UtilityFunction.power(2.5)(1e300)
+            UtilityFunction(2.5)(1e300)
         # Exact powers this large would never finish; they are refused.
         with pytest.raises(ValidationError, match="overflows"):
-            UtilityFunction.power(F(10) ** 300)(F(3))
+            UtilityFunction(F(10) ** 300)(F(3))
         with pytest.raises(ValidationError, match="overflows"):
             utility_factors_gains([F(1, 3), F(2)], alpha=10**9)
         with pytest.raises(ValidationError, match="overflows"):
@@ -126,6 +136,11 @@ class TestGainsFactors:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             utility_factors_gains([])
+
+    def test_underflowing_weights_rejected(self):
+        tiny = [F(1, 10**1000), F(2, 10**1000)]
+        with pytest.raises(DegenerateSetError, match="underflows"):
+            utility_factors_gains(tiny, alpha=F(1, 2))
 
     def test_unit_alpha_matches_plain_ratio_exactly(self):
         u = [0.7, 1.9, 0.3, 4.2]
@@ -186,6 +201,10 @@ class TestLossesFactors:
     def test_bad_gamma_rejected(self):
         with pytest.raises(ValidationError):
             utility_factors_losses([-1.0, -2.0], gamma=-1)
+
+    def test_underflowing_weights_rejected(self):
+        with pytest.raises(DegenerateSetError, match="underflows"):
+            utility_factors_losses([-F(10**300)] * 2, F(3, 2))
 
     def test_small_gamma_approaches_uniform(self):
         f = utility_factors_losses([-1.0, -5.0, -25.0], gamma=1e-6)
