@@ -1,15 +1,23 @@
-"""Smoke test: every script under ``demos/`` runs to completion."""
+"""Every script under ``demos/`` runs to completion and prints its golden stdout."""
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
+import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+_SPEC = importlib.util.spec_from_file_location("golden", ROOT / "tools" / "golden.py")
+golden = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(golden)
+GOLDEN = {
+    entry["demo"]: entry
+    for entry in json.loads(golden.MANIFEST.read_text(encoding="utf-8"))["entries"]
+    if "demo" in entry
+}
 
 
 def test_all_demos_found():
@@ -23,13 +31,6 @@ def test_all_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_exits_zero(demo):
-    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, str(demo)],
-        cwd=ROOT,
-        env={**os.environ, "PYTHONPATH": pythonpath},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    result = golden.run_demo(demo)
     assert result.returncode == 0, result.stderr
+    assert golden.stored(result.stdout) == GOLDEN[demo.name]["stdout"]
