@@ -45,7 +45,6 @@ from .experiments import (
     derive_utility_factors,
     input_digest,
     list_bundled_experiments,
-    load_experiment,
     parse_experiment,
     run_prediction,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "information_functional_losses",
     "input_digest",
     "list_bundled_experiments",
-    "load_experiment",
     "normalize_prospect_set",
     "ordered_uniform_gap_check",
     "parse_experiment",

@@ -2,14 +2,18 @@
 
 Modules that document a tolerance (``quantum.IDENTITY_TOL``,
 ``verify.QUARTER_LAW_TOL``, ...) re-export it from here.  Inputs are
-checked where they enter; data the package has already validated, or
-built from a closed form, is handed on through ``trusted``.
+checked where they enter, each rule by one helper: ``register`` for the
+dimensions of a composite register, ``distribution`` for utility factors
+and probabilities, ``zero_sum`` for attraction factors and ``positive``
+for exponents.  Data the package has already validated, or built from a
+closed form, is handed on through ``trusted``.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
 import operator
+import reprlib
 from collections.abc import Iterator
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
@@ -67,12 +71,48 @@ def reals(values, *, what: str) -> tuple:
     return values
 
 
-def unit_interval(values, *, what: str) -> None:
-    """Each value is ``real`` and in [0, 1], with ``SUM_TOL`` slack."""
+def positive(value, *, what: str) -> None:
+    """``value`` is ``real`` and > 0."""
+    if real(value, what=what) <= 0:
+        raise ValidationError(f"{what} must be positive, got {value!r}")
+
+
+def distribution(values, *, what: str, plural: str) -> None:
+    """A sequence of ``real`` values, each in [0, 1] and summing to 1 with
+    ``SUM_TOL`` slack: utility factors or choice probabilities.  ``what``
+    names one value in the messages, ``plural`` all of them."""
     for v in values:
         as_float = float(real(v, what=what))
         if as_float < -SUM_TOL or as_float > 1.0 + SUM_TOL:
             raise ValidationError(f"{what} {v!r} outside [0, 1]")
+    check_sum(values, 1.0, what=plural)
+
+
+def zero_sum(values, *, what: str, plural: str) -> None:
+    """A sequence of ``real`` values summing to 0 with ``SUM_TOL`` slack:
+    attraction factors."""
+    for v in values:
+        real(v, what=what)
+    check_sum(values, 0.0, what=plural)
+
+
+def register(dims, shape=None, *, within: str = "", what: str = "register dimensions") -> tuple[int, int]:
+    """``dims`` as ``(n_dim, b_dim)``, the choice and inconclusive dimensions
+    of a composite register: two integers >= 1 (``count``).  Given the
+    ``shape`` of an operator on the register, named ``within`` in the
+    message, it must be ``(n_dim * b_dim,) * 2``; that is checked first.
+    """
+    try:
+        n_dim, b_dim = dims
+        fits = shape is None or len(shape) == 2 and shape[0] == shape[1] == n_dim * b_dim
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a pair of integers, got {reprlib.repr(dims)}") from None
+    if not fits:
+        raise ValidationError(f"{what} {dims} are inconsistent with {within}")
+    return (
+        count(n_dim, what="choice dimension", minimum=1),
+        count(b_dim, what="inconclusive dimension", minimum=1),
+    )
 
 
 def total(values):

@@ -36,8 +36,8 @@ class AttractionSet:
     a caller's ``AttractionSet(values)`` is compared, exactly, with the
     closed form of ``quantized_attraction_set(len(values))``, which is
     built unchecked.  The closed form is the integer kernel
-    ``ladder_numerators``; ``delta`` and ``q_max`` come from ``gap_and_top``
-    in O(1), and ``as_floats()`` is one array division.
+    ``ladder_numerators``; the gap and top rung are ``attraction_gap`` and
+    ``attraction_qmax``.
     """
 
     values: tuple[Fraction, ...]
@@ -59,26 +59,6 @@ class AttractionSet:
                 "exact, descending in equal steps, summing to zero, with mean "
                 "magnitude 1/4 ((0,) for N = 1)"
             )
-
-    @property
-    def n_prospects(self) -> int:
-        return len(self.values)
-
-    @property
-    def delta(self) -> Fraction:
-        """Constant gap between consecutive values (0 for a single prospect)."""
-        return gap_and_top(self.n_prospects)[0]
-
-    @property
-    def q_max(self) -> Fraction:
-        """Largest (most attracting) value of the ladder."""
-        return gap_and_top(self.n_prospects)[1]
-
-    def as_floats(self) -> np.ndarray:
-        """The values as floats, each the correctly rounded ``float(v)``
-        (see ``ladder_numerators`` for the range where that holds)."""
-        nums, den = ladder_numerators(self.n_prospects)
-        return nums / den
 
 
 def _ladder(n: int) -> tuple[int, int]:

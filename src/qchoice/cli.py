@@ -16,7 +16,7 @@ import numpy as np
 from . import _checks, quantum
 from .attraction import gap_and_top, ladder_numerators
 from .decision import PredictionReport, regularity_verdict
-from .errors import QChoiceError, VerificationFailure
+from .errors import QChoiceError, ValidationError, VerificationFailure
 from .experiments import (
     ExperimentFile,
     RunRecord,
@@ -43,6 +43,10 @@ MAX_PROSPECTS = 1_000_000
 #: Most damping levels one ``simulate`` sweep holds: 10,000 levels at
 #: dims (64,1) take about 6 s and 360 MB, and the record grows linearly.
 MAX_SWEEP_STEPS = 10_000
+#: Most ``--samples`` each ``verify`` suite takes (the library sets no
+#: bound): 4.5 to 5.9 s at each cap, with a peak under 80 MB, on a 2-CPU
+#: container.
+MAX_SAMPLES = {"quarter-law": 500_000_000, "gaps": 30_000_000, "entropy": 1_000_000, "quantum-identity": 70_000}
 
 
 def _fmt_number(value) -> str:
@@ -231,12 +235,20 @@ def _ladder_table(stats: dict) -> str:
 
 @cli.command()
 @click.argument("suite", type=click.Choice(SUITE_NAMES))
-@click.option("--samples", type=int, default=None, help="sampling effort of the suite")
+@click.option(
+    "--samples",
+    type=int,
+    default=None,
+    help="sampling effort of the suite, at most "
+    + ", ".join(f"{cap} for {name}" for name, cap in MAX_SAMPLES.items()),
+)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @_format_option("table", "record")
 @_out_option
 def verify(suite: str, samples: int | None, seed: int, fmt: str, out: str | None) -> None:
     """Run a self-check suite; exits 2 if it misses its target."""
+    if samples is not None and samples > MAX_SAMPLES[suite]:
+        raise ValidationError(f"--samples must be <= {MAX_SAMPLES[suite]} for {suite}, got {samples}")
     result = run_suite(suite, samples=samples, seed=seed)
     verdict = "PASS" if result.passed else "FAIL"
     stats = dict(result.statistics)

@@ -47,8 +47,7 @@ class ChoiceSet:
             raise ValidationError(
                 f"{len(ids)} prospects but {len(factors)} utility factors"
             )
-        _checks.unit_interval(factors, what="utility factor")
-        _checks.check_sum(factors, 1.0, what="utility factors")
+        _checks.distribution(factors, what="utility factor", plural="utility factors")
         if sorted(rank) != sorted(ids):
             raise ValidationError(
                 f"attractiveness rank {rank} is not a permutation of ids {ids}"
@@ -89,16 +88,12 @@ class PredictionReport:
             raise ValidationError("report columns must have equal length")
         if len(ids) == 0:
             raise ValidationError("report needs at least one prospect")
-        _checks.unit_interval(f, what="utility factor")
-        _checks.check_sum(f, 1.0, what="utility factors")
-        for v in q:
-            _checks.real(v, what="attraction factor")
-        _checks.check_sum(q, 0.0, what="attraction factors")
+        _checks.distribution(f, what="utility factor", plural="utility factors")
+        _checks.zero_sum(q, what="attraction factor", plural="attraction factors")
         object.__setattr__(self, "prospect_ids", ids)
         object.__setattr__(self, "utility_factors", f)
         object.__setattr__(self, "attraction_factors", q)
-        _checks.unit_interval(self.probabilities, what="probability")
-        _checks.check_sum(self.probabilities, 1.0, what="probabilities")
+        _checks.distribution(self.probabilities, what="probability", plural="probabilities")
         if self.empirical is not None:
             object.__setattr__(self, "empirical", _frequencies(self.empirical, len(ids)))
 
@@ -190,11 +185,8 @@ def enforce_bounds(
         )
     if len(f) == 0:
         raise ValidationError("bounds enforcement needs at least one prospect")
-    _checks.unit_interval(f, what="utility factor")
-    _checks.check_sum(f, 1.0, what="utility factors")
-    for v in q:
-        _checks.real(v, what="attraction factor")
-    _checks.check_sum(q, 0.0, what="attraction factors")
+    _checks.distribution(f, what="utility factor", plural="utility factors")
+    _checks.zero_sum(q, what="attraction factor", plural="attraction factors")
     return _clip_to_bounds(f, q)
 
 
@@ -349,10 +341,8 @@ def regularity_violation_check(
         raise ValidationError(f"length mismatch: {len(f)} vs {len(p)}")
     if len(f) == 0:
         raise ValidationError("regularity check needs at least one prospect")
-    _checks.unit_interval(f, what="utility factor")
-    _checks.unit_interval(p, what="probability")
-    _checks.check_sum(f, 1.0, what="utility factors")
-    _checks.check_sum(p, 1.0, what="probabilities")
+    _checks.distribution(f, what="utility factor", plural="utility factors")
+    _checks.distribution(p, what="probability", plural="probabilities")
     return regularity_verdict(f, p)
 
 

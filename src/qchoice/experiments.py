@@ -354,11 +354,6 @@ def read_experiment_text(path: str | Path) -> str:
         raise ExperimentFormatError(f"cannot read experiment file {p}: {exc}") from exc
 
 
-def load_experiment(path: str | Path) -> ExperimentFile:
-    """Load and parse one ``.exp`` file from disk."""
-    return parse_experiment(read_experiment_text(path), source=str(Path(path)))
-
-
 def list_bundled_experiments() -> list[str]:
     """Names of the experiment files shipped with the package."""
     data = resources.files(__package__).joinpath("data")

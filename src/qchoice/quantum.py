@@ -213,9 +213,9 @@ class ProbabilityTriple:
             )
 
 
-def _check_register(prospect: Prospect, n_dim: int, b_dim: int) -> None:
-    _checks.count(n_dim, what="choice dimension", minimum=1)
-    _checks.count(b_dim, what="inconclusive dimension", minimum=1)
+def _fit(prospect: Prospect, dims, shape=None, within: str = "") -> tuple[int, int]:
+    """``dims`` through ``_checks.register``, then ``prospect`` against it."""
+    n_dim, b_dim = dims = _checks.register(dims, shape, within=within)
     if prospect.b_dim != b_dim:
         raise ValidationError(
             f"prospect carries {prospect.b_dim} inconclusive coefficients "
@@ -226,6 +226,7 @@ def _check_register(prospect: Prospect, n_dim: int, b_dim: int) -> None:
             f"choice index {prospect.choice_index} out of range for "
             f"{n_dim} choice states"
         )
+    return dims
 
 
 def _block(choice_index: int, b_dim: int) -> slice:
@@ -250,8 +251,8 @@ def prospect_state(prospect: Prospect, n_dim: int, b_dim: int) -> np.ndarray:
     to choice index ``n`` and every other entry is zero.  Not normalized
     unless ``b_coeffs`` is.
     """
-    _check_register(prospect, n_dim, b_dim)
-    amp = _embed(prospect.b_coeffs, prospect.choice_index, (n_dim, b_dim))
+    dims = _fit(prospect, (n_dim, b_dim))
+    amp = _embed(prospect.b_coeffs, prospect.choice_index, dims)
     amp.setflags(write=False)
     return amp
 
@@ -262,10 +263,8 @@ def prospect_projector(prospect: Prospect, n_dim: int, b_dim: int) -> EventOpera
     A POVM effect; for unnormalized coefficients it is not idempotent,
     and the probability rule ``Tr(rho P)`` applies either way.
     """
-    _check_register(prospect, n_dim, b_dim)
-    matrix = prospect_projector_stack(
-        prospect.b_coeffs[None], prospect.choice_index, (n_dim, b_dim)
-    )[0]
+    dims = _fit(prospect, (n_dim, b_dim))
+    matrix = prospect_projector_stack(prospect.b_coeffs[None], prospect.choice_index, dims)[0]
     return EventOperator(matrix)
 
 
@@ -276,9 +275,10 @@ def prospect_projector_stack(
 
     ``coeffs`` is a ``(B, b_dim)`` stack of inconclusive coefficients; the
     result is a ``(B, d, d)`` stack of full projectors (not validated),
-    matrix ``k`` belonging to ``Prospect(choice_index, coeffs[k])``.
+    matrix ``k`` belonging to ``Prospect(choice_index, coeffs[k])``.  Only
+    ``dims`` is checked (``_checks.register``).
     """
-    states = _embed(coeffs, choice_index, dims)
+    states = _embed(coeffs, choice_index, _checks.register(dims))
     return states[:, :, None] * states.conj()[:, None, :]
 
 
@@ -320,13 +320,10 @@ def split(
     states the sums are real; an imaginary residue above 1e-10 raises, as
     does ``|p - (f + q)|`` above 1e-12 or not finite.
     """
-    n_dim, b_dim = dims
     rhos = np.asarray(rhos, dtype=np.complex128)
-    if rhos.ndim != 3 or rhos.shape[1:] != (n_dim * b_dim, n_dim * b_dim):
-        raise ValidationError(
-            f"register dimensions {dims} are inconsistent with a state "
-            f"stack of shape {rhos.shape}"
-        )
+    n_dim, b_dim = _checks.register(
+        dims, rhos.shape[1:], within=f"a state stack of shape {rhos.shape}"
+    )
     count = rhos.shape[0]
     if count == 0:
         raise ValidationError("cannot split an empty state stack")
@@ -456,13 +453,7 @@ def prospect_probability(
     route, ``Tr(rho |pi><pi|)`` with ``prospect_projector``, is what
     ``verify quantum-identity`` compares ``p`` against.
     """
-    n_dim, b_dim = dims
-    if n_dim * b_dim != rho.dim:
-        raise ValidationError(
-            f"register dimensions {dims} are inconsistent with a "
-            f"{rho.dim}-dimensional state"
-        )
-    _check_register(prospect, n_dim, b_dim)
+    b_dim = _fit(prospect, dims, rho.matrix.shape, f"a {rho.dim}-dimensional state")[1]
     block = _block(prospect.choice_index, b_dim)
     p, f, q = split(rho.matrix[None, block, block], prospect.b_coeffs, (1, b_dim))
     return _checks.trusted(
@@ -522,9 +513,11 @@ def decohere(
     scale by exactly ``1 - damping``; at ``damping = 1`` only the
     classical diagonal survives.
 
-    ``block_dims``, when given, is checked for consistency with the
-    operator dimension; the damping itself is uniform across all
-    off-diagonal entries, inside and between choice blocks alike.
+    ``damping`` must be a real number (``_checks.real``: strings and
+    bools are refused).  ``block_dims``, when given, is checked as the
+    register of ``rho`` (``_checks.register``); the damping itself is
+    uniform across all off-diagonal entries, inside and between choice
+    blocks alike.
 
     A one-level call to ``decohere_levels``.  Sweeps call that kernel
     directly on chunks of at most ``BATCH_CHUNK`` levels (``_checks.chunks``)
@@ -532,12 +525,9 @@ def decohere(
     ``qchoice simulate`` does, so memory stays bounded by the chunk size.
     """
     if block_dims is not None:
-        n_dim, b_dim = block_dims
-        if n_dim < 1 or b_dim < 1 or n_dim * b_dim != rho.dim:
-            raise ValidationError(
-                f"block dimensions {block_dims} are inconsistent with a "
-                f"{rho.dim}-dimensional operator"
-            )
+        within = f"a {rho.dim}-dimensional operator"
+        _checks.register(block_dims, rho.matrix.shape, within=within, what="block dimensions")
+    damping = _checks.real(damping, what="damping")
     return _checks.trusted(DensityOperator, matrix=decohere_levels(rho, [damping])[0])
 
 
@@ -588,7 +578,7 @@ def random_prospect_draws(
     rng)`` bit for bit; the states are built as one stack.
     """
     count = _checks.count(count, what="draw count", minimum=1)
-    n_dim, b_dim = dims
+    n_dim, b_dim = _checks.register(dims)
     dim = n_dim * b_dim
     _check_dim(dim)
     rng = np.random.default_rng(seed)

@@ -53,11 +53,7 @@ class UtilityFunction:
     exponent: Real = 1
 
     def __post_init__(self) -> None:
-        _checks.real(self.exponent, what="utility exponent")
-        if self.exponent <= 0:
-            raise ValidationError(
-                f"utility exponent must be positive, got {self.exponent!r}"
-            )
+        _checks.positive(self.exponent, what="utility exponent")
 
     def __call__(self, x):
         _checks.real(x, what="payoff")
@@ -82,9 +78,7 @@ def utility_factors_gains(utilities: Sequence, alpha: Real = 1) -> list:
     Exact inputs stay exact when ``alpha`` is 1 or a positive integer.
     """
     values = _checks.reals(utilities, what="utility")
-    _checks.real(alpha, what="alpha")
-    if alpha <= 0:
-        raise ValidationError(f"alpha must be positive, got {alpha!r}")
+    _checks.positive(alpha, what="alpha")
     for u in values:
         if u < 0:
             raise SignDomainError(
@@ -111,9 +105,7 @@ def utility_factors_losses(utilities: Sequence, gamma: Real = 1) -> list:
     all underflow to zero (``DegenerateSetError``).
     """
     values = _checks.reals(utilities, what="utility")
-    _checks.real(gamma, what="gamma")
-    if gamma <= 0:
-        raise ValidationError(f"gamma must be positive, got {gamma!r}")
+    _checks.positive(gamma, what="gamma")
     for u in values:
         if u >= 0:
             raise SignDomainError(

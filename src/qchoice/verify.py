@@ -201,7 +201,7 @@ def verify_quantum_identity(
     ``p`` stay independent.
     """
     draws = _checks.count(draws, what="draw count", minimum=1)
-    n_dim, b_dim = dims
+    n_dim, b_dim = _checks.register(dims)
     rng = np.random.default_rng(seed)
     max_identity = 0.0
     max_trace_dev = 0.0

@@ -94,16 +94,17 @@ def test_quantized_ladder_catalogue(verdict):
     )
     closed_forms_ok = True
     for n in range(2, 101):
-        ladder = quantized_attraction_set(n)
+        values = quantized_attraction_set(n).values
+        # Every consecutive gap and the top rung, read off the ladder itself.
+        gaps = {a - b for a, b in zip(values, values[1:])}
+        top = values[0]
         if n % 2 == 0:
-            closed_forms_ok &= ladder.delta == F(1, n)
-            closed_forms_ok &= ladder.q_max == F(n - 1, 2 * n)
+            delta, q_max = F(1, n), F(n - 1, 2 * n)
         else:
-            closed_forms_ok &= ladder.delta == F(n, n * n - 1)
-            closed_forms_ok &= ladder.q_max == F(n, 2 * (n + 1))
-        closed_forms_ok &= attraction_gap(n) == ladder.delta
-        closed_forms_ok &= attraction_qmax(n) == ladder.q_max
-        closed_forms_ok &= ladder.q_max == F(n - 1, 1) * ladder.delta / 2
+            delta, q_max = F(n, n * n - 1), F(n, 2 * (n + 1))
+        closed_forms_ok &= gaps == {delta} and top == q_max
+        closed_forms_ok &= attraction_gap(n) == delta and attraction_qmax(n) == q_max
+        closed_forms_ok &= q_max == F(n - 1, 1) * delta / 2
     elapsed = time.perf_counter() - t0
     ok = catalogue_ok and closed_forms_ok and elapsed < 5.0
     verdict(

@@ -18,7 +18,7 @@ from qchoice import (
     quarter_law_check,
 )
 from qchoice import cli
-from qchoice.attraction import ladder_numerators
+from qchoice.attraction import gap_and_top, ladder_numerators
 
 F = Fraction
 
@@ -80,15 +80,14 @@ class TestQuantizedLadder:
     def test_single_prospect_degenerate(self):
         ladder = quantized_attraction_set(1)
         assert ladder.values == (F(0),)
-        assert ladder.delta == 0
-        assert ladder.q_max == 0
+        assert gap_and_top(1) == (0, 0)
 
     def test_consistent_with_closed_forms(self):
         for n in range(2, 60):
-            ladder = quantized_attraction_set(n)
-            assert ladder.delta == attraction_gap(n)
-            assert ladder.q_max == attraction_qmax(n)
-            assert ladder.values[0] == ladder.q_max
+            values = quantized_attraction_set(n).values
+            assert {a - b for a, b in zip(values, values[1:])} == {attraction_gap(n)}
+            assert values[0] == attraction_qmax(n)
+            assert gap_and_top(n) == (attraction_gap(n), attraction_qmax(n))
 
     def test_mean_magnitude_is_quarter(self):
         for n in range(2, 60):
@@ -114,8 +113,7 @@ class TestQuantizedLadder:
             quantized_attraction_set(True)
 
     def test_as_floats(self):
-        floats = quantized_attraction_set(2).as_floats()
-        assert floats.tolist() == [0.25, -0.25]
+        assert cli._ladder_statistics(2)["values"] == [0.25, -0.25]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 2000))
@@ -163,7 +161,7 @@ class TestNumeratorKernel:
 
 
 class TestNumeratorPathMatchesFractions:
-    """The record and ``as_floats`` come from the integer numerators; they
+    """The record's floats and texts come from the integer numerators; they
     must equal ``float(v)`` and ``str(v)`` of the Fraction ladder."""
 
     @staticmethod
@@ -195,16 +193,17 @@ class TestNumeratorPathMatchesFractions:
 
     def test_as_floats_every_n_up_to_1000(self):
         for n in range(1, 1001):
-            ladder = quantized_attraction_set(n)
-            values = ladder.values
-            assert float_bits(ladder.as_floats()) == float_bits([float(v) for v in values])
+            values = quantized_attraction_set(n).values
+            nums, den = ladder_numerators(n)
+            assert float_bits(nums / den) == float_bits([float(v) for v in values])
             gap = values[0] - values[1] if n > 1 else F(0)
-            assert (ladder.delta, ladder.q_max) == (gap, values[0])
+            assert gap_and_top(n) == (gap, values[0])
 
     @pytest.mark.parametrize("n", [4999, 5000, 50001])
     def test_as_floats_long_ladders(self, n):
         rungs = sample_rungs(n)
-        floats = quantized_attraction_set(n).as_floats()[rungs]
+        nums, den = ladder_numerators(n)
+        floats = (nums / den)[rungs]
         assert float_bits(floats) == float_bits([float(reference(n, k)) for k in rungs])
 
 

@@ -180,11 +180,11 @@ class TestValidateOnce:
     def test_predict_checks_each_input_once(self, tmp_path, monkeypatch, capsys):
         # 4 full-length sums: empirical frequencies in the parser and in
         # scoring, utility factors in ChoiceSet, probabilities in the
-        # composition; and one [0, 1] pass, over the utility factors.
+        # composition; and one distribution check, of the utility factors.
         n = 300
         path = tmp_path / "wide.exp"
         path.write_text(_wide_experiment(n), encoding="utf-8")
-        calls = {"sum": 0, "unit": 0}
+        calls = {"sum": 0, "distribution": 0}
 
         def counting(kind, check):
             def wrapper(values, *args, **kwargs):
@@ -195,10 +195,10 @@ class TestValidateOnce:
             return wrapper
 
         monkeypatch.setattr(_checks, "sum_deviation", counting("sum", _checks.sum_deviation))
-        monkeypatch.setattr(_checks, "unit_interval", counting("unit", _checks.unit_interval))
+        monkeypatch.setattr(_checks, "distribution", counting("distribution", _checks.distribution))
         assert main(["predict", str(path)]) == 0
         assert "max |error|" in capsys.readouterr().out
-        assert calls == {"sum": 4, "unit": 1}
+        assert calls == {"sum": 4, "distribution": 1}
 
 
 class TestAttractionSet:
@@ -284,6 +284,20 @@ class TestVerify:
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "coin-flip"]) == 1
+
+    @pytest.mark.parametrize("suite", sorted(cli.MAX_SAMPLES))
+    def test_samples_above_the_cap(self, suite, monkeypatch, capsys):
+        def unused(*args, **kwargs):
+            raise AssertionError("suite run for a rejected --samples")
+
+        monkeypatch.setattr(cli, "run_suite", unused)
+        n = cli.MAX_SAMPLES[suite] + 1
+        assert main(["verify", suite, "--samples", str(n)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: --samples must be <= {cli.MAX_SAMPLES[suite]} for {suite}, got {n}"
+        ]
+        assert captured.out == ""
 
     def test_record_carries_statistics(self, capsys):
         assert main(["verify", "quarter-law", "--samples", "10000", "--format", "record"]) == 0

@@ -23,7 +23,6 @@ from qchoice import (
     derive_utility_factors,
     input_digest,
     list_bundled_experiments,
-    load_experiment,
     parse_experiment,
     run_prediction,
 )
@@ -419,6 +418,11 @@ class TestConfigSection:
         assert exp.utility(F(-7, 2)) == F(-7, 2)
 
 
+def load_experiment(path):
+    """A file read and parsed as ``qchoice predict PATH`` does."""
+    return parse_experiment(experiments.read_experiment_text(path), source=str(path))
+
+
 class TestLoadExperiment:
     def test_round_trip_through_disk(self, tmp_path):
         p = tmp_path / "demo.exp"
@@ -428,13 +432,13 @@ class TestLoadExperiment:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ExperimentFormatError, match="cannot read experiment file"):
-            load_experiment(tmp_path / "absent.exp")
+            experiments.read_experiment_text(tmp_path / "absent.exp")
         with pytest.raises(ExperimentFormatError, match="cannot read experiment file"):
-            load_experiment(tmp_path)
+            experiments.read_experiment_text(tmp_path)
         latin1 = tmp_path / "latin1.exp"
         latin1.write_bytes(b"name: caf\xe9\n")
         with pytest.raises(ExperimentFormatError, match="cannot read experiment file"):
-            load_experiment(latin1)
+            experiments.read_experiment_text(latin1)
 
     def test_error_names_the_file(self, tmp_path):
         p = tmp_path / "broken.exp"

@@ -45,7 +45,6 @@ PUBLIC_NAMES = [
     "information_functional_losses",
     "input_digest",
     "list_bundled_experiments",
-    "load_experiment",
     "normalize_prospect_set",
     "ordered_uniform_gap_check",
     "parse_experiment",
@@ -71,7 +70,7 @@ PUBLIC_NAMES = [
 
 
 def test_all_is_pinned_and_resolves():
-    assert len(PUBLIC_NAMES) == 55
+    assert len(PUBLIC_NAMES) == 54
     assert sorted(qchoice.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(qchoice, name) is not None, name
@@ -93,6 +92,14 @@ def test_parameters_are_pinned():
 def test_run_record_fields_are_pinned():
     fields = [field.name for field in dataclasses.fields(qchoice.RunRecord)]
     assert fields == ["command", "input_digest", "seeds", "report", "statistics"]
+
+
+def test_ladder_is_its_values():
+    # The gap and top rung are ``attraction_gap`` and ``attraction_qmax``.
+    fields = [field.name for field in dataclasses.fields(qchoice.AttractionSet)]
+    assert fields == ["values"]
+    for name in ("delta", "q_max", "as_floats", "n_prospects"):
+        assert not hasattr(qchoice.AttractionSet, name), name
 
 
 def test_report_fields_are_pinned():

@@ -286,6 +286,12 @@ class TestProbabilitySplit:
         with pytest.raises(ValidationError, match="inconsistent"):
             prospect_probability(rho, Prospect(0, [1.0, 0.0]), (4, 2))
 
+    @pytest.mark.parametrize("dims", [("x",), None, ("a", "b")])
+    def test_dims_must_be_a_pair_of_integers(self, dims):
+        rho = random_density_operator(6, 0)
+        with pytest.raises(ValidationError, match="^register dimensions must be a pair of integers"):
+            prospect_probability(rho, Prospect(0, [1.0, 0.0]), dims)
+
     @pytest.mark.parametrize(
         "p, f, q", [("a", 0.0, 0.0), (True, True, 0), (0.5, "0.5", 0.0), (0.0, 0.0, None)]
     )
@@ -433,6 +439,24 @@ class TestDecohere:
         with pytest.raises(ValidationError, match="block"):
             decohere(rho, 0.5, block_dims=(4, 2))
 
+    @pytest.mark.parametrize(
+        "block_dims, message",
+        [
+            (("x",), "^block dimensions must be a pair of integers, got \\('x',\\)$"),
+            ((2.0, 6), "^choice dimension must be an integer, got 2.0$"),
+        ],
+    )
+    def test_block_dims_must_be_integers(self, block_dims, message):
+        rho = random_density_operator(12, 0)
+        with pytest.raises(ValidationError, match=message):
+            decohere(rho, 0.5, block_dims=block_dims)
+
+    @pytest.mark.parametrize("damping", ["0.5", True, "x"])
+    def test_damping_must_be_a_real_number(self, damping):
+        rho = random_density_operator(4, 0)
+        with pytest.raises(ValidationError, match="^damping must be a real number"):
+            decohere(rho, damping)
+
     def test_result_remains_valid_density(self):
         rho = random_density_operator(8, 2)
         for d in np.linspace(0.0, 1.0, 6):
@@ -521,6 +545,15 @@ class TestBatchedKernels:
         rhos, _ = random_prospect_draws(count, dims, seed)
         for matrix in rhos:
             DensityOperator(matrix.copy())
+
+    def test_kernels_refuse_a_malformed_register(self):
+        rho = random_density_operator(12, 0)
+        with pytest.raises(ValidationError, match="^choice dimension must be >= 1, got -2$"):
+            random_prospect_draws(2, (-2, -3), 0)
+        with pytest.raises(ValidationError, match="^register dimensions must be a pair of integers"):
+            split(rho.matrix[None], np.ones(3), ("x",))
+        with pytest.raises(ValidationError, match="^choice dimension must be >= 1, got -2$"):
+            prospect_projector_stack(np.ones((1, 3)), 0, (-2, -3))
 
     def test_stacked_trace_rule_matches_expectation(self):
         rng = np.random.default_rng(5)

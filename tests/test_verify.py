@@ -73,6 +73,10 @@ class TestQuantumIdentity:
         with pytest.raises(ValidationError, match="draw count"):
             verify_quantum_identity(draws=0)
 
+    def test_rejects_a_malformed_register(self):
+        with pytest.raises(ValidationError, match="^choice dimension must be >= 1, got -2$"):
+            verify_quantum_identity(3, 0, (-2, -3))
+
 
 class TestRunSuite:
     def test_dispatch_by_name(self):

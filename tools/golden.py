@@ -2,8 +2,7 @@
 
 Usage, from the root of a qchoice checkout::
 
-    PYTHONPATH=src python3 tools/golden.py --write   # regenerate the manifest
-    PYTHONPATH=src python3 tools/golden.py           # list invocations that differ
+    PYTHONPATH=src python3 tools/golden.py --write
 
 ``tests/golden/manifest.json`` maps each invocation of ``qchoice`` (run in
 process through ``main(argv)``) to its exit code, stdout and stderr, and
@@ -15,7 +14,7 @@ the ``run at`` timestamp of a ``predict`` table, and the directory the
 to.  The manifest records the Python, numpy and PyYAML versions it was
 written under; ``tests/test_golden.py`` checks every entry and the
 versions.  A change that means to alter an output regenerates the
-manifest and names every changed invocation.
+manifest and names every changed invocation (``git diff`` shows them).
 """
 from __future__ import annotations
 
@@ -148,22 +147,16 @@ def collect() -> list[dict]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--write", action="store_true", help=f"rewrite {MANIFEST.relative_to(ROOT)}")
-    args = parser.parse_args(argv)
+    parser.add_argument(
+        "--write", action="store_true", required=True, help=f"rewrite {MANIFEST.relative_to(ROOT)}"
+    )
+    parser.parse_args(argv)
     entries = collect()
-    if args.write:
-        MANIFEST.parent.mkdir(parents=True, exist_ok=True)
-        manifest = {"versions": versions(), "entries": entries}
-        MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
-        print(f"wrote {len(entries)} entries to {MANIFEST.relative_to(ROOT)}")
-        return 0
-    old = json.loads(MANIFEST.read_text(encoding="utf-8"))["entries"]
-    differ = [b.get("demo") or " ".join(b["argv"]) for a, b in zip(old, entries) if a != b]
-    if len(old) != len(entries):
-        differ.append(f"{len(old)} stored entries, {len(entries)} now")
-    for line in differ:
-        print("differs:", line)
-    return 1 if differ else 0
+    MANIFEST.parent.mkdir(parents=True, exist_ok=True)
+    manifest = {"versions": versions(), "entries": entries}
+    MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(entries)} entries to {MANIFEST.relative_to(ROOT)}")
+    return 0
 
 
 if __name__ == "__main__":
