@@ -32,13 +32,13 @@ timestamp appears only in the human-readable table of ``predict``.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 import reprlib
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 import yaml
@@ -453,6 +453,62 @@ def _report_payload(report: PredictionReport) -> dict:
     return payload
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json(value, pad: str = "") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2, default=float)``, nested
+    at indent ``pad``, byte for byte for every value a record holds (dict
+    keys must be ``str``), without the pure-Python encoder ``indent`` selects."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = sep.join(f"{_json_str(k)}: {_json(v, inner)}" for k, v in sorted(value.items()))
+        return f"{{\n{inner}{items}\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return f"[\n{inner}{_json_items(value, sep, inner)}\n{pad}]"
+    return _json(float(value), pad)
+
+
+def _json_items(values, sep: str, pad: str) -> str:
+    """The elements of a non-empty list joined by ``sep``; all-``str`` and
+    all-``float`` lists in one join.  A float list equal to its reversed
+    negation, as a ladder is, renders its first half and middle only: the
+    rest mirrors them (``t[1:]`` or ``"-" + t``, exact for non-zero floats,
+    so zeros off the middle take the plain join)."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return sep.join(map(_json_str, values))
+    if kinds == {float}:
+        h = len(values) // 2
+        half = values[:h]
+        if h and 0.0 not in half and values[len(values) - h :] == [-v for v in reversed(half)]:
+            texts = list(map(float.__repr__, values[: len(values) - h]))
+            text = sep.join(texts + [t[1:] if t[0] == "-" else "-" + t for t in reversed(texts[:h])])
+        else:
+            text = sep.join(map(float.__repr__, values))
+        if "n" not in text:  # no nan or inf: a finite repr has no "n"
+            return text
+    return sep.join(_json(v, pad) for v in values)
+
+
 @dataclass(frozen=True)
 class RunRecord:
     """One command invocation with its deterministic payload.
@@ -479,7 +535,7 @@ class RunRecord:
             payload["report"] = _report_payload(self.report)
         if self.statistics is not None:
             payload["statistics"] = self.statistics
-        return json.dumps(payload, sort_keys=True, indent=2, default=float) + "\n"
+        return _json(payload) + "\n"
 
     def to_csv(self) -> str:
         if self.report is None:

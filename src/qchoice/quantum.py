@@ -415,7 +415,10 @@ def decohere_levels(rho: DensityOperator, levels) -> np.ndarray:
     pairs are scaled by the same real factor), keeps the trace of ``rho``
     exactly (the diagonal is copied) and is positive semi-definite.
     """
-    levels = np.asarray(levels, dtype=np.float64)
+    levels = np.asarray(levels)
+    if levels.dtype.kind not in "iuf":  # bool, str, object and complex are not levels
+        raise ValidationError(f"damping levels must be real numbers, got dtype {levels.dtype}")
+    levels = levels.astype(np.float64, copy=False)
     if levels.ndim != 1 or levels.size == 0:
         raise ValidationError(
             f"damping levels must form a non-empty vector, got shape {levels.shape}"
@@ -528,7 +531,7 @@ def decohere(
         within = f"a {rho.dim}-dimensional operator"
         _checks.register(block_dims, rho.matrix.shape, within=within, what="block dimensions")
     damping = _checks.real(damping, what="damping")
-    return _checks.trusted(DensityOperator, matrix=decohere_levels(rho, [damping])[0])
+    return _checks.trusted(DensityOperator, matrix=decohere_levels(rho, [float(damping)])[0])
 
 
 def _check_dim(dim: int) -> None:
@@ -575,16 +578,24 @@ def random_prospect_draws(
     Draw ``k`` takes the state's Gaussians and then the amplitudes from
     the one stream, so the result equals ``count`` alternating calls of
     ``random_density_operator(d, rng)`` and ``sample_inconclusive(b_dim,
-    rng)`` bit for bit; the states are built as one stack.
+    rng)`` bit for bit: one ``standard_normal`` call gives one row per draw,
+    each amplitude row is divided by its 1-D ``np.linalg.norm`` (a batched
+    ``norm(axis=1)`` can differ in the last bit), and a zero row, which
+    ``sample_inconclusive`` redraws, rewinds the stream to the loop below.
     """
     count = _checks.count(count, what="draw count", minimum=1)
     n_dim, b_dim = _checks.register(dims)
     dim = n_dim * b_dim
     _check_dim(dim)
     rng = np.random.default_rng(seed)
-    gaussians = np.empty((count, dim, dim), dtype=np.complex128)
-    coeffs = np.empty((count, b_dim), dtype=np.complex128)
-    for k in range(count):
-        gaussians[k] = _complex_gaussian(rng, (dim, dim))
-        coeffs[k] = sample_inconclusive(b_dim, rng)
-    return _densities_from_gaussians(gaussians), coeffs
+    start = rng.bit_generator.state
+    sq = dim * dim
+    z = rng.standard_normal((count, 2 * sq + 2 * b_dim))
+    raw = z[:, 2 * sq : 2 * sq + b_dim] + 1j * z[:, 2 * sq + b_dim :]
+    norms = np.array([np.linalg.norm(row) for row in raw])
+    if norms.min() > 0.0:
+        gaussians = (z[:, :sq] + 1j * z[:, sq : 2 * sq]).reshape(count, dim, dim)
+        return _densities_from_gaussians(gaussians), raw / norms[:, None]
+    rng.bit_generator.state = start
+    draws = [(_complex_gaussian(rng, (dim, dim)), sample_inconclusive(b_dim, rng)) for _ in range(count)]
+    return _densities_from_gaussians(np.array([g for g, _ in draws])), np.array([a for _, a in draws])

@@ -339,8 +339,16 @@ class TestSimulate:
     def test_malformed_dims(self, capsys):
         assert main(["simulate", "--dims", "3"]) == 1
         assert main(["simulate", "--dims", "a,b"]) == 1
-        assert main(["simulate", "--dims", "0,5"]) == 1
         capsys.readouterr()
+        # The range rule is the register's, reported like the cap above.
+        for dims, message in [
+            ("0,3", "error: choice dimension must be >= 1, got 0"),
+            ("3,-1", "error: inconclusive dimension must be >= 1, got -1"),
+        ]:
+            assert main(["simulate", "--dims", dims]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [message]
+            assert captured.out == ""
 
     def test_sweep_steps_minimum(self, capsys):
         assert main(["simulate", "--sweep-steps", "1"]) == 1

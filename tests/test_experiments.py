@@ -4,9 +4,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import example, given, settings
@@ -26,7 +28,7 @@ from qchoice import (
     parse_experiment,
     run_prediction,
 )
-from qchoice import experiments
+from qchoice import cli, experiments
 from qchoice.cli import main
 
 F = Fraction
@@ -546,6 +548,82 @@ class TestRunRecord:
             rec.to_csv()
 
 
+def json_reference(value) -> str:
+    """What ``RunRecord.to_json`` wrote before it had its own writer."""
+    return json.dumps(value, sort_keys=True, indent=2, default=float)
+
+
+_EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 1e308, -1e308, 5e-324, -5e-324, math.nan, math.inf, -math.inf])
+_FLOATS = _EDGE_FLOATS | st.floats()
+_LEAVES = (
+    _FLOATS
+    | st.fractions()
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | _FLOATS.map(np.float64)
+    | st.booleans().map(np.bool_)
+    | st.none()
+    | st.booleans()
+    | st.integers() | st.sampled_from([10**40, -(10**300)])
+    | st.text()  # non-ASCII and control characters included
+)
+
+
+@st.composite
+def antisymmetric_floats(draw) -> list:
+    """A float list equal to its reversed negation, the shape of a ladder;
+    the first half may hold negatives, signed zeros and non-finite values."""
+    half = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+    half = draw(st.permutations(half + draw(st.lists(_EDGE_FLOATS, max_size=1))))
+    middle = draw(st.sampled_from([[], [0.0], [-0.0]]))
+    return half + middle + [-v for v in reversed(half)]
+
+
+_RECORD_VALUES = st.recursive(
+    _LEAVES | antisymmetric_floats() | st.lists(_FLOATS) | st.lists(st.text()),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    """``RunRecord.to_json`` writes with ``experiments._json``, which must
+    match ``json.dumps(..., sort_keys=True, indent=2, default=float)``
+    byte for byte on every value a record can hold."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_RECORD_VALUES)
+    @example([1.5, 0.0, -1.5])
+    @example([-2.5, -0.0, 2.5])
+    @example([0.0, -0.0])
+    @example([-0.0, 1.0, -1.0, 0.0])
+    @example([math.inf, -math.inf])
+    @example({"b": [], "a": {}, "c": ()})
+    def test_matches_json_dumps(self, value):
+        assert experiments._json(value) == json_reference(value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(antisymmetric_floats())
+    def test_mirrored_lists_match_json_dumps(self, values):
+        assert experiments._json(values) == json_reference(values)
+
+    @staticmethod
+    def check_ladder_record(n):
+        stats = cli._ladder_statistics(n)
+        record = RunRecord(command=f"attraction-set {n}", input_digest=None, seeds=(), statistics=stats)
+        payload = {"command": record.command, "input_digest": None, "seeds": [], "statistics": stats}
+        assert record.to_json() == json_reference(payload) + "\n"
+
+    def test_ladder_records_up_to_500(self):
+        for n in range(1, 501):
+            self.check_ladder_record(n)
+
+    @pytest.mark.parametrize("n", [4999, 5000, 50001])
+    def test_long_ladder_records(self, n):
+        self.check_ladder_record(n)
+
+
 FUZZ_BASE = """\
 name: fuzz
 prospects:
@@ -720,7 +798,7 @@ class TestLibyamlAgreesWithPurePython:
             reference = parse_experiment(text)
         assert repr(parse_experiment(text)) == repr(reference)  # types as well as values
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(decoy_file())
     def test_generated_decoy_files(self, text):
         with pure_python_parser():

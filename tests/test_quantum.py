@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -34,6 +35,11 @@ from qchoice.quantum import (
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def bits(array) -> bytes:
+    """The exact bytes of a complex array, so signed zeros count too."""
+    return np.ascontiguousarray(array, dtype=np.complex128).tobytes()
 
 
 class TestStateVector:
@@ -564,12 +570,30 @@ class TestBatchedKernels:
                 event = prospect_projector(Prospect(n, coeffs[k]), 3, 4)
                 assert values[k] == event.expectation(DensityOperator(rhos[k]))
 
-    def test_prospect_draws_match_scalar_draws(self):
-        rhos, coeffs = random_prospect_draws(5, (4, 3), np.random.default_rng(9))
-        rng = np.random.default_rng(9)
-        for k in range(5):
-            assert np.array_equal(random_density_operator(12, rng).matrix, rhos[k])
-            assert np.array_equal(sample_inconclusive(3, rng), coeffs[k])
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (3, 2), (4, 3), (5, 4), (8, 8)])
+    @pytest.mark.parametrize("count", [1, 16])
+    def test_prospect_draws_match_scalar_draws(self, dims, count):
+        # The one batched draw must reproduce the per-draw loop bit for bit.
+        for seed in (0, 7, 12345):
+            rhos, coeffs = random_prospect_draws(count, dims, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            for k in range(count):
+                assert bits(random_density_operator(dims[0] * dims[1], rng).matrix) == bits(rhos[k])
+                assert bits(sample_inconclusive(dims[1], rng)) == bits(coeffs[k])
+
+    def test_prospect_draws_redraw_a_zero_row(self):
+        # A zero amplitude row in the batch rewinds the generator and takes
+        # the draws one by one, as sample_inconclusive redraws a zero vector.
+        class ZeroRowInBatch(np.random.Generator):
+            def standard_normal(self, size=None, *args, **kwargs):
+                out = super().standard_normal(size, *args, **kwargs)
+                if isinstance(size, tuple) and len(size) == 2 and size[0] == 3:
+                    out[1, -6:] = 0.0
+                return out
+
+        rhos, coeffs = random_prospect_draws(3, (2, 3), ZeroRowInBatch(np.random.PCG64(4)))
+        expected = random_prospect_draws(3, (2, 3), np.random.default_rng(4))
+        assert bits(rhos) == bits(expected[0]) and bits(coeffs) == bits(expected[1])
 
     def test_per_state_coefficients(self):
         rng = np.random.default_rng(2)
@@ -624,6 +648,18 @@ class TestBatchedKernels:
             decohere_levels(rho, [])
         with pytest.raises(ValidationError, match="non-empty vector"):
             decohere_levels(rho, 0.5)
+
+    @pytest.mark.parametrize("levels", [["0.5", True], [True], ["x"], [0.5j], [F(1, 2)]])
+    def test_decohere_levels_refuses_non_real_levels(self, levels):
+        # Strings and bools used to pass through np.asarray(dtype=float64).
+        rho = random_density_operator(4, 0)
+        with pytest.raises(ValidationError, match="^damping levels must be real numbers, got dtype "):
+            decohere_levels(rho, levels)
+
+    def test_decohere_takes_exact_and_integer_damping(self):
+        rho = random_density_operator(4, 0)
+        assert np.array_equal(decohere(rho, F(1, 2)).matrix, decohere_levels(rho, [0.5])[0])
+        assert np.array_equal(decohere_levels(rho, [0, 1]), decohere_levels(rho, [0.0, 1.0]))
 
     def test_decohere_levels_is_read_only(self):
         stack = decohere_levels(random_density_operator(4, 1), [0.0, 1.0])
