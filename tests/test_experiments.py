@@ -798,7 +798,7 @@ class TestLibyamlAgreesWithPurePython:
             reference = parse_experiment(text)
         assert repr(parse_experiment(text)) == repr(reference)  # types as well as values
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(decoy_file())
     def test_generated_decoy_files(self, text):
         with pure_python_parser():

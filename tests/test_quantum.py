@@ -570,16 +570,20 @@ class TestBatchedKernels:
                 event = prospect_projector(Prospect(n, coeffs[k]), 3, 4)
                 assert values[k] == event.expectation(DensityOperator(rhos[k]))
 
-    @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (3, 2), (4, 3), (5, 4), (8, 8)])
-    @pytest.mark.parametrize("count", [1, 16])
-    def test_prospect_draws_match_scalar_draws(self, dims, count):
-        # The one batched draw must reproduce the per-draw loop bit for bit.
-        for seed in (0, 7, 12345):
-            rhos, coeffs = random_prospect_draws(count, dims, np.random.default_rng(seed))
-            rng = np.random.default_rng(seed)
-            for k in range(count):
-                assert bits(random_density_operator(dims[0] * dims[1], rng).matrix) == bits(rhos[k])
-                assert bits(sample_inconclusive(dims[1], rng)) == bits(coeffs[k])
+    @staticmethod
+    def check_scalar_draws(rhos, coeffs, dims, seed):
+        """The per-draw loop that the one batched draw must reproduce bit for bit."""
+        rng = np.random.default_rng(seed)
+        for k in range(len(rhos)):
+            assert bits(random_density_operator(dims[0] * dims[1], rng).matrix) == bits(rhos[k])
+            assert bits(sample_inconclusive(dims[1], rng)) == bits(coeffs[k])
+
+    def test_prospect_draws_match_scalar_draws(self):
+        for dims in [(1, 1), (2, 2), (3, 2), (4, 3), (5, 4), (8, 8)]:
+            for count in (1, 16):
+                for seed in (0, 7, 12345):
+                    rhos, coeffs = random_prospect_draws(count, dims, np.random.default_rng(seed))
+                    self.check_scalar_draws(rhos, coeffs, dims, seed)
 
     def test_prospect_draws_redraw_a_zero_row(self):
         # A zero amplitude row in the batch rewinds the generator and takes
@@ -592,8 +596,7 @@ class TestBatchedKernels:
                 return out
 
         rhos, coeffs = random_prospect_draws(3, (2, 3), ZeroRowInBatch(np.random.PCG64(4)))
-        expected = random_prospect_draws(3, (2, 3), np.random.default_rng(4))
-        assert bits(rhos) == bits(expected[0]) and bits(coeffs) == bits(expected[1])
+        self.check_scalar_draws(rhos, coeffs, (2, 3), 4)
 
     def test_per_state_coefficients(self):
         rng = np.random.default_rng(2)
