@@ -41,8 +41,8 @@ from .verify import SUITE_NAMES, run_suite
 #: 10**6 takes about 2.0 s and a 270 MB peak on a 2-CPU container, and
 #: both grow linearly in N.
 MAX_PROSPECTS = 1_000_000
-#: Most damping levels one ``simulate`` sweep holds: 10,000 levels at
-#: dims (64,1) take about 6 s and 360 MB, and the record grows linearly.
+#: Most damping levels one ``simulate`` sweep holds: the record of 10,000 levels at
+#: dims (64,1) takes about 3 s and a 215 MB peak on a 2-CPU container, growing linearly.
 MAX_SWEEP_STEPS = 10_000
 #: Most ``--samples`` each ``verify`` suite takes (the library sets no
 #: bound): 4.5 to 5.9 s at each cap, with a peak under 80 MB, on a 2-CPU
@@ -271,11 +271,11 @@ def verify(suite: str, samples: int | None, seed: int, fmt: str, out: str | None
 def _parse_dims(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise click.UsageError(f"--dims expects 'A,B', got {text!r}")
+        raise ValidationError(f"--dims expects 'A,B', got {text!r}")
     try:
         n_dim, b_dim = (int(p) for p in parts)
     except ValueError:
-        raise click.UsageError(f"--dims expects two integers, got {text!r}")
+        raise ValidationError(f"--dims expects two integers, got {text!r}") from None
     return n_dim, b_dim
 
 

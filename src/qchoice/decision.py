@@ -201,31 +201,25 @@ def _clip_to_bounds(f: Sequence, q: list) -> tuple[list, bool]:
     n = len(f)
     lo = [-x for x in f]
     hi = [1 - x for x in f]
-    pinned = [False] * n
-    clamped_any = False
+    free = range(n)  # indices not yet pinned to a bound, in index order
     eps = min(_checks.RESIDUAL_EPS * n, _checks.SUM_TOL)
 
     for _ in range(n + 2):
-        for i in range(n):
-            if pinned[i]:
-                continue
+        still_free = []
+        for i in free:
             if q[i] < lo[i]:
                 q[i] = lo[i]
-                pinned[i] = True
-                clamped_any = True
             elif q[i] > hi[i]:
                 q[i] = hi[i]
-                pinned[i] = True
-                clamped_any = True
+            else:
+                still_free.append(i)
+        free = still_free
         residual = -_checks.total(q)
-        if abs(residual) <= eps:
-            return q, clamped_any
-        free = [i for i in range(n) if not pinned[i]]
+        # ``f`` was accepted with its sum up to ``SUM_TOL`` off 1, so a
+        # fully pinned ``q`` may miss zero by as much.
+        if abs(residual) <= (eps if free else _checks.SUM_TOL):
+            return q, len(free) < n
         if not free:
-            # ``f`` was accepted with its sum up to ``SUM_TOL`` off 1, so a
-            # fully pinned ``q`` may miss zero by as much.
-            if abs(residual) <= _checks.SUM_TOL:
-                return q, clamped_any
             raise InfeasibleBoundsError(
                 f"all {n} attraction values are pinned at their bounds but the "
                 f"sum misses zero by {float(residual)!r}"

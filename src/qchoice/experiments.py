@@ -59,6 +59,7 @@ from .utility import (
 )
 
 _TOP_LEVEL_FIELDS = {"name", "prospects", "attractiveness_rank", "empirical", "config"}
+_PROSPECT_FIELDS = {"id", "utility", "f"}
 _CONFIG_FIELDS = {"alpha", "gamma", "utility_kind", "utility_exponent"}
 #: A report's per-prospect columns, in the order of the CSV and of the
 #: ``predict`` table; the last two need ``empirical``.
@@ -194,73 +195,64 @@ def _load(text: str, source: str):
         ) from None
 
 
+def _known_fields(mapping: dict, allowed, prefix: str) -> None:
+    # Keys may be any YAML scalar (null, numbers, dates), so sort their text.
+    extra = sorted(str(k) for k in mapping if k not in allowed)
+    if extra:
+        raise ExperimentFormatError(f"{prefix} unknown field(s) {reprlib.repr(extra)}")
+
+
+def _nonempty_text(value, what: str) -> str:
+    if not isinstance(value, str) or not value.strip():
+        raise ExperimentFormatError(f"{what} must be a non-empty string")
+    return value
+
+
 def _experiment(doc, source: str) -> ExperimentFile:
     if not isinstance(doc, dict):
         raise ExperimentFormatError(f"{source}: top level must be a mapping")
-    # Keys may be any YAML scalar (null, numbers, dates), so sort their text.
-    unknown = sorted(str(k) for k in doc if k not in _TOP_LEVEL_FIELDS)
-    if unknown:
-        raise ExperimentFormatError(f"{source}: unknown field(s) {reprlib.repr(unknown)}")
-
-    name = doc.get("name")
-    if not isinstance(name, str) or not name.strip():
-        raise ExperimentFormatError(f"{source}: field 'name' must be a non-empty string")
+    _known_fields(doc, _TOP_LEVEL_FIELDS, f"{source}:")
+    name = _nonempty_text(doc.get("name"), f"{source}: field 'name'")
 
     prospects = doc.get("prospects")
     if not isinstance(prospects, list) or len(prospects) == 0:
         raise ExperimentFormatError(
             f"{source}: field 'prospects' must be a non-empty list"
         )
-    ids: list[str] = []
-    utilities: list[Fraction] = []
-    factors: list[Fraction] = []
+    # Prospect id -> its utility or f, in file order; ``kind`` names which.
+    values: dict[str, Fraction] = {}
     kind: str | None = None
     for k, entry in enumerate(prospects):
         where = f"{source}: prospects[{k}]"
         if not isinstance(entry, dict):
             raise ExperimentFormatError(f"{where} must be a mapping")
-        extra = sorted(str(k) for k in entry if k not in ("id", "utility", "f"))
-        if extra:
-            raise ExperimentFormatError(
-                f"{where} has unknown field(s) {reprlib.repr(extra)}"
-            )
-        pid = entry.get("id")
-        if not isinstance(pid, str) or not pid.strip():
-            raise ExperimentFormatError(f"{where}.id must be a non-empty string")
-        if pid in ids:
+        _known_fields(entry, _PROSPECT_FIELDS, f"{where} has")
+        pid = _nonempty_text(entry.get("id"), f"{where}.id")
+        if pid in values:
             raise ExperimentFormatError(f"{source}: duplicate prospect id {pid!r}")
-        ids.append(pid)
-        has_u = "utility" in entry
-        has_f = "f" in entry
-        if has_u == has_f:
+        if ("utility" in entry) == ("f" in entry):
             raise ExperimentFormatError(
                 f"{where} must carry exactly one of 'utility' or 'f'"
             )
-        this_kind = "utility" if has_u else "f"
-        if kind is None:
-            kind = this_kind
-        elif kind != this_kind:
+        field = "utility" if "utility" in entry else "f"
+        kind = kind or field
+        if field != kind:
             raise ExperimentFormatError(
                 f"{source}: prospects mix 'utility' and 'f' entries; use one kind"
             )
-        if has_u:
-            utilities.append(_require_number(entry["utility"], field=f"{where}.utility"))
-        else:
-            value = _require_number(entry["f"], field=f"{where}.f")
-            if not 0 <= value <= 1:
-                raise ExperimentFormatError(
-                    f"{where}.f must lie in [0, 1], got {value}"
-                )
-            factors.append(value)
+        value = _require_number(entry[field], field=f"{where}.{field}")
+        if field == "f" and not 0 <= value <= 1:
+            raise ExperimentFormatError(f"{where}.f must lie in [0, 1], got {value}")
+        values[pid] = value
     if kind == "f":
-        total, deviation = _checks.sum_deviation(factors, 1)
+        total, deviation = _checks.sum_deviation(values.values(), 1)
         if deviation > _checks.SUM_TOL:
             raise ExperimentFormatError(
                 f"{source}: prospect 'f' values must sum to 1, got {float(total)!r}"
             )
 
     rank = doc.get("attractiveness_rank")
-    if not isinstance(rank, list) or sorted(str(r) for r in rank) != sorted(ids):
+    if not isinstance(rank, list) or sorted(str(r) for r in rank) != sorted(values):
         raise ExperimentFormatError(
             f"{source}: field 'attractiveness_rank' must list every prospect id "
             f"exactly once, got {reprlib.repr(rank)}"
@@ -280,7 +272,8 @@ def _experiment(doc, source: str) -> ExperimentFile:
                     f"{where} must be a mapping with fields 'id' and 'frequency'"
                 )
             pid = entry["id"]
-            if pid not in ids:
+            # Prospect ids are strings: nothing else matches, and a list would not hash.
+            if not isinstance(pid, str) or pid not in values:
                 raise ExperimentFormatError(
                     f"{where}.id {reprlib.repr(pid)} does not match any prospect"
                 )
@@ -291,7 +284,7 @@ def _experiment(doc, source: str) -> ExperimentFile:
             if not 0 <= value <= high:
                 raise ExperimentFormatError(f"{where}.frequency must be >= 0 and <= {high}")
             freq_by_id[pid] = value
-        missing = [pid for pid in ids if pid not in freq_by_id]
+        missing = [pid for pid in values if pid not in freq_by_id]
         if missing:
             raise ExperimentFormatError(
                 f"{source}: empirical frequencies missing for {reprlib.repr(missing)}"
@@ -302,7 +295,7 @@ def _experiment(doc, source: str) -> ExperimentFile:
                 f"{source}: empirical frequencies must sum to 1 within "
                 f"{_checks.EMPIRICAL_SUM_TOL}, got {float(total)!r}"
             )
-        empirical = tuple(freq_by_id[pid] for pid in ids)
+        empirical = tuple(freq_by_id[pid] for pid in values)
 
     alpha = Fraction(1)
     gamma = Fraction(1)
@@ -311,11 +304,7 @@ def _experiment(doc, source: str) -> ExperimentFile:
     if config is not None:
         if not isinstance(config, dict):
             raise ExperimentFormatError(f"{source}: field 'config' must be a mapping")
-        extra = sorted(str(k) for k in config if k not in _CONFIG_FIELDS)
-        if extra:
-            raise ExperimentFormatError(
-                f"{source}: config has unknown field(s) {reprlib.repr(extra)}"
-            )
+        _known_fields(config, _CONFIG_FIELDS, f"{source}: config has")
         alpha = _positive_setting(config, "alpha", source)
         gamma = _positive_setting(config, "gamma", source)
         util_kind = config.get("utility_kind", "linear")
@@ -331,11 +320,12 @@ def _experiment(doc, source: str) -> ExperimentFile:
                 f"{source}: config.utility_exponent requires utility_kind: power"
             )
 
+    given = tuple(values.values())
     return ExperimentFile(
         name=name.strip(),
-        prospect_ids=tuple(ids),
-        utilities=tuple(utilities) if kind == "utility" else None,
-        utility_factors=tuple(factors) if kind == "f" else None,
+        prospect_ids=tuple(values),
+        utilities=given if kind == "utility" else None,
+        utility_factors=given if kind == "f" else None,
         attractiveness_rank=tuple(rank),
         empirical=empirical,
         alpha=alpha,

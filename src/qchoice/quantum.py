@@ -452,9 +452,9 @@ def prospect_probability(
     ``conj(b_alpha) b_beta <n alpha|rho|n beta>`` for ``alpha != beta``,
     and ``p`` is the block's quadratic form ``<b|block|b>``.  An imaginary
     residue above 1e-10 raises, which catches malformed operators early,
-    and ``p = f + q`` is asserted to 1e-12.  The independent full-matrix
-    route, ``Tr(rho |pi><pi|)`` with ``prospect_projector``, is what
-    ``verify quantum-identity`` compares ``p`` against.
+    and ``p = f + q`` is asserted to 1e-12.  ``verify quantum-identity``
+    checks ``p`` against the independent full-matrix route,
+    ``Tr(rho |pi><pi|)`` through ``prospect_projector_stack`` and ``trace_rule``.
     """
     b_dim = _fit(prospect, dims, rho.matrix.shape, f"a {rho.dim}-dimensional state")[1]
     block = _block(prospect.choice_index, b_dim)

@@ -119,9 +119,12 @@ def utility_factors_losses(utilities: Sequence, gamma: Real = 1) -> list:
 
 
 def _shares(weights: list, rule: str) -> list:
-    """Each weight over their total.  A total of zero, which only weights
-    that underflow floating point leave, raises ``DegenerateSetError``."""
+    """Each weight over their total.  A float total past the double range
+    raises ``ValidationError``; a total of zero, which only weights that
+    underflow floating point leave, raises ``DegenerateSetError``."""
     total = sum(weights)
+    if not isinstance(total, Rational) and not math.isfinite(total):
+        raise ValidationError(f"the sum of the {rule} weights overflows floating point")
     if total == 0:
         raise DegenerateSetError(
             f"every {rule} weight underflows floating point to zero; "

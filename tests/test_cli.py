@@ -153,6 +153,19 @@ class TestInputErrors:
         )
         _assert_one_error_line(["predict", str(path)], capsys)
 
+    def test_weight_total_overflow(self, tmp_path, capsys):
+        # Each powered utility is finite; their float sum is not.
+        path = tmp_path / "wide.exp"
+        path.write_text(
+            DEMO.replace("f: 0.4", "utility: 1e300").replace("f: 0.6", "utility: 1e300")
+            + "config:\n  utility_kind: power\n  utility_exponent: 1.0266\n",
+            encoding="utf-8",
+        )
+        assert main(["predict", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: the sum of the gains weights overflows floating point\n"
+        assert captured.out == ""
+
     def test_underflowing_utility_weights(self, tmp_path, capsys):
         path = tmp_path / "tiny.exp"
         path.write_text(
@@ -337,11 +350,12 @@ class TestSimulate:
         assert captured.out == ""
 
     def test_malformed_dims(self, capsys):
-        assert main(["simulate", "--dims", "3"]) == 1
-        assert main(["simulate", "--dims", "a,b"]) == 1
-        capsys.readouterr()
-        # The range rule is the register's, reported like the cap above.
+        # The range rule is the register's, reported like the cap above;
+        # malformed text ends in one ``error:`` line too, not a usage block.
         for dims, message in [
+            ("2,3,", "error: --dims expects 'A,B', got '2,3,'"),
+            ("3", "error: --dims expects 'A,B', got '3'"),
+            ("a,b", "error: --dims expects two integers, got 'a,b'"),
             ("0,3", "error: choice dimension must be >= 1, got 0"),
             ("3,-1", "error: inconclusive dimension must be >= 1, got -1"),
         ]:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from qchoice import (
     regularity_violation_check,
     score_against_empirical,
 )
+from qchoice import _checks
+from qchoice.decision import _clip_to_bounds
 
 F = Fraction
 
@@ -535,3 +538,112 @@ def test_infeasible_error_is_exported():
     # path needs a larger miss, which the public constructors reject.
     # The type stays part of the contract.
     assert issubclass(InfeasibleBoundsError, Exception)
+
+
+# The bounds loop as it stood when it kept a ``pinned`` list and a
+# ``clamped_any`` flag, verbatim but for its name: the reference that the
+# one-free-list loop must match bit for bit.
+def _reference_clip(f: Sequence, q: list) -> tuple[list, bool]:
+    """``enforce_bounds`` on checked inputs; adjusts ``q`` in place.
+
+    The output needs no check: each value ends inside its bounds (clamped
+    onto one, or tested against both in the final round), and the loop
+    stops only once ``|sum(q)| <= min(RESIDUAL_EPS * N, SUM_TOL)``, or
+    within ``SUM_TOL`` once every value is pinned.
+    """
+    n = len(f)
+    lo = [-x for x in f]
+    hi = [1 - x for x in f]
+    pinned = [False] * n
+    clamped_any = False
+    eps = min(_checks.RESIDUAL_EPS * n, _checks.SUM_TOL)
+
+    for _ in range(n + 2):
+        for i in range(n):
+            if pinned[i]:
+                continue
+            if q[i] < lo[i]:
+                q[i] = lo[i]
+                pinned[i] = True
+                clamped_any = True
+            elif q[i] > hi[i]:
+                q[i] = hi[i]
+                pinned[i] = True
+                clamped_any = True
+        residual = -_checks.total(q)
+        if abs(residual) <= eps:
+            return q, clamped_any
+        free = [i for i in range(n) if not pinned[i]]
+        if not free:
+            # ``f`` was accepted with its sum up to ``SUM_TOL`` off 1, so a
+            # fully pinned ``q`` may miss zero by as much.
+            if abs(residual) <= _checks.SUM_TOL:
+                return q, clamped_any
+            raise InfeasibleBoundsError(
+                f"all {n} attraction values are pinned at their bounds but the "
+                f"sum misses zero by {float(residual)!r}"
+            )
+        share = residual / len(free)
+        for i in free:
+            q[i] = q[i] + share
+    raise InfeasibleBoundsError(
+        "bounds enforcement did not settle; inputs violate the "
+        "probability constraints in an unrecoverable way"
+    )
+
+
+def _clip_outcome(clip, f, q):
+    """What ``clip`` makes of copies of ``f`` and ``q``: every value of ``q``
+    (a float by its bits) and the flag, or the exception's class and text."""
+    try:
+        out, clamped = clip(list(f), list(q))
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [v.hex() if isinstance(v, float) else (type(v), v) for v in out], type(clamped), clamped
+
+
+def _random_clip_input(rng):
+    """Factors with zeros, ones and sums up to 2 * ``SUM_TOL`` off 1, exact or
+    float, and attraction values that are a shuffled ladder, a random
+    zero-sum vector or values right on a bound."""
+    n = rng.choice([1, 2, 2, 3, 3, 4, 5, 6, 8, 13])
+    weights = [rng.choice([0, 1, rng.randint(1, 60)]) for _ in range(n)]
+    if not any(weights) or rng.random() < 0.1:
+        weights = [0] * n
+        weights[rng.randrange(n)] = 1
+    f = [F(w, sum(weights)) for w in weights]
+    exact = rng.random() < 0.5
+    if not exact:
+        f = [float(x) for x in f]
+    edge = rng.choice([0, 0, 0, 1, -1, F(1, 2), F(-1, 2), 2, -2])
+    k = rng.randrange(n)
+    f[k] += edge * F(1, 10**9) if exact else float(edge) * _checks.SUM_TOL
+    shape = rng.choice(["ladder", "zero-sum", "on-bound"])
+    if shape == "ladder":
+        q = list(quantized_attraction_set(n).values)
+        rng.shuffle(q)
+    elif shape == "zero-sum":
+        raw = [F(rng.randint(-120, 120), rng.choice([7, 10, 100])) for _ in range(n)]
+        q = [r - sum(raw) / n for r in raw]
+    else:
+        q = [rng.choice([-x, 1 - x, 0 * x]) for x in f]
+        q[rng.randrange(n)] -= sum(q)
+    if not exact and rng.random() < 0.7:
+        q = [float(v) for v in q]  # otherwise exact rungs meet float factors
+    return f, q
+
+
+def test_clipping_matches_the_reference_loop_bit_for_bit():
+    import random
+
+    rng = random.Random(20161)
+    outcomes = {"raised": 0, "clamped": 0, "untouched": 0}
+    for _ in range(2000):
+        f, q = _random_clip_input(rng)
+        new = _clip_outcome(_clip_to_bounds, f, q)
+        assert new == _clip_outcome(_reference_clip, f, q), (f, q)
+        if len(new) == 2:
+            outcomes["raised"] += 1
+        else:
+            outcomes["clamped" if new[2] else "untouched"] += 1
+    assert min(outcomes.values()) >= 30, outcomes

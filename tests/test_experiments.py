@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import math
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -358,6 +359,13 @@ class TestEmpiricalSection:
         with pytest.raises(ExperimentFormatError, match="does not match any prospect"):
             parse_experiment(self.with_empirical("  - {id: zz, frequency: 1}\n"))
 
+    @pytest.mark.parametrize("pid, shown", [("[a]", "['a']"), ("{a: 1}", "{'a': 1}"), ("1", "1")])
+    def test_id_that_is_not_text(self, pid, shown):
+        # A list or mapping id cannot be looked up by hash; it matches no prospect.
+        with pytest.raises(ExperimentFormatError) as err:
+            parse_experiment(self.with_empirical(f"  - {{id: {pid}, frequency: 1}}\n"))
+        assert str(err.value) == f"<string>: empirical[0].id {shown} does not match any prospect"
+
     def test_duplicate_id(self):
         body = "  - {id: a, frequency: 0.5}\n  - {id: a, frequency: 0.5}\n"
         with pytest.raises(ExperimentFormatError, match="duplicate empirical id"):
@@ -382,6 +390,23 @@ class TestEmpiricalSection:
         bad = "  - {id: a, frequency: 0.4}\n  - {id: b, frequency: 0.4}\n"
         with pytest.raises(ExperimentFormatError, match="must sum to 1 within"):
             parse_experiment(self.with_empirical(bad))
+
+
+def test_reading_is_linear_in_the_prospects():
+    # Built as a dict, so only the walk over the fields is timed, not YAML.
+    n = 20_000
+    ids = [f"p{k}" for k in range(n)]
+    doc = {
+        "name": "wide",
+        "prospects": [{"id": pid, "f": F(1, n)} for pid in ids],
+        "attractiveness_rank": ids[::-1],
+        "empirical": [{"id": pid, "frequency": F(1, n)} for pid in reversed(ids)],
+    }
+    start = time.perf_counter()
+    exp = experiments._experiment(doc, "<dict>")
+    assert time.perf_counter() - start < 2.0
+    assert exp.prospect_ids == tuple(ids)
+    assert exp.utility_factors == exp.empirical == (F(1, n),) * n
 
 
 class TestConfigSection:

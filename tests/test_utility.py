@@ -142,6 +142,16 @@ class TestGainsFactors:
         with pytest.raises(DegenerateSetError, match="underflows"):
             utility_factors_gains(tiny, alpha=F(1, 2))
 
+    def test_weight_total_past_the_double_range_rejected(self):
+        # Each weight is finite; their float sum is not.
+        with pytest.raises(ValidationError, match="sum of the gains weights overflows floating point"):
+            utility_factors_gains([1e308, 1e308])
+        with pytest.raises(ValidationError, match="sum of the losses weights overflows floating point"):
+            utility_factors_losses([-1e-308, -1e-308, -1e-320])
+        # An exact total is left alone, however far past the double range.
+        assert utility_factors_gains([F(2) ** 1023] * 4) == [F(1, 4)] * 4
+        assert utility_factors_gains([F(2) ** 512] * 2, alpha=2) == [F(1, 2)] * 2
+
     def test_unit_alpha_matches_plain_ratio_exactly(self):
         u = [0.7, 1.9, 0.3, 4.2]
         assert utility_factors_gains(u, 1) == [x / sum(u) for x in u]
