@@ -16,7 +16,7 @@ import numpy as np
 from . import _checks, quantum
 from .attraction import gap_and_top, ladder_numerators
 from .decision import PredictionReport, regularity_verdict
-from .errors import QChoiceError, ValidationError, VerificationFailure
+from .errors import ExperimentFormatError, QChoiceError, ValidationError, VerificationFailure
 from .experiments import (
     ExperimentFile,
     RunRecord,
@@ -98,8 +98,8 @@ def _format_option(*formats: str):
 
 _out_option = click.option(
     "--out",
-    type=click.Path(dir_okay=False, writable=True),
     default=None,
+    metavar="FILE",
     help="also write the machine-readable run record (JSON) to this path",
 )
 
@@ -162,7 +162,7 @@ def predict(experiment_file: str, fmt: str, out: str | None) -> None:
             text = bundled_experiment_text(stem)
             source = f"bundled:{stem}"
         else:
-            raise click.ClickException(
+            raise ExperimentFormatError(
                 f"{experiment_file!r} is neither a file nor a bundled experiment "
                 f"(bundled: {', '.join(sorted(bundled))})"
             )

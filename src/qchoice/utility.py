@@ -27,15 +27,20 @@ from .errors import DegenerateSetError, SignDomainError, ValidationError
 
 
 def _power(base, exponent, *, what: str):
-    """``base ** exponent``; ``ValidationError`` if a float result overflows, or
-    if an exact one, which could take unbounded time to build, passes 2 ** +-1024."""
+    """``base ** exponent``: ``base`` at exponent 1 and ``1 / base`` at -1, with no size
+    guard; otherwise ``ValidationError`` if a float result overflows (or divides by zero),
+    or if an exact one, which could take unbounded time to build, passes 2 ** +-1024."""
+    if exponent == 1:
+        return base
+    if exponent == -1:
+        return 1 / base
     if isinstance(base, Rational) and base != 0 and isinstance(exponent, Rational):
         bits = math.log2(abs(base.numerator)) - math.log2(base.denominator)
         if exponent.denominator == 1 and abs(exponent * bits) > 1024:
             raise ValidationError(f"{what} overflows floating point")
     try:
         return base ** exponent
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         raise ValidationError(f"{what} overflows floating point") from None
 
 
@@ -88,10 +93,7 @@ def utility_factors_gains(utilities: Sequence, alpha: Real = 1) -> list:
         raise DegenerateSetError(
             "all utilities are zero; the gains rule cannot rank them"
         )
-    if alpha == 1:
-        weights = list(values)
-    else:
-        weights = [_power(u, alpha, what="a gains weight") for u in values]
+    weights = [_power(u, alpha, what="a gains weight") for u in values]
     return _shares(weights, "gains")
 
 
@@ -111,10 +113,7 @@ def utility_factors_losses(utilities: Sequence, gamma: Real = 1) -> list:
             raise SignDomainError(
                 f"losses rule needs strictly negative utilities, got {u!r}"
             )
-    if gamma == 1:
-        weights = [1 / abs(u) for u in values]
-    else:
-        weights = [_power(abs(u), -gamma, what="a losses weight") for u in values]
+    weights = [_power(abs(u), -gamma, what="a losses weight") for u in values]
     return _shares(weights, "losses")
 
 

@@ -54,9 +54,10 @@ class TestPredict:
 
     def test_missing_input(self, capsys):
         assert main(["predict", "no-such-file.exp"]) == 1
-        err = capsys.readouterr().err
-        assert "neither a file nor a bundled experiment" in err
-        assert "frogs, microwave" in err
+        assert capsys.readouterr().err == (
+            "error: 'no-such-file.exp' is neither a file nor a bundled experiment "
+            "(bundled: frogs, microwave)\n"
+        )
 
     def test_invalid_file_names_field(self, tmp_path, capsys):
         p = tmp_path / "bad.exp"
@@ -144,6 +145,15 @@ class TestInputErrors:
         target = tmp_path / "no-such-dir" / "run.json"
         _assert_one_error_line(["predict", "microwave", "--out", str(target)], capsys)
 
+    def test_out_is_a_directory(self, tmp_path, capsys):
+        # Refused where the record is written, after the prediction ran.
+        assert main(["predict", "microwave", "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: cannot write run record {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n"
+        )
+        assert captured.out == ""
+
     def test_power_utility_overflow(self, tmp_path, capsys):
         path = tmp_path / "big.exp"
         path.write_text(
@@ -164,6 +174,19 @@ class TestInputErrors:
         assert main(["predict", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: the sum of the gains weights overflows floating point\n"
+        assert captured.out == ""
+
+    def test_losses_weight_overflow(self, tmp_path, capsys):
+        # 1e-900 is read exactly; its float is 0.0, whose power -1/2 divides by zero.
+        path = tmp_path / "tiny-loss.exp"
+        path.write_text(
+            DEMO.replace("f: 0.4", "utility: -1e-900").replace("f: 0.6", "utility: -2")
+            + "config: {gamma: 0.5}\n",
+            encoding="utf-8",
+        )
+        assert main(["predict", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: a losses weight overflows floating point\n"
         assert captured.out == ""
 
     def test_underflowing_utility_weights(self, tmp_path, capsys):
@@ -442,4 +465,6 @@ class TestEntryPoint:
 
     def test_subcommand_help(self, capsys):
         assert main(["predict", "--help"]) == 0
-        assert "bundled" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "bundled" in out
+        assert "--out FILE " in out

@@ -245,6 +245,35 @@ class TestLossesFactors:
         scaled = utility_factors_losses([-scale * m for m in magnitudes], gamma)
         assert scaled == pytest.approx(base, abs=1e-9)
 
+    def test_underflowed_exact_utility_overflows(self):
+        # A fractional power is taken in floating point, where 1/10**400 is
+        # 0.0, and 0.0 ** -0.5 divides by zero: refused like an overflow.
+        with pytest.raises(ValidationError, match="a losses weight overflows floating point"):
+            utility_factors_losses([F(-1, 10**400), -2], F(1, 2))
+
+
+class TestUnitExponents:
+    """Exponent 1 (and -1 for losses) leaves each utility as it is."""
+
+    @pytest.mark.parametrize("exponent", [1, F(1), 1.0])
+    def test_exact_shares_stay_exact(self, exponent):
+        gains = utility_factors_gains([F(1), F(3)], exponent)
+        losses = utility_factors_losses([F(-1), F(-3)], exponent)
+        assert gains == [F(1, 4), F(3, 4)] and losses == [F(3, 4), F(1, 4)]
+        assert all(type(x) is F for x in gains + losses)
+
+    @pytest.mark.parametrize("exponent", [1, F(1), 1.0])
+    def test_float_shares_stay_float(self, exponent):
+        gains = utility_factors_gains([1.0, 3.0], exponent)
+        losses = utility_factors_losses([-1.0, -3.0], exponent)
+        assert gains == [0.25, 0.75] and losses == [0.75, 0.25]
+        assert all(type(x) is float for x in gains + losses)
+
+    def test_tiny_exact_utilities_accepted(self):
+        tiny = F(1, 10**900)
+        assert utility_factors_gains([tiny, F(1)]) == [F(1, 10**900 + 1), F(10**900, 10**900 + 1)]
+        assert utility_factors_losses([-tiny, F(-1)]) == [F(10**900, 10**900 + 1), F(1, 10**900 + 1)]
+
 
 class TestInformationFunctionals:
     def test_gains_uniform_unit_utilities(self):
