@@ -4,9 +4,9 @@ Modules that document a tolerance (``quantum.IDENTITY_TOL``,
 ``verify.QUARTER_LAW_TOL``, ...) re-export it from here.  Inputs are
 checked where they enter, each rule by one helper: ``register`` for the
 dimensions of a composite register, ``distribution`` for utility factors
-and probabilities, ``zero_sum`` for attraction factors and ``positive``
-for exponents.  Data the package has already validated, or built from a
-closed form, is handed on through ``trusted``.
+and probabilities, ``zero_sum`` for attraction factors, ``positive`` for
+exponents and ``rng`` for seeds.  Data the package has already validated,
+or built from a closed form, is handed on through ``trusted``.
 """
 from __future__ import annotations
 
@@ -18,6 +18,8 @@ from collections.abc import Iterator
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from numbers import Real
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -177,6 +179,14 @@ def count(value, *, what: str, minimum: int = 0, maximum: int | None = None) -> 
     if maximum is not None and n > maximum:
         raise ValidationError(f"{what} must be <= {maximum}, got {n}")
     return n
+
+
+def rng(seed) -> np.random.Generator:
+    """The random stream of ``seed``: an integer >= 0 (``count``), or a
+    ``np.random.Generator``, which is used as it is."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(count(seed, what="seed"))
 
 
 def chunks(total: int, size: int) -> Iterator[slice]:

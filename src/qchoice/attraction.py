@@ -133,7 +133,7 @@ def quarter_law_check(
     integral_0^1 q * (1/2) dq = 1/4.  The estimate converges to 0.25.
     """
     samples = _checks.count(samples, what="sample count", minimum=1)
-    rng = np.random.default_rng(seed)
+    rng = _checks.rng(seed)
     total = 0.0
     for chunk in _checks.chunks(samples, _CHUNK_TARGET):
         draws = rng.uniform(-1.0, 1.0, chunk.stop - chunk.start)
@@ -156,7 +156,7 @@ def ordered_uniform_gap_check(
     """
     n = _checks.count(n_prospects, what="prospect count", minimum=2)
     samples = _checks.count(samples, what="sample count", minimum=1)
-    rng = np.random.default_rng(seed)
+    rng = _checks.rng(seed)
     gap_sums = np.zeros(n - 1, dtype=float)
     for chunk in _checks.chunks(samples, _CHUNK_TARGET // n):
         draws = rng.uniform(0.0, 1.0, (chunk.stop - chunk.start, n))

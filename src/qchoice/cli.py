@@ -295,7 +295,7 @@ def simulate(dims: str, seed: int, sweep_steps: int, fmt: str, out: str | None) 
     """Random strategic state: probability split under a decoherence sweep."""
     _checks.count(sweep_steps, what="--sweep-steps", minimum=2, maximum=MAX_SWEEP_STEPS)
     n_dim, b_dim = _checks.register(_parse_dims(dims))
-    rng = np.random.default_rng(seed)
+    rng = _checks.rng(seed)
     rho = random_density_operator(n_dim * b_dim, rng)
     b = sample_inconclusive(b_dim, rng)
     levels = np.linspace(0.0, 1.0, sweep_steps)

@@ -14,7 +14,9 @@ in and the predictions come out as exact rationals.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -191,16 +193,28 @@ def enforce_bounds(
 
 
 def _clip_to_bounds(f: Sequence, q: list) -> tuple[list, bool]:
-    """``enforce_bounds`` on checked inputs; adjusts ``q`` in place.
+    """``enforce_bounds`` on checked inputs; may adjust ``q`` in place.
 
     The output needs no check: each value ends inside its bounds (clamped
     onto one, or tested against both in the final round), and the loop
     stops only once ``|sum(q)| <= min(RESIDUAL_EPS * N, SUM_TOL)``, or
     within ``SUM_TOL`` once every value is pinned.
+
+    When every ``f`` and ``q`` is a ``Fraction``, the rounds run on integer
+    numerators over one common denominator ``den``, which grows where a
+    share is not a whole numerator, and the Fractions are built once at
+    the end: the same values as ``Fraction`` arithmetic, without a
+    reduction per operation.  Any other input keeps its own arithmetic.
     """
     n = len(f)
+    exact = all(type(v) is Fraction for v in f) and all(type(v) is Fraction for v in q)
+    den = 1
+    if exact:
+        den = math.lcm(*(v.denominator for v in f), *(v.denominator for v in q))
+        f = [v.numerator * (den // v.denominator) for v in f]
+        q = [v.numerator * (den // v.denominator) for v in q]
     lo = [-x for x in f]
-    hi = [1 - x for x in f]
+    hi = [den - x for x in f]
     free = range(n)  # indices not yet pinned to a bound, in index order
     eps = min(_checks.RESIDUAL_EPS * n, _checks.SUM_TOL)
 
@@ -215,16 +229,26 @@ def _clip_to_bounds(f: Sequence, q: list) -> tuple[list, bool]:
                 still_free.append(i)
         free = still_free
         residual = -_checks.total(q)
+        off = Fraction(residual, den) if exact else residual
         # ``f`` was accepted with its sum up to ``SUM_TOL`` off 1, so a
         # fully pinned ``q`` may miss zero by as much.
-        if abs(residual) <= (eps if free else _checks.SUM_TOL):
-            return q, len(free) < n
+        if abs(off) <= (eps if free else _checks.SUM_TOL):
+            return ([Fraction(v, den) for v in q] if exact else q), len(free) < n
         if not free:
             raise InfeasibleBoundsError(
                 f"all {n} attraction values are pinned at their bounds but the "
-                f"sum misses zero by {float(residual)!r}"
+                f"sum misses zero by {float(off)!r}"
             )
-        share = residual / len(free)
+        if exact:
+            # residual / (den * m) as a whole numerator: scale by m / gcd.
+            scale = len(free) // math.gcd(residual, len(free))
+            if scale > 1:
+                den *= scale
+                for values in (q, lo, hi):
+                    values[:] = [v * scale for v in values]
+            share = residual * scale // len(free)
+        else:
+            share = residual / len(free)
         for i in free:
             q[i] = q[i] + share
     raise InfeasibleBoundsError(

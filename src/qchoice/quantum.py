@@ -495,7 +495,7 @@ def sample_inconclusive(b_dim: int, seed: int | np.random.Generator) -> np.ndarr
     changes of basis.  Deterministic for a fixed integer seed.
     """
     b_dim = _checks.count(b_dim, what="inconclusive dimension", minimum=1)
-    rng = np.random.default_rng(seed)
+    rng = _checks.rng(seed)
     while True:
         raw = _complex_gaussian(rng, b_dim)
         norm = np.linalg.norm(raw)
@@ -562,7 +562,7 @@ def random_density_operator(dim: int, seed: int | np.random.Generator) -> Densit
     by construction and is not re-checked.
     """
     _check_dim(dim)
-    g = _complex_gaussian(np.random.default_rng(seed), (dim, dim))
+    g = _complex_gaussian(_checks.rng(seed), (dim, dim))
     return _checks.trusted(DensityOperator, matrix=_densities_from_gaussians(g[None])[0])
 
 
@@ -587,7 +587,7 @@ def random_prospect_draws(
     n_dim, b_dim = _checks.register(dims)
     dim = n_dim * b_dim
     _check_dim(dim)
-    rng = np.random.default_rng(seed)
+    rng = _checks.rng(seed)
     start = rng.bit_generator.state
     sq = dim * dim
     z = rng.standard_normal((count, 2 * sq + 2 * b_dim))

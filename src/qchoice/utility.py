@@ -29,15 +29,21 @@ from .errors import DegenerateSetError, SignDomainError, ValidationError
 def _power(base, exponent, *, what: str):
     """``base ** exponent``: ``base`` at exponent 1 and ``1 / base`` at -1, with no size
     guard; otherwise ``ValidationError`` if a float result overflows (or divides by zero),
-    or if an exact one, which could take unbounded time to build, passes 2 ** +-1024."""
+    or if an exact one, which could take unbounded time to build, passes 2 ** +-1024.
+    A fractional power of a positive exact base whose ``float`` underflows to 0.0 is
+    taken as ``2 ** (exponent * log2(base))``, so its weight is kept.  (Callers pass
+    bases that ``_checks.real`` accepted, whose ``float`` does not overflow.)"""
     if exponent == 1:
         return base
     if exponent == -1:
         return 1 / base
-    if isinstance(base, Rational) and base != 0 and isinstance(exponent, Rational):
+    if isinstance(base, Rational) and base != 0:
         bits = math.log2(abs(base.numerator)) - math.log2(base.denominator)
-        if exponent.denominator == 1 and abs(exponent * bits) > 1024:
-            raise ValidationError(f"{what} overflows floating point")
+        if isinstance(exponent, Rational) and exponent.denominator == 1:
+            if abs(exponent * bits) > 1024:
+                raise ValidationError(f"{what} overflows floating point")
+        elif base > 0 and float(base) == 0.0:
+            base, exponent = 2.0, float(exponent) * bits
     try:
         return base ** exponent
     except (OverflowError, ZeroDivisionError):

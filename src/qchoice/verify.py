@@ -137,7 +137,7 @@ def verify_entropy(perturbations: int = 10_000, seed: int = 0, vectors: int = 20
     """
     vectors = _checks.count(vectors, what="vector count", minimum=1)
     perturbations = _checks.count(perturbations, what="perturbation count", minimum=1)
-    rng = np.random.default_rng(seed)
+    rng = _checks.rng(seed)
     worst = np.inf
     for _ in range(vectors):
         n = int(rng.integers(2, 7))
@@ -202,7 +202,7 @@ def verify_quantum_identity(
     """
     draws = _checks.count(draws, what="draw count", minimum=1)
     n_dim, b_dim = _checks.register(dims)
-    rng = np.random.default_rng(seed)
+    rng = _checks.rng(seed)
     max_identity = 0.0
     max_trace_dev = 0.0
     max_p_sum = 0.0

@@ -1,13 +1,17 @@
-"""Tests for the shared checks: the exact ``total``, overflow-safe messages and ``count``."""
+"""Tests for the shared checks: the exact ``total``, overflow-safe messages,
+``count`` and the seed rule."""
 from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchoice import ValidationError, _checks
+from qchoice import ValidationError, _checks, random_density_operator, sample_inconclusive
+from qchoice.attraction import ordered_uniform_gap_check, quarter_law_check
+from qchoice.verify import verify_entropy
 
 F = Fraction
 
@@ -67,3 +71,28 @@ class TestCount:
 
     def test_no_maximum_by_default(self):
         assert _checks.count(10**30, what="n") == 10**30
+
+
+class TestSeeds:
+    """Every library stream takes its seed through ``_checks.rng``."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: random_density_operator(4, -1), "seed must be >= 0, got -1"),
+            (lambda: sample_inconclusive(3, "x"), "seed must be an integer, got 'x'"),
+            (lambda: quarter_law_check(10, seed=1.5), "seed must be an integer, got 1.5"),
+            (lambda: ordered_uniform_gap_check(3, 10, seed=True), "seed must be an integer, got True"),
+            (lambda: verify_entropy(10, seed=None, vectors=1), "seed must be an integer, got None"),
+        ],
+        ids=["negative", "text", "float", "bool", "none"],
+    )
+    def test_bad_seed_refused(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            call()
+
+    def test_integers_and_generators_accepted(self):
+        assert quarter_law_check(50, np.int64(3)) == quarter_law_check(50, 3)
+        rng = np.random.default_rng(3)
+        assert _checks.rng(rng) is rng
+        assert quarter_law_check(50, np.random.default_rng(3)) == quarter_law_check(50, 3)

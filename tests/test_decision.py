@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 from typing import Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -119,6 +120,20 @@ class TestEnforceBounds:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError, match="mismatch"):
             enforce_bounds((F(1),), (F(0), F(0)))
+
+    # Only all-Fraction inputs run on integer numerators; int, float and
+    # mixed inputs keep their own arithmetic, and so their output types.
+    def test_int_inputs_keep_the_old_loop(self):
+        q, clamped = enforce_bounds((1, 0), (1, -1))
+        assert q == [0, 0] and [type(v) for v in q] == [int, int] and clamped is True
+
+    def test_float_inputs_keep_the_old_loop(self):
+        q, clamped = enforce_bounds((0.9, 0.1), (0.25, -0.25))
+        assert [v.hex() for v in q] == [(1 - 0.9).hex(), (-0.1).hex()] and clamped is True
+
+    def test_mixed_inputs_keep_the_old_loop(self):
+        q, clamped = enforce_bounds((F(9, 10), 0.1), (F(1, 4), F(-1, 4)))
+        assert q == [F(1, 10), -0.1] and [type(v) for v in q] == [F, float] and clamped is True
 
     def test_result_respects_bounds(self):
         f = (F(19, 20), F(1, 40), F(1, 40))
@@ -603,15 +618,22 @@ def _clip_outcome(clip, f, q):
 
 
 def _random_clip_input(rng):
-    """Factors with zeros, ones and sums up to 2 * ``SUM_TOL`` off 1, exact or
-    float, and attraction values that are a shuffled ladder, a random
-    zero-sum vector or values right on a bound."""
-    n = rng.choice([1, 2, 2, 3, 3, 4, 5, 6, 8, 13])
+    """Factors with zeros, ones and sums up to 2 * ``SUM_TOL`` off 1, exact
+    (a quarter of them over large, mostly coprime denominators) or float,
+    and attraction values that are a shuffled ladder, a random zero-sum
+    vector or values right on a bound.  Sets of 40 and 120 prospects with
+    skewed factors take several rounds."""
+    n = rng.choice([1, 2, 2, 3, 3, 4, 5, 6, 8, 13, 40, 120])
     weights = [rng.choice([0, 1, rng.randint(1, 60)]) for _ in range(n)]
     if not any(weights) or rng.random() < 0.1:
         weights = [0] * n
         weights[rng.randrange(n)] = 1
-    f = [F(w, sum(weights)) for w in weights]
+    if rng.random() < 0.25:
+        raw = [F(w * rng.randint(1, 10**6), rng.randint(10**6, 10**12)) for w in weights]
+        whole = sum(raw)
+        f = [r / whole for r in raw]
+    else:
+        f = [F(w, sum(weights)) for w in weights]
     exact = rng.random() < 0.5
     if not exact:
         f = [float(x) for x in f]
@@ -624,7 +646,8 @@ def _random_clip_input(rng):
         rng.shuffle(q)
     elif shape == "zero-sum":
         raw = [F(rng.randint(-120, 120), rng.choice([7, 10, 100])) for _ in range(n)]
-        q = [r - sum(raw) / n for r in raw]
+        mean = sum(raw) / n
+        q = [r - mean for r in raw]
     else:
         q = [rng.choice([-x, 1 - x, 0 * x]) for x in f]
         q[rng.randrange(n)] -= sum(q)
@@ -633,17 +656,34 @@ def _random_clip_input(rng):
     return f, q
 
 
+def test_stop_decisions_are_exact():
+    # Every value pinned, the sum off by just over ``SUM_TOL``: as a float
+    # the residual rounds to ``SUM_TOL`` and would pass.
+    e = F(_checks.SUM_TOL) + F(1, 10**30)
+    f, q = [F(1, 2), F(1, 2) - e], [F(1), F(-1)]
+    outcome = _clip_outcome(_clip_to_bounds, f, q)
+    assert outcome == _clip_outcome(_reference_clip, f, q)
+    assert outcome[0] is InfeasibleBoundsError
+
+
 def test_clipping_matches_the_reference_loop_bit_for_bit():
     import random
 
     rng = random.Random(20161)
-    outcomes = {"raised": 0, "clamped": 0, "untouched": 0}
-    for _ in range(2000):
-        f, q = _random_clip_input(rng)
-        new = _clip_outcome(_clip_to_bounds, f, q)
-        assert new == _clip_outcome(_reference_clip, f, q), (f, q)
-        if len(new) == 2:
-            outcomes["raised"] += 1
-        else:
-            outcomes["clamped" if new[2] else "untouched"] += 1
+    outcomes = {"raised": 0, "clamped": 0, "untouched": 0, "exact, 3+ rounds": 0, "large denominators": 0}
+    rounds = []  # the reference totals ``q`` once per round
+    total = _checks.total
+    with mock.patch.object(_checks, "total", lambda values: rounds.append(1) or total(values)):
+        for _ in range(2000):
+            f, q = _random_clip_input(rng)
+            new = _clip_outcome(_clip_to_bounds, f, q)
+            rounds.clear()
+            assert new == _clip_outcome(_reference_clip, f, q), (f, q)
+            if len(new) == 2:
+                outcomes["raised"] += 1
+            else:
+                outcomes["clamped" if new[2] else "untouched"] += 1
+            if all(type(v) is F for v in f + q):
+                outcomes["exact, 3+ rounds"] += len(rounds) >= 3
+                outcomes["large denominators"] += max(v.denominator for v in f) > 10**12
     assert min(outcomes.values()) >= 30, outcomes

@@ -807,9 +807,95 @@ def parse_outcome(text: str) -> str:
         return f"error: {exc}"
 
 
+def reference_outcome(text: str) -> str:
+    """``parse_outcome`` with the document built by ``yaml.load`` under the
+    current ``_ExactNumberLoader``: PyYAML's own construction, the reference
+    of the node walk.  Errors are worded by the same ``_load``."""
+
+    def load(text):
+        return yaml.load(text, Loader=experiments._ExactNumberLoader)
+
+    with mock.patch.object(experiments, "_document", load):
+        return parse_outcome(text)
+
+
+def outcomes(text: str) -> dict[str, str]:
+    """``parse_outcome`` on each scanner, each checked against the reference."""
+    found = {}
+    for parser, context in PARSERS.items():
+        with context():
+            found[parser] = parse_outcome(text)
+            assert found[parser] == reference_outcome(text), parser
+    return found
+
+
+#: Inputs that reach PyYAML's rarer paths, and what each parses to.
+READER_CASES = {
+    "anchors-and-aliases": (
+        "name: &n demo\nprospects:\n  - {id: &a a, f: &x 0.5}\n  - {id: &b b, f: *x}\n"
+        "attractiveness_rank: [*b, *a]\n"
+        "empirical:\n  - {id: *a, frequency: *x}\n  - {id: *b, frequency: *x}\n",
+        "utility_factors=(Fraction(1, 2), Fraction(1, 2)), attractiveness_rank=('b', 'a')",
+    ),
+    "merge-key": (
+        MINIMAL.replace("  - id: b\n    f: 0.6", "  - {<<: *pa, id: b, f: 0.6}").replace(
+            "  - id: a", "  - &pa\n    id: a"
+        ),
+        "prospect_ids=('a', 'b'), utilities=None, utility_factors=(Fraction(2, 5), Fraction(3, 5))",
+    ),
+    "str-tag": (
+        MINIMAL.replace("id: a", "id: !!str 1").replace("[a, b]", "['1', b]"),
+        "prospect_ids=('1', 'b')",
+    ),
+    "float-tag": (
+        MINIMAL.replace("f: 0.4", "f: !!float 0").replace("f: 0.6", "f: !!float 1"),
+        "utility_factors=(Fraction(0, 1), Fraction(1, 1))",
+    ),
+    "binary": (
+        perturb("name: demo", "name: !!binary aGk="),
+        "error: <string>: field 'name' must be a non-empty string",
+    ),
+    "set": (
+        perturb("[a, b]", "!!set {a, b}"),
+        "error: <string>: field 'attractiveness_rank' must list every prospect id "
+        "exactly once, got {'a', 'b'}",
+    ),
+    "duplicate-keys": (
+        perturb("f: 0.4", "f: 0.9\n    f: 0.4"),
+        "utility_factors=(Fraction(2, 5), Fraction(3, 5))",
+    ),
+    "unhashable-key": (
+        MINIMAL + "config: {[alpha]: 1}\n",
+        "error: <string>: invalid YAML (line 8: found unhashable key)",
+    ),
+    "recursive-anchor": (
+        perturb("[a, b]", "&r [a, b, *r]"),
+        "got ['a', 'b', ['a', 'b', ['a', 'b', ['a', 'b', ['a', 'b', ['a', 'b', [...]]]]]]]",
+    ),
+    "deep-nesting": (
+        perturb("f: 0.4", "f: " + "[" * 500 + "]" * 500),
+        {  # PyYAML's pure-Python composer recurses once per level
+            "default": "error: <string>: prospects[0].f must be a number, got [[[[[[[...]]]]]]]",
+            "pure-python": "error: <string>: values are nested too deeply",
+        },
+    ),
+    "value-key": (MINIMAL + "config: {=: 1}\n", "error: <string>: config has unknown field(s) ['=']"),
+    "null": (perturb("f: 0.4", "f: ~"), "error: <string>: prospects[0].f must be a number, got None"),
+    # PyYAML fills collections first in, first out: of three faults, the one
+    # in the first collection at the shallowest depth is reported, not the
+    # first in the text nor the one in the last collection.
+    "three-faults": (
+        perturb("f: 0.4", "f: .inf").replace("[a, b]", "[a, b, .nan]")
+        + "config: {alpha: !!binary 'a'}\n",
+        "error: <string>: unsupported numeric literal '.nan' at line 7",
+    ),
+}
+
+
 class TestLibyamlAgreesWithPurePython:
-    """The libyaml scanner and PyYAML's pure-Python one, under the same
-    constructors and resolvers, give identical ``ExperimentFile``s."""
+    """On either scanner the node walk gives what ``yaml.load`` gives: the
+    same ``repr`` (which shows types) or the same error text.  The two
+    scanners give identical ``ExperimentFile``s."""
 
     def test_default_loader_uses_libyaml_when_present(self):
         assert issubclass(experiments._ExactNumberLoader, yaml.CSafeLoader) == (
@@ -818,26 +904,45 @@ class TestLibyamlAgreesWithPurePython:
 
     @pytest.mark.parametrize("name", list_bundled_experiments())
     def test_bundled_studies(self, name):
-        text = bundled_experiment_text(name)
-        with pure_python_parser():
-            reference = parse_experiment(text)
-        assert repr(parse_experiment(text)) == repr(reference)  # types as well as values
+        found = outcomes(bundled_experiment_text(name))
+        assert found["default"] == found["pure-python"]
+        assert not found["default"].startswith("error:")
 
     @settings(max_examples=80, deadline=None)
     @given(decoy_file())
     def test_generated_decoy_files(self, text):
-        with pure_python_parser():
-            reference = parse_outcome(text)
-        assert parse_outcome(text) == reference
+        found = outcomes(text)
+        assert found["default"] == found["pure-python"]
 
     @settings(max_examples=100, deadline=None)
     @given(mutated_experiment())
     def test_mutated_files_agree_where_both_parse(self, data):
         # The scanners word syntax errors differently, and libyaml also
         # accepts a tab after ``key:``; accepted files must agree.
-        text = data.decode("utf-8", errors="replace")
-        with pure_python_parser():
-            reference = parse_outcome(text)
-        outcome = parse_outcome(text)
-        if not (outcome.startswith("error:") or reference.startswith("error:")):
-            assert outcome == reference
+        found = outcomes(data.decode("utf-8", errors="replace"))
+        if not any(outcome.startswith("error:") for outcome in found.values()):
+            assert found["default"] == found["pure-python"]
+
+    @pytest.mark.parametrize("case", sorted(READER_CASES))
+    def test_rare_paths(self, case):
+        text, expected = READER_CASES[case]
+        if isinstance(expected, str):
+            expected = dict.fromkeys(PARSERS, expected)
+        for parser, outcome in outcomes(text).items():
+            assert expected[parser] in outcome
+
+    def test_aliases_share_one_object(self):
+        doc = experiments._document("a: &x [1, {b: 2}]\nb: *x\nc: &y {d: *x}\ne: [*y, *y]\n")
+        assert doc["a"] is doc["b"] is doc["c"]["d"]
+        assert doc["e"][0] is doc["e"][1] is doc["c"]
+
+    def test_alias_expansion_stays_linear(self):
+        # Nine levels of nine-fold aliases: 9**9 leaves if each were copied.
+        lines = ["name: demo", "laughs:", '  - &l0 ["lol", "lol", "lol", "lol", "lol", "lol", "lol", "lol", "lol"]']
+        for level in range(1, 10):
+            lines.append(f"  - &l{level} [" + ", ".join([f"*l{level - 1}"] * 9) + "]")
+        text = "\n".join(lines) + "\n"
+        start = time.perf_counter()
+        with pytest.raises(ExperimentFormatError, match=r"unknown field\(s\) \['laughs'\]"):
+            parse_experiment(text)
+        assert time.perf_counter() - start < 1.0

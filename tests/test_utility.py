@@ -137,6 +137,16 @@ class TestGainsFactors:
         with pytest.raises(ValidationError):
             utility_factors_gains([])
 
+    def test_underflowed_exact_utility_keeps_its_weight(self):
+        # float(1/10**400) is 0.0, whose power used to give the weight 0.0.
+        f = utility_factors_gains([F(1, 10**400), F(1)], F(1, 2))
+        assert f[0] == pytest.approx(1e-200, rel=1e-12, abs=0) and f[1] == 1.0
+        # A base that float keeps takes float(base) ** exponent, as before.
+        assert utility_factors_gains([F(1, 3), F(2, 3)], F(1, 2)) == [
+            w / (float(F(1, 3)) ** 0.5 + float(F(2, 3)) ** 0.5)
+            for w in (float(F(1, 3)) ** 0.5, float(F(2, 3)) ** 0.5)
+        ]
+
     def test_underflowing_weights_rejected(self):
         tiny = [F(1, 10**1000), F(2, 10**1000)]
         with pytest.raises(DegenerateSetError, match="underflows"):
@@ -245,11 +255,14 @@ class TestLossesFactors:
         scaled = utility_factors_losses([-scale * m for m in magnitudes], gamma)
         assert scaled == pytest.approx(base, abs=1e-9)
 
-    def test_underflowed_exact_utility_overflows(self):
-        # A fractional power is taken in floating point, where 1/10**400 is
-        # 0.0, and 0.0 ** -0.5 divides by zero: refused like an overflow.
+    def test_underflowed_exact_utility_keeps_its_weight(self):
+        # float(1/10**400) is 0.0, and 0.0 ** -0.5 used to be refused as an
+        # overflow; the weight 10**200 is finite and is taken from log2.
+        f = utility_factors_losses([F(-1, 10**400), -2], F(1, 2))
+        assert f[0] == 1.0
+        assert f[1] == pytest.approx(2**-0.5 / 1e200, rel=1e-12, abs=0)
         with pytest.raises(ValidationError, match="a losses weight overflows floating point"):
-            utility_factors_losses([F(-1, 10**400), -2], F(1, 2))
+            utility_factors_losses([F(-1, 10**4000), -2], F(1, 2))
 
 
 class TestUnitExponents:
