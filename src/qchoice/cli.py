@@ -338,8 +338,6 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point with the documented exit-code contract."""
     try:
         cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
     except click.ClickException as exc:
         exc.show()
         return 1

@@ -34,7 +34,6 @@ from __future__ import annotations
 import hashlib
 import re
 import reprlib
-from collections.abc import Hashable
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -198,81 +197,41 @@ def _load(text: str, source: str):
 
 _TAG = "tag:yaml.org,2002:"
 _STR, _INT, _FLOAT, _SEQ, _MAP = (_TAG + t for t in ("str", "int", "float", "seq", "map"))
-#: Key tags that ``SafeConstructor.flatten_mapping`` rewrites (``<<`` and
-#: ``=``): a mapping with one goes to PyYAML whole.
-_REWRITTEN_KEYS = {_TAG + "merge", _TAG + "value"}
 
 
 def _document(text: str):
-    """``yaml.load(text, Loader=_ExactNumberLoader)``: the document is composed
-    once and built by ``_construct``."""
-    loader = _ExactNumberLoader(text)
-    try:
-        node = loader.get_single_node()
-        return None if node is None else _construct(loader, node)
-    finally:
-        loader.dispose()
+    """``yaml.load(text, Loader=_ExactNumberLoader)``.  Text with no ``&`` has
+    no anchor, so no alias: it is composed once and built by ``_plain``.
+    Any other text, and any fault on the way, goes to ``yaml.load`` whole,
+    so aliases, rare tags and the fault reported are PyYAML's own."""
+    if "&" not in text:
+        loader = _ExactNumberLoader(text)
+        try:
+            node = loader.get_single_node()
+            return None if node is None else _plain(loader, node)
+        except Exception:  # ``yaml.load`` below reports it, or builds what ``_plain`` refused
+            pass
+        finally:
+            loader.dispose()
+    return yaml.load(text, Loader=_ExactNumberLoader)
 
 
-def _construct(loader: yaml.Loader, root: yaml.Node):
-    """What ``loader.construct_document(root)`` returns, in one walk over the
-    nodes.
-
-    Strings, ints and floats go through ``_construct_int`` and
-    ``_construct_exact`` and plain sequences and mappings are built here;
-    every other node (null, bool, timestamps, ``!!binary``, ``!!set``,
-    ``!!omap``, a mapping with a merge key) goes to
-    ``loader.construct_object``.  Collections are memoised by node in the
-    loader's own table and registered before they are filled, so aliases
-    share one object and recursive anchors work.  The fills go through
-    the loader's deferred list in PyYAML's first-in, first-out order, so
-    a document with several faults reports the same one first.
-    """
-    built = loader.constructed_objects
-    pending = loader.state_generators
-
-    def build(node):
-        kind = type(node)
-        tag = node.tag
-        if kind is yaml.ScalarNode:
-            if tag == _STR:
-                return node.value
-            if tag == _FLOAT:
-                return _construct_exact(loader, node)
-            if tag == _INT:
-                return _construct_int(loader, node)
-        elif node in built:
-            return built[node]
-        elif kind is yaml.SequenceNode and tag == _SEQ:
-            data = built[node] = []
-            pending.append((data, node))
-            return data
-        elif kind is yaml.MappingNode and tag == _MAP and _REWRITTEN_KEYS.isdisjoint(
-            [k.tag for k, _ in node.value]
-        ):
-            data = built[node] = {}
-            pending.append((data, node))
-            return data
-        return loader.construct_object(node)
-
-    document = build(root)
-    for item in pending:  # the list grows while it is walked
-        if type(item) is not tuple:  # one of PyYAML's own deferred fills
-            for _ in item:
-                pass
-        elif type(item[0]) is list:
-            item[0].extend([build(child) for child in item[1].value])
-        else:
-            data, node = item
-            for key_node, value_node in node.value:
-                key = build(key_node)
-                if type(key) is not str and not isinstance(key, Hashable):
-                    raise yaml.constructor.ConstructorError(
-                        "while constructing a mapping", node.start_mark,
-                        "found unhashable key", key_node.start_mark,
-                    )
-                data[key] = build(value_node)
-    return document
+def _plain(loader: yaml.Loader, node: yaml.Node):
+    """``loader.construct_object(node)`` for str, int and float scalars in
+    plain sequences and mappings; any other node raises ``TypeError``."""
+    kind = type(node)
+    if kind is yaml.ScalarNode:
+        if node.tag == _STR:
+            return node.value
+        if node.tag == _INT:
+            return _construct_int(loader, node)
+        if node.tag == _FLOAT:
+            return _construct_exact(loader, node)
+    elif kind is yaml.SequenceNode and node.tag == _SEQ:
+        return [_plain(loader, child) for child in node.value]
+    elif kind is yaml.MappingNode and node.tag == _MAP:
+        return {_plain(loader, k): _plain(loader, v) for k, v in node.value}
+    raise TypeError(f"no plain construction for {node.tag}")
 
 
 def _known_fields(mapping: dict, allowed, prefix: str) -> None:

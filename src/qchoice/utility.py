@@ -189,6 +189,8 @@ def information_functional_gains(
     penalty: if its factor is positive the functional is ``math.inf``,
     while a zero factor silences the term.
     """
+    lam = float(_checks.real(lam, what="lam"))
+    alpha = float(_checks.real(alpha, what="alpha"))
     f, values = _functional_inputs(factors, utilities)
     for u in values:
         if u < 0:
@@ -203,7 +205,7 @@ def information_functional_gains(
             continue  # 0 weight on an infinite penalty contributes nothing
         penalty += f_n * (-_log_magnitude(u))
     entropy = sum(_xlogx(f_n) for f_n in f)
-    return entropy + float(lam) * (sum(f) - 1.0) + float(alpha) * penalty
+    return entropy + lam * (sum(f) - 1.0) + alpha * penalty
 
 
 def information_functional_losses(
@@ -220,6 +222,8 @@ def information_functional_losses(
     with ``L_n = -ln |U_n|``, which is what flips the minimizer to
     ``f_n`` proportional to ``|U_n| ** -gamma``.
     """
+    lam = float(_checks.real(lam, what="lam"))
+    gamma = float(_checks.real(gamma, what="gamma"))
     f, values = _functional_inputs(factors, utilities)
     for u in values:
         if u >= 0:
@@ -228,4 +232,4 @@ def information_functional_losses(
             )
     penalty = sum(f_n * (-_log_magnitude(u)) for f_n, u in zip(f, values))
     entropy = sum(_xlogx(f_n) for f_n in f)
-    return entropy + float(lam) * (sum(f) - 1.0) + float(gamma) * (0.0 - penalty)
+    return entropy + lam * (sum(f) - 1.0) + gamma * (0.0 - penalty)

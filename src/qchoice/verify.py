@@ -42,12 +42,13 @@ class SuiteResult:
 
 def verify_quarter_law(samples: int = 1_000_000, seed: int = 0) -> SuiteResult:
     """Monte Carlo check that the typical attraction magnitude is 1/4."""
+    seed = _checks.count(seed, what="seed")  # the record holds it
     estimate = quarter_law_check(samples, seed)
     deviation = abs(estimate - 0.25)
     passed = deviation <= QUARTER_LAW_TOL
     stats = {
         "samples": int(samples),
-        "seed": int(seed),
+        "seed": seed,
         "estimate": float(estimate),
         "target": 0.25,
         "tolerance": QUARTER_LAW_TOL,
@@ -68,6 +69,7 @@ def verify_gaps(
     samples: int = 100_000, seed: int = 0, n_prospects: int = 5
 ) -> SuiteResult:
     """Check that ordered uniform draws have equal mean consecutive gaps."""
+    seed = _checks.count(seed, what="seed")  # the record holds it
     gaps = ordered_uniform_gap_check(n_prospects, samples, seed)
     spread = float(np.max(gaps) - np.min(gaps))
     expected = 1.0 / (n_prospects + 1)
@@ -76,7 +78,7 @@ def verify_gaps(
     stats = {
         "n_prospects": int(n_prospects),
         "samples": int(samples),
-        "seed": int(seed),
+        "seed": seed,
         "mean_gaps": [float(g) for g in gaps],
         "spread": spread,
         "expected_gap": expected,
@@ -137,6 +139,7 @@ def verify_entropy(perturbations: int = 10_000, seed: int = 0, vectors: int = 20
     """
     vectors = _checks.count(vectors, what="vector count", minimum=1)
     perturbations = _checks.count(perturbations, what="perturbation count", minimum=1)
+    seed = _checks.count(seed, what="seed")  # the record holds it
     rng = _checks.rng(seed)
     worst = np.inf
     for _ in range(vectors):
@@ -167,7 +170,7 @@ def verify_entropy(perturbations: int = 10_000, seed: int = 0, vectors: int = 20
     stats = {
         "vectors_per_regime": int(vectors),
         "perturbations": int(perturbations),
-        "seed": int(seed),
+        "seed": seed,
         "worst_margin": float(worst),
         "margin_tolerance": ENTROPY_MARGIN_TOL,
         "unit_exponent_reduction_exact": bool(reduction_exact),
@@ -202,6 +205,7 @@ def verify_quantum_identity(
     """
     draws = _checks.count(draws, what="draw count", minimum=1)
     n_dim, b_dim = _checks.register(dims)
+    seed = _checks.count(seed, what="seed")  # the record holds it
     rng = _checks.rng(seed)
     max_identity = 0.0
     max_trace_dev = 0.0
@@ -225,7 +229,7 @@ def verify_quantum_identity(
     passed = worst < IDENTITY_TOL
     stats = {
         "draws": int(draws),
-        "seed": int(seed),
+        "seed": seed,
         "dims": [int(n_dim), int(b_dim)],
         "max_split_defect": float(max_identity),
         "max_trace_rule_deviation": float(max_trace_dev),

@@ -810,7 +810,7 @@ def parse_outcome(text: str) -> str:
 def reference_outcome(text: str) -> str:
     """``parse_outcome`` with the document built by ``yaml.load`` under the
     current ``_ExactNumberLoader``: PyYAML's own construction, the reference
-    of the node walk.  Errors are worded by the same ``_load``."""
+    of ``_plain``.  Errors are worded by the same ``_load``."""
 
     def load(text):
         return yaml.load(text, Loader=experiments._ExactNumberLoader)
@@ -881,6 +881,13 @@ READER_CASES = {
     ),
     "value-key": (MINIMAL + "config: {=: 1}\n", "error: <string>: config has unknown field(s) ['=']"),
     "null": (perturb("f: 0.4", "f: ~"), "error: <string>: prospects[0].f must be a number, got None"),
+    # ``&`` that is not an anchor sends the text to ``yaml.load`` all the same.
+    "ampersand-in-quotes": (perturb("name: demo", 'name: "R&D"'), "ExperimentFile(name='R&D'"),
+    # A node whose kind does not match its tag is not plain.
+    "str-tag-on-a-sequence": (
+        perturb("id: a", "id: !!str [a]"),
+        "error: <string>: invalid YAML (line 3: expected a scalar node, but found sequence)",
+    ),
     # PyYAML fills collections first in, first out: of three faults, the one
     # in the first collection at the shallowest depth is reported, not the
     # first in the text nor the one in the last collection.
@@ -946,3 +953,25 @@ class TestLibyamlAgreesWithPurePython:
         with pytest.raises(ExperimentFormatError, match=r"unknown field\(s\) \['laughs'\]"):
             parse_experiment(text)
         assert time.perf_counter() - start < 1.0
+
+
+class TestPlainPath:
+    """Plain files are built by ``_plain`` without ``yaml.load``.  A broken
+    ``_plain`` would still parse through that fallback, only slower; here
+    the fallback raises."""
+
+    @staticmethod
+    def parse_without_yaml_load(text: str) -> None:
+        with mock.patch.object(experiments.yaml, "load", side_effect=AssertionError("yaml.load")):
+            for context in PARSERS.values():
+                with context():
+                    parse_experiment(text)
+
+    @pytest.mark.parametrize("name", list_bundled_experiments())
+    def test_bundled_studies(self, name):
+        self.parse_without_yaml_load(bundled_experiment_text(name))
+
+    @settings(max_examples=20, deadline=None)
+    @given(decoy_file())
+    def test_decoy_files(self, text):
+        self.parse_without_yaml_load(text)

@@ -335,6 +335,23 @@ class TestInformationFunctionals:
         with pytest.raises(ValidationError, match="no exact ratio"):
             information_functional_gains([0.5, 0.5], [_Underflowing(), 1])
 
+    @pytest.mark.parametrize(
+        "lam, weight, what, rule",
+        [
+            ("x", 1.0, "lam", "a real number, got 'x'"),
+            (True, 1.0, "lam", "a real number, got True"),
+            (0.0, None, "{exponent}", "a real number, got None"),
+            (0.0, math.inf, "{exponent}", "finite, got inf"),
+        ],
+    )
+    def test_multiplier_and_exponent_must_be_real(self, lam, weight, what, rule):
+        for functional, exponent, utility in (
+            (information_functional_gains, "alpha", 1),
+            (information_functional_losses, "gamma", -1),
+        ):
+            with pytest.raises(ValidationError, match=f"^{what.format(exponent=exponent)} must be {rule}$"):
+                functional([1], [utility], lam, weight)
+
     def test_zero_utility_with_weight_is_infinite(self):
         assert information_functional_gains([0.5, 0.5], [0, 1]) == math.inf
 

@@ -1,6 +1,7 @@
 """Direct tests of the self-check suites (the CLI layer has its own)."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from qchoice import (
@@ -31,6 +32,11 @@ class TestQuarterLaw:
         b = verify_quarter_law(10_000, seed=3)
         assert a.statistics["estimate"] == b.statistics["estimate"]
 
+    def test_generator_seed_refused_before_drawing(self):
+        # The record holds the seed, so it must be an integer.
+        with pytest.raises(ValidationError, match="^seed must be an integer"):
+            verify_quarter_law(100, seed=np.random.default_rng(1))
+
 
 class TestGaps:
     def test_spread_within_tolerance(self):
@@ -45,6 +51,10 @@ class TestGaps:
         assert result.passed is True
         assert result.statistics["expected_gap"] == pytest.approx(1 / 4)
 
+    def test_generator_seed_refused_before_drawing(self):
+        with pytest.raises(ValidationError, match="^seed must be an integer"):
+            verify_gaps(100, seed=np.random.default_rng(1))
+
 
 class TestEntropy:
     def test_closed_forms_are_minimizers(self):
@@ -58,6 +68,10 @@ class TestEntropy:
             verify_entropy(perturbations=0)
         with pytest.raises(ValidationError):
             verify_entropy(vectors=0)
+
+    def test_generator_seed_refused_before_drawing(self):
+        with pytest.raises(ValidationError, match="^seed must be an integer"):
+            verify_entropy(50, seed=np.random.default_rng(1))
 
 
 class TestQuantumIdentity:
@@ -76,6 +90,10 @@ class TestQuantumIdentity:
     def test_rejects_a_malformed_register(self):
         with pytest.raises(ValidationError, match="^choice dimension must be >= 1, got -2$"):
             verify_quantum_identity(3, 0, (-2, -3))
+
+    def test_generator_seed_refused_before_drawing(self):
+        with pytest.raises(ValidationError, match="^seed must be an integer"):
+            verify_quantum_identity(50, seed=np.random.default_rng(1))
 
 
 class TestRunSuite:
