@@ -127,9 +127,16 @@ def total(values):
     """
     values = tuple(values)
     if values and all(isinstance(v, Fraction) for v in values):
-        den = math.lcm(*(v.denominator for v in values))
-        return Fraction(sum(v.numerator * (den // v.denominator) for v in values), den)
+        numerators, den = over_lcm(values)
+        return Fraction(sum(numerators), den)
     return sum(values)
+
+
+def over_lcm(fractions) -> tuple[list[int], int]:
+    """``fractions`` as integer numerators over ``den``, the ``lcm`` of their
+    denominators: ``v == Fraction(numerator, den)`` for each value ``v``."""
+    den = math.lcm(*(v.denominator for v in fractions))
+    return [v.numerator * (den // v.denominator) for v in fractions], den
 
 
 def sum_deviation(values, target) -> tuple:

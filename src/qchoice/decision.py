@@ -210,9 +210,8 @@ def _clip_to_bounds(f: Sequence, q: list) -> tuple[list, bool]:
     exact = all(type(v) is Fraction for v in f) and all(type(v) is Fraction for v in q)
     den = 1
     if exact:
-        den = math.lcm(*(v.denominator for v in f), *(v.denominator for v in q))
-        f = [v.numerator * (den // v.denominator) for v in f]
-        q = [v.numerator * (den // v.denominator) for v in q]
+        numerators, den = _checks.over_lcm([*f, *q])
+        f, q = numerators[:n], numerators[n:]
     lo = [-x for x in f]
     hi = [den - x for x in f]
     free = range(n)  # indices not yet pinned to a bound, in index order

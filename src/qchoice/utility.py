@@ -3,17 +3,21 @@
 The classical part of a choice probability — the utility factor — orders
 prospects by expected utility.  When nothing is known about the agent
 beyond those utilities, minimizing an information functional (entropy
-plus a normalization multiplier plus a log-utility constraint) fixes the
-factors in closed form:
+plus a normalization multiplier plus a log-utility constraint),
+``sum f ln f + lam * (sum f - 1) + e * sum f * (-ln |U|)``, fixes the
+factors in closed form by one signed-exponent rule,
+``f_n`` proportional to ``|U_n| ** e``:
 
-* gains (all utilities non-negative): ``f_n`` proportional to ``U_n ** alpha``;
-* losses (all utilities strictly negative): ``f_n`` proportional to
-  ``|U_n| ** -gamma`` — the *least bad* option gets the largest factor.
+* gains (all utilities non-negative): ``e = alpha``;
+* losses (all utilities strictly negative): ``e = -gamma`` — the *least
+  bad* option gets the largest factor.
 
-Both exponents default to 1, which reduces the gains rule to simple
-ratio-of-utilities weighting.  Exact inputs (ints, Fractions) pass
-through exactly when the exponent is 1 or an integer; the functionals
-themselves are evaluated in floating point.
+The public gains and losses functions name the regime; ``_factors`` and
+``_functional`` are its one implementation.  Both exponents default to
+1, which reduces the gains rule to simple ratio-of-utilities weighting.
+Exact inputs (ints, Fractions) pass through exactly when the exponent is
+1 or an integer; the functionals themselves are evaluated in floating
+point.
 """
 from __future__ import annotations
 
@@ -88,19 +92,7 @@ def utility_factors_gains(utilities: Sequence, alpha: Real = 1) -> list:
     a family whose weights all underflow to zero (``DegenerateSetError``).
     Exact inputs stay exact when ``alpha`` is 1 or a positive integer.
     """
-    values = _checks.reals(utilities, what="utility")
-    _checks.positive(alpha, what="alpha")
-    for u in values:
-        if u < 0:
-            raise SignDomainError(
-                f"gains rule needs non-negative utilities, got {u!r}"
-            )
-    if all(u == 0 for u in values):
-        raise DegenerateSetError(
-            "all utilities are zero; the gains rule cannot rank them"
-        )
-    weights = [_power(u, alpha, what="a gains weight") for u in values]
-    return _shares(weights, "gains")
+    return _factors(utilities, alpha, gains=True)
 
 
 def utility_factors_losses(utilities: Sequence, gamma: Real = 1) -> list:
@@ -112,21 +104,37 @@ def utility_factors_losses(utilities: Sequence, gamma: Real = 1) -> list:
     rule and are not silently split — and so is a family whose weights
     all underflow to zero (``DegenerateSetError``).
     """
-    values = _checks.reals(utilities, what="utility")
-    _checks.positive(gamma, what="gamma")
+    return _factors(utilities, gamma, gains=False)
+
+
+def _regime(values: tuple, *, gains: bool, what: str) -> None:
+    """Each utility is >= 0 for gains and < 0 for losses, else
+    ``SignDomainError``; ``what`` is "rule" or "functional"."""
     for u in values:
-        if u >= 0:
+        if (u < 0) if gains else (u >= 0):
             raise SignDomainError(
-                f"losses rule needs strictly negative utilities, got {u!r}"
+                f"{'gains' if gains else 'losses'} {what} needs "
+                f"{'non-negative' if gains else 'strictly negative'} utilities, got {u!r}"
             )
-    weights = [_power(abs(u), -gamma, what="a losses weight") for u in values]
-    return _shares(weights, "losses")
 
 
-def _shares(weights: list, rule: str) -> list:
-    """Each weight over their total.  A float total past the double range
-    raises ``ValidationError``; a total of zero, which only weights that
-    underflow floating point leave, raises ``DegenerateSetError``."""
+def _factors(utilities: Sequence, exponent: Real, *, gains: bool) -> list:
+    """Both factor rules: ``|U_n| ** e`` over its total, ``e`` being
+    ``exponent`` for gains and ``-exponent`` for losses.  A float total
+    past the double range raises ``ValidationError``; a total of zero,
+    which only weights that underflow floating point leave, raises
+    ``DegenerateSetError``."""
+    rule = "gains" if gains else "losses"
+    values = _checks.reals(utilities, what="utility")
+    _checks.positive(exponent, what="alpha" if gains else "gamma")
+    _regime(values, gains=gains, what="rule")
+    if gains and all(u == 0 for u in values):
+        raise DegenerateSetError(
+            "all utilities are zero; the gains rule cannot rank them"
+        )
+    e = exponent if gains else -exponent
+    # ``abs`` also gives a zero utility the weight +0.0, never -0.0.
+    weights = [_power(abs(u), e, what=f"a {rule} weight") for u in values]
     total = sum(weights)
     if not isinstance(total, Rational) and not math.isfinite(total):
         raise ValidationError(f"the sum of the {rule} weights overflows floating point")
@@ -165,17 +173,6 @@ def _xlogx(value: float) -> float:
     return value * math.log(value)
 
 
-def _functional_inputs(factors: Sequence, utilities: Sequence) -> tuple[list[float], tuple]:
-    f = [float(x) for x in _checks.reals(factors, what="factor")]
-    values = _checks.reals(utilities, what="utility")
-    if len(f) != len(values):
-        raise ValidationError(f"factor/utility length mismatch: {len(f)} vs {len(values)}")
-    for x in f:
-        if x < 0.0:
-            raise ValidationError(f"factors must be non-negative, got {x!r}")
-    return f, values
-
-
 def information_functional_gains(
     factors: Sequence,
     utilities: Sequence,
@@ -189,23 +186,7 @@ def information_functional_gains(
     penalty: if its factor is positive the functional is ``math.inf``,
     while a zero factor silences the term.
     """
-    lam = float(_checks.real(lam, what="lam"))
-    alpha = float(_checks.real(alpha, what="alpha"))
-    f, values = _functional_inputs(factors, utilities)
-    for u in values:
-        if u < 0:
-            raise SignDomainError(
-                f"gains functional needs non-negative utilities, got {u!r}"
-            )
-    penalty = 0.0
-    for f_n, u in zip(f, values):
-        if u == 0:
-            if f_n > 0.0:
-                return math.inf
-            continue  # 0 weight on an infinite penalty contributes nothing
-        penalty += f_n * (-_log_magnitude(u))
-    entropy = sum(_xlogx(f_n) for f_n in f)
-    return entropy + lam * (sum(f) - 1.0) + alpha * penalty
+    return _functional(factors, utilities, lam, alpha, gains=True)
 
 
 def information_functional_losses(
@@ -222,14 +203,28 @@ def information_functional_losses(
     with ``L_n = -ln |U_n|``, which is what flips the minimizer to
     ``f_n`` proportional to ``|U_n| ** -gamma``.
     """
+    return _functional(factors, utilities, lam, gamma, gains=False)
+
+
+def _functional(factors: Sequence, utilities: Sequence, lam, exponent, *, gains: bool) -> float:
+    """Both functionals: ``sum f ln f + lam * (sum f - 1) + e * sum f * L``,
+    ``e`` being ``exponent`` for gains and ``-exponent`` for losses."""
     lam = float(_checks.real(lam, what="lam"))
-    gamma = float(_checks.real(gamma, what="gamma"))
-    f, values = _functional_inputs(factors, utilities)
-    for u in values:
-        if u >= 0:
-            raise SignDomainError(
-                f"losses functional needs strictly negative utilities, got {u!r}"
-            )
-    penalty = sum(f_n * (-_log_magnitude(u)) for f_n, u in zip(f, values))
+    exponent = float(_checks.real(exponent, what="alpha" if gains else "gamma"))
+    f = [float(x) for x in _checks.reals(factors, what="factor")]
+    values = _checks.reals(utilities, what="utility")
+    if len(f) != len(values):
+        raise ValidationError(f"factor/utility length mismatch: {len(f)} vs {len(values)}")
+    for x in f:
+        if x < 0.0:
+            raise ValidationError(f"factors must be non-negative, got {x!r}")
+    _regime(values, gains=gains, what="functional")
+    penalty = 0.0
+    for f_n, u in zip(f, values):
+        if u == 0:  # only gains admit a zero utility
+            if f_n > 0.0:
+                return math.inf
+            continue  # 0 weight on an infinite penalty contributes nothing
+        penalty += f_n * (-_log_magnitude(u))
     entropy = sum(_xlogx(f_n) for f_n in f)
-    return entropy + lam * (sum(f) - 1.0) + gamma * (0.0 - penalty)
+    return entropy + lam * (sum(f) - 1.0) + (exponent if gains else -exponent) * penalty

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _checks, attraction, quantum
+from . import _checks, attraction, quantum, utility
 from ._checks import ENTROPY_MARGIN_TOL, GAP_SPREAD_TOL, IDENTITY_TOL, QUARTER_LAW_TOL
 from .attraction import ordered_uniform_gap_check, quarter_law_check
 from .errors import ValidationError
@@ -23,12 +23,7 @@ from .quantum import (
     split,
     trace_rule,
 )
-from .utility import (
-    information_functional_gains,
-    information_functional_losses,
-    utility_factors_gains,
-    utility_factors_losses,
-)
+from .utility import utility_factors_gains, utility_factors_losses
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -102,29 +97,23 @@ def _perturbation_margin(
     exponent: float,
     perturbations: int,
     *,
-    losses: bool,
+    gains: bool,
 ) -> float:
     """Worst functional margin of random simplex points over the minimizer.
 
     Points are drawn in chunks of about ``_CHUNK_TARGET`` values, the same
     points as one large draw.
     """
-    if losses:
-        f_star = utility_factors_losses(list(utilities), exponent)
-        i_star = information_functional_losses(f_star, list(utilities), 0.0, exponent)
-        log_penalty = -np.log(np.abs(utilities))
-        sign = -1.0
-    else:
-        f_star = utility_factors_gains(list(utilities), exponent)
-        i_star = information_functional_gains(f_star, list(utilities), 0.0, exponent)
-        log_penalty = -np.log(utilities)
-        sign = 1.0
+    f_star = utility._factors(list(utilities), exponent, gains=gains)
+    i_star = utility._functional(f_star, list(utilities), 0.0, exponent, gains=gains)
+    e = exponent if gains else -exponent
+    log_penalty = -np.log(np.abs(utilities))
     least = np.inf
     for chunk in _checks.chunks(perturbations, attraction._CHUNK_TARGET // utilities.size):
         points = rng.dirichlet(np.ones(utilities.size), size=chunk.stop - chunk.start)
         safe = np.where(points > 0.0, points, 1.0)  # 0 * log 0 -> 0
         entropy = np.sum(points * np.log(safe), axis=1)
-        values = entropy + sign * exponent * (points @ log_penalty)
+        values = entropy + e * (points @ log_penalty)
         least = min(least, float(np.min(values)))
     return least - i_star
 
@@ -149,8 +138,8 @@ def verify_entropy(perturbations: int = 10_000, seed: int = 0, vectors: int = 20
         gamma = float(rng.uniform(0.3, 2.5))
         worst = min(
             worst,
-            _perturbation_margin(rng, utilities, alpha, perturbations, losses=False),
-            _perturbation_margin(rng, -utilities, gamma, perturbations, losses=True),
+            _perturbation_margin(rng, utilities, alpha, perturbations, gains=True),
+            _perturbation_margin(rng, -utilities, gamma, perturbations, gains=False),
         )
 
     # Unit exponents must reduce to the plain ratio forms, exactly.

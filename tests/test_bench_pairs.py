@@ -123,3 +123,30 @@ class TestPytestSummary:
     def test_missing_summary_raises(self, text):
         with pytest.raises(ValueError, match="no pytest summary"):
             bench_pairs.parse_pytest_summary(text)
+
+
+class TestTracedResult:
+    LINE = (
+        '{"correct": true, "attempted": 126, "failed": 0, "metrics": {'
+        '"trace.replay_mismatches": {"value": 0.0, "unit": "count"}, '
+        '"utility.factors_s": {"value": 0.01, "unit": "s"}}}'
+    )
+
+    def test_last_line_is_parsed(self):
+        output = "workload decoy-corpus  seed 1  trace 1\n  utility.factors_s  0.01 s\n" + self.LINE + "\n"
+        assert bench_pairs.parse_traced_result(output) == {"replay_mismatches": 0.0, "failed": 0, "attempted": 126}
+
+    def test_mismatches_and_failures_are_kept(self):
+        line = self.LINE.replace('"failed": 0', '"failed": 3').replace('"value": 0.0', '"value": 2.0')
+        assert bench_pairs.parse_traced_result(line) == {"replay_mismatches": 2.0, "failed": 3, "attempted": 126}
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "Traceback (most recent call last):\n  boom",
+        '{"correct": true, "attempted": 1, "failed": 0, "metrics": {"cmds_per_s": {"value": 1.0}}}',  # untraced
+        "[1, 2]",
+    ])
+    def test_missing_result_raises(self, text):
+        with pytest.raises(ValueError, match="no traced result line"):
+            bench_pairs.parse_traced_result(text)
+

@@ -4,6 +4,8 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
+from numbers import Rational, Real
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -20,7 +22,9 @@ from qchoice import (
     information_functional_losses,
     utility_factors_gains,
     utility_factors_losses,
+    _checks,
 )
+from qchoice.utility import _log_magnitude, _power, _xlogx
 
 F = Fraction
 
@@ -92,6 +96,12 @@ class TestGainsFactors:
 
     def test_zero_utility_gets_zero_factor(self):
         assert utility_factors_gains([F(0), F(2)]) == [F(0), F(1)]
+
+    @pytest.mark.parametrize("zero", [-0.0, np.float64(-0.0)])
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 0.5, F(3, 2)])
+    def test_negative_zero_utility_gets_positive_zero_factor(self, zero, alpha):
+        got = utility_factors_gains([zero, 1.0], alpha)
+        assert got == [0.0, 1.0] and math.copysign(1.0, got[0]) == 1.0
 
     def test_all_zero_rejected(self):
         with pytest.raises(DegenerateSetError):
@@ -417,3 +427,229 @@ class TestInformationFunctionals:
         shifted[i] -= shift
         shifted[j] += shift
         assert information_functional_gains(shifted, utilities, alpha=alpha) >= best - 1e-12
+
+
+# The four public functions as they were before gains and losses shared one
+# implementation, kept verbatim (with the two helpers they called) as the
+# reference the differential tests below compare against.
+def _reference_utility_factors_gains(utilities: Sequence, alpha: Real = 1) -> list:
+    """Closed-form utility factors for non-negative expected utilities.
+
+    ``f_n = U_n**alpha / sum_m U_m**alpha`` with ``alpha > 0``.  A zero
+    utility yields a zero factor; an all-zero family carries no signal
+    and is rejected, as is any negative utility (use the losses rule) and
+    a family whose weights all underflow to zero (``DegenerateSetError``).
+    Exact inputs stay exact when ``alpha`` is 1 or a positive integer.
+    """
+    values = _checks.reals(utilities, what="utility")
+    _checks.positive(alpha, what="alpha")
+    for u in values:
+        if u < 0:
+            raise SignDomainError(
+                f"gains rule needs non-negative utilities, got {u!r}"
+            )
+    if all(u == 0 for u in values):
+        raise DegenerateSetError(
+            "all utilities are zero; the gains rule cannot rank them"
+        )
+    weights = [_power(u, alpha, what="a gains weight") for u in values]
+    return _reference_shares(weights, "gains")
+
+
+def _reference_utility_factors_losses(utilities: Sequence, gamma: Real = 1) -> list:
+    """Closed-form utility factors for strictly negative expected utilities.
+
+    ``f_n = |U_n|**(-gamma) / sum_m |U_m|**(-gamma)`` with ``gamma > 0``:
+    the smallest loss in magnitude receives the largest factor.  Any
+    non-negative utility is rejected — mixed-sign families fit neither
+    rule and are not silently split — and so is a family whose weights
+    all underflow to zero (``DegenerateSetError``).
+    """
+    values = _checks.reals(utilities, what="utility")
+    _checks.positive(gamma, what="gamma")
+    for u in values:
+        if u >= 0:
+            raise SignDomainError(
+                f"losses rule needs strictly negative utilities, got {u!r}"
+            )
+    weights = [_power(abs(u), -gamma, what="a losses weight") for u in values]
+    return _reference_shares(weights, "losses")
+
+
+def _reference_shares(weights: list, rule: str) -> list:
+    """Each weight over their total.  A float total past the double range
+    raises ``ValidationError``; a total of zero, which only weights that
+    underflow floating point leave, raises ``DegenerateSetError``."""
+    total = sum(weights)
+    if not isinstance(total, Rational) and not math.isfinite(total):
+        raise ValidationError(f"the sum of the {rule} weights overflows floating point")
+    if total == 0:
+        raise DegenerateSetError(
+            f"every {rule} weight underflows floating point to zero; "
+            "the rule cannot rank the utilities"
+        )
+    return [w / total for w in weights]
+
+
+def _reference_functional_inputs(factors: Sequence, utilities: Sequence) -> tuple[list[float], tuple]:
+    f = [float(x) for x in _checks.reals(factors, what="factor")]
+    values = _checks.reals(utilities, what="utility")
+    if len(f) != len(values):
+        raise ValidationError(f"factor/utility length mismatch: {len(f)} vs {len(values)}")
+    for x in f:
+        if x < 0.0:
+            raise ValidationError(f"factors must be non-negative, got {x!r}")
+    return f, values
+
+
+def _reference_information_functional_gains(
+    factors: Sequence,
+    utilities: Sequence,
+    lam: float = 0.0,
+    alpha: float = 1.0,
+) -> float:
+    """Information functional whose minimizer is the gains factor rule.
+
+    ``sum f ln f + lam * (sum f - 1) + alpha * sum f * L`` with
+    log-penalties ``L_n = -ln U_n``.  A zero utility carries an infinite
+    penalty: if its factor is positive the functional is ``math.inf``,
+    while a zero factor silences the term.
+    """
+    lam = float(_checks.real(lam, what="lam"))
+    alpha = float(_checks.real(alpha, what="alpha"))
+    f, values = _reference_functional_inputs(factors, utilities)
+    for u in values:
+        if u < 0:
+            raise SignDomainError(
+                f"gains functional needs non-negative utilities, got {u!r}"
+            )
+    penalty = 0.0
+    for f_n, u in zip(f, values):
+        if u == 0:
+            if f_n > 0.0:
+                return math.inf
+            continue  # 0 weight on an infinite penalty contributes nothing
+        penalty += f_n * (-_log_magnitude(u))
+    entropy = sum(_xlogx(f_n) for f_n in f)
+    return entropy + lam * (sum(f) - 1.0) + alpha * penalty
+
+
+def _reference_information_functional_losses(
+    factors: Sequence,
+    utilities: Sequence,
+    lam: float = 0.0,
+    gamma: float = 1.0,
+) -> float:
+    """Information functional whose minimizer is the losses factor rule.
+
+    Same structure as the gains functional but the log-penalty term
+    enters with the opposite sign,
+    ``sum f ln f + lam * (sum f - 1) - gamma * sum f * L``
+    with ``L_n = -ln |U_n|``, which is what flips the minimizer to
+    ``f_n`` proportional to ``|U_n| ** -gamma``.
+    """
+    lam = float(_checks.real(lam, what="lam"))
+    gamma = float(_checks.real(gamma, what="gamma"))
+    f, values = _reference_functional_inputs(factors, utilities)
+    for u in values:
+        if u >= 0:
+            raise SignDomainError(
+                f"losses functional needs strictly negative utilities, got {u!r}"
+            )
+    penalty = sum(f_n * (-_log_magnitude(u)) for f_n, u in zip(f, values))
+    entropy = sum(_xlogx(f_n) for f_n in f)
+    return entropy + lam * (sum(f) - 1.0) + gamma * (0.0 - penalty)
+
+
+def _bits(value):
+    """``value`` as its type and, for a float (numpy's included), ``float.hex``,
+    which tells ``-0.0`` from ``0.0`` and equal hex means equal value."""
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+def _outcome(function, *args):
+    """What ``function`` returns, as ``_bits``, or its exception's class and text."""
+    try:
+        return _bits(function(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _unsigned_zeros(outcome):
+    """``outcome`` with each ``-0.0`` factor read as ``0.0``: the gains rule gives a
+    zero utility the factor ``+0.0`` now, where it used to keep the sign of ``-0.0``."""
+    if isinstance(outcome, list):
+        return [(t, "0x0.0p+0" if bits == "-0x0.0p+0" else bits) for t, bits in outcome]
+    return outcome
+
+
+_MAGNITUDES = st.one_of(
+    st.integers(0, 10**6),
+    st.fractions(min_value=0, max_value=10**6, max_denominator=10**6),
+    st.floats(0.0, 1e308),
+    # Zero, below the double range, beyond it, and next to its ends.
+    st.sampled_from([0, F(0), 0.0, F(1, 10**900), F(3, 10**400), F(10**400), F(10**309, 7),
+                     5e-324, 1e-308, 1e308, 1.7e308, F(1, 3)]),
+)
+_EXPONENTS = st.one_of(
+    st.integers(1, 8),
+    st.fractions(min_value=F(1, 10), max_value=5, max_denominator=20),
+    st.floats(0.05, 5.0),
+    # Unit, large and refused exponents.
+    st.sampled_from([1, F(1), 1.0, 600, 10**9, F(10) ** 300, 1e300, 0, -1, F(-1, 2), -2.5,
+                     True, math.inf, math.nan, None, "1"]),
+)
+_LAMS = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.integers(-10, 10),
+    st.fractions(min_value=-10, max_value=10, max_denominator=100),
+    st.sampled_from([0.0, 1e308, -1e308, F(10**400), True, math.nan, None, "x"]),
+)
+_FACTORS = st.one_of(
+    st.floats(0.0, 1.0),
+    st.fractions(min_value=0, max_value=1, max_denominator=1000),
+    st.sampled_from([0.0, -0.0, 1.0, 0, 1, 5e-324, -0.1, F(-1, 10), 2.5, None]),
+)
+
+
+@st.composite
+def _utilities(draw):
+    """1 to 5 utilities of one sign regime, or mixed: ints, Fractions, floats
+    and ``np.float64``s, zeros (``-0.0`` too) among them."""
+    regime = draw(st.sampled_from(["gains", "losses", "mixed"]))
+    values = []
+    for _ in range(draw(st.integers(1, 5))):
+        u = draw(_MAGNITUDES)
+        if isinstance(u, float) and draw(st.booleans()):
+            u = np.float64(u)
+        if regime == "losses" or draw(st.booleans()) and (regime == "mixed" or u == 0):
+            u = -u
+        values.append(u)
+    return values
+
+
+@pytest.mark.parametrize("new, reference", [
+    (utility_factors_gains, _reference_utility_factors_gains),
+    (utility_factors_losses, _reference_utility_factors_losses),
+])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # numpy powers, both sides
+@settings(max_examples=200, deadline=None)
+@given(utilities=_utilities(), exponent=_EXPONENTS)
+def test_factor_rules_match_the_reference(new, reference, utilities, exponent):
+    got = _outcome(new, list(utilities), exponent)
+    assert got == _unsigned_zeros(_outcome(reference, list(utilities), exponent))
+
+
+@pytest.mark.parametrize("new, reference", [
+    (information_functional_gains, _reference_information_functional_gains),
+    (information_functional_losses, _reference_information_functional_losses),
+])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), utilities=_utilities(), lam=_LAMS, exponent=_EXPONENTS)
+def test_functionals_match_the_reference(new, reference, data, utilities, lam, exponent):
+    n = len(utilities) + data.draw(st.sampled_from([0, 0, 0, 0, 1, -1]))
+    factors = data.draw(st.lists(_FACTORS, min_size=n, max_size=n))
+    args = (factors, list(utilities), lam, exponent)
+    assert _outcome(new, *args) == _outcome(reference, *args)

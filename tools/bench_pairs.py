@@ -28,9 +28,12 @@ verdict:
 - ``within noise``: anything else.
 
 Beside those go, for both trees, the src line count, ``len(qchoice.__all__)``,
-the benchmark's provenance line and the tier-1 suite's outcome counts and
+the benchmark's provenance line, the tier-1 suite's outcome counts and
 wall time (``PYTHONPATH=src python -m pytest -q
---continue-on-collection-errors``, run once per tree after the pairs).
+--continue-on-collection-errors``, run once per tree after the pairs) and,
+per workload, the ``trace.replay_mismatches`` and failed commands of one
+traced pass (``run.py --seed 1 --seconds 5 --trace 1``): whether the
+replay still reproduces what the command line printed.
 """
 from __future__ import annotations
 
@@ -49,6 +52,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 FIRST_SEED = 901
+#: Length of the one traced pass per workload and tree.
+TRACE_SECONDS = 5
 #: Share of pairs the change must win for a ``gain``.
 GAIN_WIN_SHARE = 0.9
 
@@ -115,13 +120,19 @@ def summarize(base_runs: list[dict], change_runs: list[dict], metrics: list[dict
     return row
 
 
+def _run_py(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> subprocess.CompletedProcess:
+    """This checkout's ``run.py`` run in ``tree``, so the package comes from its ``src/``."""
+    return subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=tree, capture_output=True, text=True,
+    )
+
+
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """``run.py``'s result line and its provenance line."""
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=True,
-    )
+    done = _run_py(tree, workload, seed, seconds, trace=0)
+    done.check_returncode()
     lines = done.stdout.splitlines()
     provenance = next(line for line in lines if line.startswith("provenance "))
     return json.loads(lines[-1]), json.loads(provenance.removeprefix("provenance "))
@@ -149,6 +160,26 @@ def parse_pytest_summary(output: str) -> dict:
         raise ValueError(f"no pytest summary line in {output[-200:]!r}")
     counts = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", found[1])}
     return dict(counts, seconds=float(found[2]))
+
+
+def parse_traced_result(output: str) -> dict:
+    """``trace.replay_mismatches`` and the failed and attempted command counts
+    from the last line of ``run.py --trace 1``'s output, its result line."""
+    lines = output.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+        return {
+            "replay_mismatches": result["metrics"]["trace.replay_mismatches"]["value"],
+            "failed": result["failed"],
+            "attempted": result["attempted"],
+        }
+    except (IndexError, KeyError, TypeError, ValueError):
+        raise ValueError(f"no traced result line in {output[-200:]!r}") from None
+
+
+def traced(tree: Path, workload: str) -> dict:
+    """``parse_traced_result`` of one traced pass of ``workload`` in ``tree``."""
+    return parse_traced_result(_run_py(tree, workload, 1, TRACE_SECONDS, trace=1).stdout)
 
 
 def tier1(tree: Path) -> dict:
@@ -194,7 +225,10 @@ def main(argv=None) -> int:
                     runs[w][side].append(result)
                     value = result["metrics"]["cmds_per_s"]["value"]
                     print(f"pair {i + 1}/{args.pairs} {w} {side}: cmds_per_s {value:.1f}", file=sys.stderr)
-        facts = {side: dict(tree_facts(tree), tier1=tier1(tree)) for side, tree in sides.items()}
+        facts = {
+            side: dict(tree_facts(tree), tier1=tier1(tree), traced={w: traced(tree, w) for w in workloads})
+            for side, tree in sides.items()
+        }
     finally:
         shutil.rmtree(base_tree)
 
@@ -220,6 +254,7 @@ def main(argv=None) -> int:
                       f"wins {m['wins']}/{m['pairs']}  {m['verdict']}")
     for side, tree in report["trees"].items():
         print(f"tier-1 {side}: {tree['tier1']}")
+        print(f"traced {side}: {tree['traced']}")
     print(f"wrote {out.name}")
     return 0
 
