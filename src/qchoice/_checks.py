@@ -51,7 +51,8 @@ ENTROPY_MARGIN_TOL = -1e-9
 
 
 def real(value, *, what: str):
-    """``value`` if it is a real number (not ``bool``) that is a finite double."""
+    """``value`` if it is a real number (not ``bool``) that is a finite double;
+    a numpy scalar comes back as the Python number it holds (``.item()``)."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValidationError(f"{what} must be a real number, got {value!r}")
     try:
@@ -60,23 +61,22 @@ def real(value, *, what: str):
         raise ValidationError(f"{what} is too large for floating point") from None
     if not finite:
         raise ValidationError(f"{what} must be finite, got {value!r}")
-    return value
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def reals(values, *, what: str) -> tuple:
     """``values`` as a non-empty tuple of ``real`` numbers."""
-    values = tuple(values)
+    values = tuple([real(v, what=what) for v in values])
     if len(values) == 0:
         raise ValidationError(f"need at least one {what}")
-    for v in values:
-        real(v, what=what)
     return values
 
 
-def positive(value, *, what: str) -> None:
-    """``value`` is ``real`` and > 0."""
-    if real(value, what=what) <= 0:
+def positive(value, *, what: str):
+    """``real(value)``, which must be > 0."""
+    if (checked := real(value, what=what)) <= 0:
         raise ValidationError(f"{what} must be positive, got {value!r}")
+    return checked
 
 
 def distribution(values, *, what: str, plural: str) -> None:

@@ -109,16 +109,12 @@ def cli() -> None:
     """Choice probabilities split into utility and attraction factors."""
 
 
-#: Heading and width of each column of ``experiments._report_columns``.
-_TABLE_COLUMNS = (("f", 16), ("q", 16), ("p", 16), ("observed", 12), ("|err|", 12))
-
-
 def _prediction_table(exp: ExperimentFile, report: PredictionReport, digest: str, created: str) -> str:
     lines = [f"experiment: {exp.name}   [{digest[:19]}]"]
-    columns = list(zip(_report_columns(report), _TABLE_COLUMNS))
-    lines.append(f"{'prospect':<14}" + "".join(f" {head:>{w}}" for _, (head, w) in columns))
+    columns = _report_columns(report)
+    lines.append(f"{'prospect':<14}" + "".join(f" {head:>{w}}" for (_, head, w), _ in columns))
     for k, pid in enumerate(report.prospect_ids):
-        lines.append(f"{pid:<14}" + "".join(f" {_fmt_number(c[k]):>{w}}" for c, (_, w) in columns))
+        lines.append(f"{pid:<14}" + "".join(f" {_fmt_number(c[k]):>{w}}" for (_, _, w), c in columns))
     if report.empirical is not None:
         lines.append(
             f"max |error| {_fmt_number(report.max_abs_error)}   "

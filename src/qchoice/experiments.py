@@ -61,9 +61,10 @@ from .utility import (
 _TOP_LEVEL_FIELDS = {"name", "prospects", "attractiveness_rank", "empirical", "config"}
 _PROSPECT_FIELDS = {"id", "utility", "f"}
 _CONFIG_FIELDS = {"alpha", "gamma", "utility_kind", "utility_exponent"}
-#: A report's per-prospect columns, in the order of the CSV and of the
-#: ``predict`` table; the last two need ``empirical``.
-_COLUMNS = ("f", "q", "p", "p_exp", "abs_error")
+#: A report's per-prospect columns in CSV and ``predict`` table order: record
+#: key, table heading and width.  The last two need ``empirical``.
+_COLUMNS = (("f", "f", 16), ("q", "q", 16), ("p", "p", 16),
+            ("p_exp", "observed", 12), ("abs_error", "|err|", 12))
 
 
 # libyaml's scanner where PyYAML was built with it; the resolvers and
@@ -156,11 +157,16 @@ def _require_number(value, *, field: str):
     return Fraction(value)
 
 
-def _positive_setting(config: dict, key: str, source: str) -> Fraction:
-    value = _require_number(config.get(key, 1), field=f"{source}: config.{key}")
-    if value <= 0:
-        raise ExperimentFormatError(f"{source}: config.{key} must be positive")
-    return value
+def _settings(config: dict, source: str, **keys: str) -> dict:
+    """``{name: value}`` for each ``name=key`` whose ``key`` the ``config``
+    gives, its value a positive number; names left out keep their defaults."""
+    settings = {}
+    for name, key in keys.items():
+        if key in config:
+            settings[name] = _require_number(config[key], field=f"{source}: config.{key}")
+            if settings[name] <= 0:
+                raise ExperimentFormatError(f"{source}: config.{key} must be positive")
+    return settings
 
 
 def parse_experiment(text: str, *, source: str = "<string>") -> ExperimentFile:
@@ -336,16 +342,13 @@ def _experiment(doc, source: str) -> ExperimentFile:
             )
         empirical = tuple(freq_by_id[pid] for pid in values)
 
-    alpha = Fraction(1)
-    gamma = Fraction(1)
-    utility = LINEAR_UTILITY
+    settings = {}  # ``ExperimentFile`` holds the defaults
     config = doc.get("config")
     if config is not None:
         if not isinstance(config, dict):
             raise ExperimentFormatError(f"{source}: field 'config' must be a mapping")
         _known_fields(config, _CONFIG_FIELDS, f"{source}: config has")
-        alpha = _positive_setting(config, "alpha", source)
-        gamma = _positive_setting(config, "gamma", source)
+        settings = _settings(config, source, alpha="alpha", gamma="gamma")
         util_kind = config.get("utility_kind", "linear")
         if util_kind not in ("linear", "power"):
             raise ExperimentFormatError(
@@ -353,7 +356,8 @@ def _experiment(doc, source: str) -> ExperimentFile:
                 f"got {reprlib.repr(util_kind)}"
             )
         if util_kind == "power":
-            utility = UtilityFunction(_positive_setting(config, "utility_exponent", source))
+            exponent = _settings(config, source, exponent="utility_exponent")
+            settings["utility"] = UtilityFunction(**exponent)
         elif "utility_exponent" in config:
             raise ExperimentFormatError(
                 f"{source}: config.utility_exponent requires utility_kind: power"
@@ -367,9 +371,7 @@ def _experiment(doc, source: str) -> ExperimentFile:
         utility_factors=given if kind == "f" else None,
         attractiveness_rank=tuple(rank),
         empirical=empirical,
-        alpha=alpha,
-        gamma=gamma,
-        utility=utility,
+        **settings,
     )
 
 
@@ -457,20 +459,20 @@ def _number_fields(prefix: str, value) -> list[tuple[str, object]]:
 
 
 def _report_columns(report: PredictionReport) -> list[tuple]:
-    """The value tuples of the ``_COLUMNS`` that ``report`` has."""
-    columns = [report.utility_factors, report.attraction_factors, report.probabilities]
+    """``(column, values)`` for each of the ``_COLUMNS`` that ``report`` has."""
+    values = [report.utility_factors, report.attraction_factors, report.probabilities]
     if report.empirical is not None:
-        columns += [report.empirical, report.abs_errors]
-    return columns
+        values += [report.empirical, report.abs_errors]
+    return list(zip(_COLUMNS, values))
 
 
 def _report_payload(report: PredictionReport) -> dict:
-    columns = list(zip(_COLUMNS, _report_columns(report)))
+    columns = _report_columns(report)
     rows = []
     for k, pid in enumerate(report.prospect_ids):
         row: dict[str, object] = {"id": pid}
-        for name, values in columns:
-            row.update(_number_fields(name, values[k]))
+        for (key, _, _), values in columns:
+            row.update(_number_fields(key, values[k]))
         rows.append(row)
     payload: dict[str, object] = {
         "prospects": rows,
@@ -574,7 +576,7 @@ class RunRecord:
             )
         columns = _report_columns(self.report)
         blanks = [""] * (len(_COLUMNS) - len(columns))
-        lines = [",".join(("id", *_COLUMNS))]
+        lines = [",".join(["id", *(key for key, _, _ in _COLUMNS)])]
         for k, pid in enumerate(self.report.prospect_ids):
-            lines.append(",".join([pid, *(repr(float(c[k])) for c in columns), *blanks]))
+            lines.append(",".join([pid, *(repr(float(c[k])) for _, c in columns), *blanks]))
         return "\n".join(lines) + "\n"

@@ -15,9 +15,10 @@ factors in closed form by one signed-exponent rule,
 The public gains and losses functions name the regime; ``_factors`` and
 ``_functional`` are its one implementation.  Both exponents default to
 1, which reduces the gains rule to simple ratio-of-utilities weighting.
-Exact inputs (ints, Fractions) pass through exactly when the exponent is
-1 or an integer; the functionals themselves are evaluated in floating
-point.
+``Fraction`` utilities give exact factors at an integer exponent (the
+``.exp`` reader reads every number as one); ``int`` utilities divide as
+Python ints do, into floats, and a numpy scalar is computed on as the
+Python number it holds.  The functionals are evaluated in floating point.
 """
 from __future__ import annotations
 
@@ -68,10 +69,11 @@ class UtilityFunction:
     exponent: Real = 1
 
     def __post_init__(self) -> None:
-        _checks.positive(self.exponent, what="utility exponent")
+        exponent = _checks.positive(self.exponent, what="utility exponent")
+        object.__setattr__(self, "exponent", exponent)
 
     def __call__(self, x):
-        _checks.real(x, what="payoff")
+        x = _checks.real(x, what="payoff")
         if self.exponent == 1:
             return x
         if x == 0:
@@ -90,7 +92,7 @@ def utility_factors_gains(utilities: Sequence, alpha: Real = 1) -> list:
     utility yields a zero factor; an all-zero family carries no signal
     and is rejected, as is any negative utility (use the losses rule) and
     a family whose weights all underflow to zero (``DegenerateSetError``).
-    Exact inputs stay exact when ``alpha`` is 1 or a positive integer.
+    ``Fraction`` utilities stay exact at an integer ``alpha``; ``int`` ones divide into floats.
     """
     return _factors(utilities, alpha, gains=True)
 
@@ -126,7 +128,7 @@ def _factors(utilities: Sequence, exponent: Real, *, gains: bool) -> list:
     ``DegenerateSetError``."""
     rule = "gains" if gains else "losses"
     values = _checks.reals(utilities, what="utility")
-    _checks.positive(exponent, what="alpha" if gains else "gamma")
+    exponent = _checks.positive(exponent, what="alpha" if gains else "gamma")
     _regime(values, gains=gains, what="rule")
     if gains and all(u == 0 for u in values):
         raise DegenerateSetError(
@@ -135,7 +137,10 @@ def _factors(utilities: Sequence, exponent: Real, *, gains: bool) -> list:
     e = exponent if gains else -exponent
     # ``abs`` also gives a zero utility the weight +0.0, never -0.0.
     weights = [_power(abs(u), e, what=f"a {rule} weight") for u in values]
-    total = sum(weights)
+    try:
+        total = sum(weights)
+    except OverflowError:  # a float weight plus an exact one beyond the double range
+        total = math.inf
     if not isinstance(total, Rational) and not math.isfinite(total):
         raise ValidationError(f"the sum of the {rule} weights overflows floating point")
     if total == 0:

@@ -175,6 +175,12 @@ def verify_entropy(perturbations: int = 10_000, seed: int = 0, vectors: int = 20
     )
 
 
+#: Record names of ``verify_quantum_identity``'s worst defects: of ``p = f + q``,
+#: of ``p`` against the trace rule, and of the normalized sums of ``p``, ``f`` and ``q``.
+_IDENTITY_DEFECTS = ("max_split_defect", "max_trace_rule_deviation",
+                     "max_p_sum_defect", "max_f_sum_defect", "max_q_sum_defect")
+
+
 def verify_quantum_identity(
     draws: int = 1000, seed: int = 0, dims: tuple[int, int] = (4, 3)
 ) -> SuiteResult:
@@ -196,11 +202,7 @@ def verify_quantum_identity(
     n_dim, b_dim = _checks.register(dims)
     seed = _checks.count(seed, what="seed")  # the record holds it
     rng = _checks.rng(seed)
-    max_identity = 0.0
-    max_trace_dev = 0.0
-    max_p_sum = 0.0
-    max_f_sum = 0.0
-    max_q_sum = 0.0
+    defects = [0.0] * len(_IDENTITY_DEFECTS)
     for chunk in _checks.chunks(draws, quantum.BATCH_CHUNK):
         rhos, coeffs = random_prospect_draws(chunk.stop - chunk.start, dims, rng)
         p, f, q = split(rhos, coeffs, dims)
@@ -209,22 +211,16 @@ def verify_quantum_identity(
             axis=-1,
         )
         p_n, f_n, q_n = normalize(p, f)
-        max_identity = max(max_identity, float(np.max(np.abs(p - (f + q)))))
-        max_trace_dev = max(max_trace_dev, float(np.max(np.abs(trace_p - p))))
-        max_p_sum = max(max_p_sum, float(np.max(np.abs(p_n.sum(axis=-1) - 1.0))))
-        max_f_sum = max(max_f_sum, float(np.max(np.abs(f_n.sum(axis=-1) - 1.0))))
-        max_q_sum = max(max_q_sum, float(np.max(np.abs(q_n.sum(axis=-1)))))
-    worst = max(max_identity, max_trace_dev, max_p_sum, max_f_sum, max_q_sum)
+        sums = (p_n.sum(axis=-1) - 1.0, f_n.sum(axis=-1) - 1.0, q_n.sum(axis=-1))
+        residues = (p - (f + q), trace_p - p, *sums)
+        defects = [max(d, float(np.max(np.abs(r)))) for d, r in zip(defects, residues)]
+    worst = max(defects)
     passed = worst < IDENTITY_TOL
     stats = {
         "draws": int(draws),
         "seed": seed,
         "dims": [int(n_dim), int(b_dim)],
-        "max_split_defect": float(max_identity),
-        "max_trace_rule_deviation": float(max_trace_dev),
-        "max_p_sum_defect": float(max_p_sum),
-        "max_f_sum_defect": float(max_f_sum),
-        "max_q_sum_defect": float(max_q_sum),
+        **dict(zip(_IDENTITY_DEFECTS, defects)),
         "tolerance": IDENTITY_TOL,
     }
     return SuiteResult(

@@ -73,6 +73,28 @@ class TestCount:
         assert _checks.count(10**30, what="n") == 10**30
 
 
+class TestReal:
+    @pytest.mark.parametrize("value, expected", [
+        (np.int64(2**62), 2**62),
+        (np.uint8(200), 200),
+        (np.float64(0.1), 0.1),
+        (np.float32(0.5), 0.5),
+    ])
+    def test_numpy_scalars_come_back_as_python_numbers(self, value, expected):
+        for got in (_checks.real(value, what="x"), _checks.positive(value, what="x"),
+                    *_checks.reals([value], what="x")):
+            assert got == expected and type(got) is type(expected)
+
+    @pytest.mark.parametrize("value", [3, -2.5, Fraction(1, 3)])
+    def test_other_values_come_back_unchanged(self, value):
+        assert _checks.real(value, what="x") is value
+        assert _checks.reals([value], what="x")[0] is value
+
+    def test_refusals_name_the_value_given(self):
+        with pytest.raises(ValidationError, match=r"^x must be positive, got np.float64\(-1.0\)$"):
+            _checks.positive(np.float64(-1.0), what="x")
+
+
 class TestSeeds:
     """Every library stream takes its seed through ``_checks.rng``."""
 

@@ -547,6 +547,34 @@ def test_pinned_values_within_the_sum_tolerance_are_accepted():
     assert report.probabilities == (1, 0)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: ChoiceSet((), (), ()), "choice set needs at least one prospect"),
+    (lambda: PredictionReport(("A", "B"), (F(1),), (F(0),), False),
+     "report columns must have equal length"),
+    (lambda: PredictionReport((), (), (), False), "report needs at least one prospect"),
+    (lambda: enforce_bounds([], []), "bounds enforcement needs at least one prospect"),
+    (lambda: regularity_violation_check([], []), "regularity check needs at least one prospect"),
+], ids=["choice-set", "report-unequal", "report-empty", "bounds", "regularity"])
+def test_empty_and_unequal_columns_are_refused(build, message):
+    with pytest.raises(ValidationError) as exc:
+        build()
+    assert type(exc.value) is ValidationError and str(exc.value) == message
+
+
+def test_a_bounds_loop_that_does_not_settle_is_refused():
+    # ``np.float32`` values keep their own arithmetic: each redistribution
+    # leaves a float32 rounding residue above the stop tolerance, no new
+    # value is pinned, and the rounds run out.
+    f = [np.float32(0.1), np.float32(0.1), np.float32(0.8)]
+    q = [np.float32(-0.3), np.float32(0.3), np.float32(0.0)]
+    with pytest.raises(InfeasibleBoundsError) as exc:
+        enforce_bounds(f, q)
+    assert str(exc.value) == (
+        "bounds enforcement did not settle; inputs violate the "
+        "probability constraints in an unrecoverable way"
+    )
+
+
 def test_infeasible_error_is_exported():
     # Factors accepted within SUM_TOL of 1 leave a fully pinned q at most
     # SUM_TOL off zero, and that is accepted (test above); the infeasible

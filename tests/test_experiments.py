@@ -16,11 +16,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qchoice import (
+    ExperimentFile,
     ExperimentFormatError,
     PredictionReport,
     QChoiceError,
     RunRecord,
     SignDomainError,
+    UtilityFunction,
     bundled_experiment,
     bundled_experiment_text,
     derive_utility_factors,
@@ -443,6 +445,18 @@ class TestConfigSection:
         exp = parse_experiment(MINIMAL)
         assert exp.alpha == 1 and exp.gamma == 1
         assert exp.utility(F(-7, 2)) == F(-7, 2)
+
+    def test_settings_left_out_keep_the_dataclass_defaults(self):
+        exp = parse_experiment(MINIMAL + "config: {gamma: 2, utility_kind: power}\n")
+        assert exp.alpha is ExperimentFile.alpha and exp.gamma == 2
+        assert exp.utility == UtilityFunction()
+        assert parse_experiment(MINIMAL + "config: {}\n") == parse_experiment(MINIMAL)
+
+    @pytest.mark.parametrize("utilities, factors", [((F(1),), (F(1),)), (None, None)])
+    def test_experiment_file_needs_exactly_one_kind(self, utilities, factors):
+        with pytest.raises(ExperimentFormatError) as exc:
+            ExperimentFile("demo", ("a",), utilities, factors, ("a",))
+        assert str(exc.value) == "exactly one of utilities/utility_factors must be present"
 
 
 def load_experiment(path):

@@ -140,6 +140,11 @@ class TestEventOperator:
         op = EventOperator(np.diag([0.5, 0.25]))
         assert op.dim == 2
 
+    def test_povm_rejects_negative_eigenvalue(self):
+        with pytest.raises(ValidationError) as exc:
+            EventOperator(np.diag([-0.5, 0.5]))
+        assert str(exc.value) == "event operator has negative eigenvalue -5.000e-01"
+
     def test_povm_rejects_eigenvalue_above_one(self):
         with pytest.raises(ValidationError, match="above 1"):
             EventOperator(np.diag([1.5, 0.0]))
@@ -487,6 +492,18 @@ def _low_rank_state(dim: int, rank: int, rng: np.random.Generator) -> DensityOpe
 
 class TestBatchedKernels:
     """The array kernels against the scalar wrappers and the closed forms."""
+
+    def test_trace_rule_refuses_an_imaginary_expectation(self):
+        with pytest.raises(ValidationError) as exc:
+            trace_rule(np.diag([1.0, 0.0]), np.diag([1j, 0]))
+        assert str(exc.value) == (
+            "event expectation has imaginary part 1.000e+00; operator inputs are inconsistent"
+        )
+
+    def test_split_refuses_an_empty_stack(self):
+        with pytest.raises(ValidationError) as exc:
+            split(np.zeros((0, 4, 4)), [1.0, 0.0], (2, 2))
+        assert str(exc.value) == "cannot split an empty state stack"
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -274,6 +274,12 @@ class TestLossesFactors:
         with pytest.raises(ValidationError, match="a losses weight overflows floating point"):
             utility_factors_losses([F(-1, 10**4000), -2], F(1, 2))
 
+    def test_float_weight_plus_an_exact_one_past_the_double_range_rejected(self):
+        # ``1 / 1`` is the float 1.0, and adding it to 10**900 overflows.
+        with pytest.raises(ValidationError) as exc:
+            utility_factors_losses([-1, F(-1, 10**900)], 1)
+        assert str(exc.value) == "the sum of the losses weights overflows floating point"
+
 
 class TestUnitExponents:
     """Exponent 1 (and -1 for losses) leaves each utility as it is."""
@@ -292,10 +298,52 @@ class TestUnitExponents:
         assert gains == [0.25, 0.75] and losses == [0.75, 0.25]
         assert all(type(x) is float for x in gains + losses)
 
+    @pytest.mark.parametrize("exponent", [1, F(1)])
+    def test_int_shares_divide_into_floats(self, exponent):
+        gains = utility_factors_gains([1, 3], exponent)
+        losses = utility_factors_losses([-1, -3], exponent)
+        assert gains == [0.25, 0.75] and losses == [0.75, 0.25]
+        assert all(type(x) is float for x in gains + losses)
+
     def test_tiny_exact_utilities_accepted(self):
         tiny = F(1, 10**900)
         assert utility_factors_gains([tiny, F(1)]) == [F(1, 10**900 + 1), F(10**900, 10**900 + 1)]
         assert utility_factors_losses([-tiny, F(-1)]) == [F(10**900, 10**900 + 1), F(1, 10**900 + 1)]
+
+
+def _payoff_utility(exponent, payoff):
+    return UtilityFunction(exponent)(payoff)
+
+
+class TestNumpyScalars:
+    """A numpy scalar is computed on as the Python number it holds, never in
+    numpy's fixed-width arithmetic."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("call, numpy_args, python_args", [
+        (utility_factors_gains, ([np.int64(2**62)] * 2, 1), ([2**62] * 2, 1)),
+        (utility_factors_gains, ([np.uint8(200), np.uint8(1)], 2), ([200, 1], 2)),
+        (_payoff_utility, (2, np.int64(10**10)), (2, 10**10)),
+        (_payoff_utility, (np.int64(3), np.int64(-10**10)), (3, -10**10)),
+        (utility_factors_losses, ([np.int64(-10**10), np.int64(-1)], 2), ([-10**10, -1], 2)),
+        (utility_factors_gains, ([np.float64(1e308), 1.0], 2.5), ([1e308, 1.0], 2.5)),
+        (utility_factors_gains, ([np.float32(0.5), 1.0], np.float64(0.5)), ([0.5, 1.0], 0.5)),
+    ], ids=["int64-sum", "uint8-power", "int64-payoff", "int64-exponent", "int64-losses",
+            "float64-overflow", "float-exponent"])
+    def test_results_match_python_numbers(self, call, numpy_args, python_args):
+        assert _outcome(call, *numpy_args) == _outcome(call, *python_args)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        gains=st.booleans(),
+        magnitudes=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=5),
+        exponent=st.integers(1, 4),
+    )
+    def test_int64_utilities_match_python_ints(self, gains, magnitudes, exponent):
+        rule = utility_factors_gains if gains else utility_factors_losses
+        utilities = magnitudes if gains else [-m - 1 for m in magnitudes]
+        as_int64 = [np.int64(u) for u in utilities]
+        assert _outcome(rule, as_int64, np.int64(exponent)) == _outcome(rule, utilities, exponent)
 
 
 class TestInformationFunctionals:
@@ -577,11 +625,15 @@ def _outcome(function, *args):
         return type(exc), str(exc)
 
 
-def _unsigned_zeros(outcome):
-    """``outcome`` with each ``-0.0`` factor read as ``0.0``: the gains rule gives a
-    zero utility the factor ``+0.0`` now, where it used to keep the sign of ``-0.0``."""
+def _as_now(outcome, rule):
+    """A reference ``outcome`` as the ``rule`` gives it now.  Each ``-0.0`` factor reads
+    ``0.0``: the gains rule gives a zero utility the factor ``+0.0``, where it used to
+    keep the sign of ``-0.0``.  A raw ``OverflowError``, from adding a float weight to an
+    exact one beyond the double range, is the rule's ``ValidationError``."""
     if isinstance(outcome, list):
         return [(t, "0x0.0p+0" if bits == "-0x0.0p+0" else bits) for t, bits in outcome]
+    if outcome[0] is OverflowError:
+        return ValidationError, f"the sum of the {rule} weights overflows floating point"
     return outcome
 
 
@@ -634,12 +686,12 @@ def _utilities(draw):
     (utility_factors_gains, _reference_utility_factors_gains),
     (utility_factors_losses, _reference_utility_factors_losses),
 ])
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # numpy powers, both sides
 @settings(max_examples=200, deadline=None)
 @given(utilities=_utilities(), exponent=_EXPONENTS)
 def test_factor_rules_match_the_reference(new, reference, utilities, exponent):
+    rule = "gains" if new is utility_factors_gains else "losses"
     got = _outcome(new, list(utilities), exponent)
-    assert got == _unsigned_zeros(_outcome(reference, list(utilities), exponent))
+    assert got == _as_now(_outcome(reference, list(utilities), exponent), rule)
 
 
 @pytest.mark.parametrize("new, reference", [
