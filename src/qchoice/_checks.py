@@ -2,11 +2,13 @@
 
 Modules that document a tolerance (``quantum.IDENTITY_TOL``,
 ``verify.QUARTER_LAW_TOL``, ...) re-export it from here.  Inputs are
-checked where they enter, each rule by one helper: ``register`` for the
-dimensions of a composite register, ``distribution`` for utility factors
-and probabilities, ``zero_sum`` for attraction factors, ``positive`` for
-exponents and ``rng`` for seeds.  Data the package has already validated,
-or built from a closed form, is handed on through ``trusted``.
+checked where they enter, each rule by one helper: ``column`` for every
+sequence argument and ``per_prospect`` for its length, ``register`` for
+the dimensions of a composite register, ``distribution`` for utility
+factors and probabilities, ``zero_sum`` for attraction factors,
+``positive`` for exponents and ``rng`` for seeds.  Data the package has
+already validated, or built from a closed form, is handed on through
+``trusted``.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import dataclasses
 import math
 import operator
 import reprlib
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from numbers import Real
@@ -64,9 +66,27 @@ def real(value, *, what: str):
     return value.item() if isinstance(value, np.generic) else value
 
 
+def column(values, *, what: str) -> tuple:
+    """``values``, any iterable but a mapping (whose iteration would read
+    its keys as the values), as a tuple; ``what`` names one value."""
+    if isinstance(values, Mapping):
+        raise ValidationError(f"{what} column must be a sequence, not a mapping")
+    try:
+        items = iter(values)
+    except TypeError:
+        raise ValidationError(f"{what} column must be a sequence, got {reprlib.repr(values)}") from None
+    return tuple(items)
+
+
+def per_prospect(values: tuple, n: int, *, plural: str) -> None:
+    """``values`` must hold one value for each of ``n`` prospects."""
+    if len(values) != n:
+        raise ValidationError(f"{n} prospects but {len(values)} {plural}")
+
+
 def reals(values, *, what: str) -> tuple:
-    """``values`` as a non-empty tuple of ``real`` numbers."""
-    values = tuple([real(v, what=what) for v in values])
+    """``values`` (a ``column``) as a non-empty tuple of ``real`` numbers."""
+    values = tuple([real(v, what=what) for v in column(values, what=what)])
     if len(values) == 0:
         raise ValidationError(f"need at least one {what}")
     return values
@@ -79,23 +99,24 @@ def positive(value, *, what: str):
     return checked
 
 
-def distribution(values, *, what: str, plural: str) -> None:
-    """A sequence of ``real`` values, each in [0, 1] and summing to 1 with
-    ``SUM_TOL`` slack: utility factors or choice probabilities.  ``what``
-    names one value in the messages, ``plural`` all of them."""
+def distribution(values, *, what: str = "utility factor", plural: str = "utility factors") -> tuple:
+    """``reals(values)``, each in [0, 1] and summing to 1 with ``SUM_TOL``
+    slack: utility factors or choice probabilities.  ``what`` names one
+    value in the messages, ``plural`` all of them."""
+    values = reals(values, what=what)
     for v in values:
-        as_float = float(real(v, what=what))
-        if as_float < -SUM_TOL or as_float > 1.0 + SUM_TOL:
+        if not -SUM_TOL <= float(v) <= 1.0 + SUM_TOL:
             raise ValidationError(f"{what} {v!r} outside [0, 1]")
     check_sum(values, 1.0, what=plural)
+    return values
 
 
-def zero_sum(values, *, what: str, plural: str) -> None:
-    """A sequence of ``real`` values summing to 0 with ``SUM_TOL`` slack:
-    attraction factors."""
-    for v in values:
-        real(v, what=what)
-    check_sum(values, 0.0, what=plural)
+def zero_sum(values) -> tuple:
+    """``reals(values)`` summing to 0 with ``SUM_TOL`` slack: attraction
+    factors."""
+    values = reals(values, what="attraction factor")
+    check_sum(values, 0.0, what="attraction factors")
+    return values
 
 
 def register(dims, shape=None, *, within: str = "", what: str = "register dimensions") -> tuple[int, int]:

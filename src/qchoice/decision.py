@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import _checks
 from .attraction import quantized_attraction_set
@@ -38,18 +38,12 @@ class ChoiceSet:
     attractiveness_rank: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        ids = tuple(str(i) for i in self.prospect_ids)
-        factors = tuple(self.utility_factors)
-        rank = tuple(str(i) for i in self.attractiveness_rank)
-        if len(ids) == 0:
-            raise ValidationError("choice set needs at least one prospect")
+        ids = _ids(self.prospect_ids, what="prospect id")
         if len(set(ids)) != len(ids):
             raise ValidationError(f"prospect ids must be unique, got {ids}")
-        if len(factors) != len(ids):
-            raise ValidationError(
-                f"{len(ids)} prospects but {len(factors)} utility factors"
-            )
-        _checks.distribution(factors, what="utility factor", plural="utility factors")
+        factors = _checks.distribution(self.utility_factors)
+        _checks.per_prospect(factors, len(ids), plural="utility factors")
+        rank = _ids(self.attractiveness_rank, what="rank entry")
         if sorted(rank) != sorted(ids):
             raise ValidationError(
                 f"attractiveness rank {rank} is not a permutation of ids {ids}"
@@ -83,15 +77,11 @@ class PredictionReport:
     empirical: tuple | None = None
 
     def __post_init__(self) -> None:
-        ids = tuple(str(i) for i in self.prospect_ids)
-        f = tuple(self.utility_factors)
-        q = tuple(self.attraction_factors)
-        if not (len(ids) == len(f) == len(q)):
-            raise ValidationError("report columns must have equal length")
-        if len(ids) == 0:
-            raise ValidationError("report needs at least one prospect")
-        _checks.distribution(f, what="utility factor", plural="utility factors")
-        _checks.zero_sum(q, what="attraction factor", plural="attraction factors")
+        ids = _ids(self.prospect_ids, what="prospect id")
+        f = _checks.distribution(self.utility_factors)
+        q = _checks.zero_sum(self.attraction_factors)
+        _checks.per_prospect(f, len(ids), plural="utility factors")
+        _checks.per_prospect(q, len(ids), plural="attraction factors")
         object.__setattr__(self, "prospect_ids", ids)
         object.__setattr__(self, "utility_factors", f)
         object.__setattr__(self, "attraction_factors", q)
@@ -123,20 +113,15 @@ class PredictionReport:
         return None if errors is None else _checks.total(errors) / len(errors)
 
 
+def _ids(values, *, what: str) -> tuple[str, ...]:
+    return tuple([str(i) for i in _checks.column(values, what=what)])
+
+
 def _frequencies(empirical, n: int) -> tuple:
-    """``empirical`` as a tuple of ``n`` observed frequencies, each ``real``
-    and >= 0, summing to 1 within ``EMPIRICAL_SUM_TOL``.  A mapping is
-    refused, since iterating one would read its keys as the frequencies."""
-    if isinstance(empirical, Mapping):
-        raise ValidationError(
-            "empirical frequencies must be a sequence aligned with the "
-            "prospects, not a mapping"
-        )
-    freqs = tuple(empirical)
-    if len(freqs) != n:
-        raise ValidationError(f"{n} prospects but {len(freqs)} empirical values")
+    """``n`` observed frequencies (``_checks.reals``), each >= 0, summing to 1 within 2e-2."""
+    freqs = _checks.reals(empirical, what="empirical frequency")
+    _checks.per_prospect(freqs, n, plural="empirical values")
     for v in freqs:
-        _checks.real(v, what="empirical frequency")
         if v < 0:
             raise ValidationError(f"empirical frequency {v!r} is negative")
     _checks.check_sum(
@@ -179,17 +164,10 @@ def enforce_bounds(
     ``InfeasibleBoundsError`` when every value is pinned and the sum
     still misses zero by more than the tolerance ``f`` was accepted under.
     """
-    f = list(utility_factors)
-    q = list(attraction_factors)
-    if len(f) != len(q):
-        raise ValidationError(
-            f"factor length mismatch: {len(f)} utility vs {len(q)} attraction"
-        )
-    if len(f) == 0:
-        raise ValidationError("bounds enforcement needs at least one prospect")
-    _checks.distribution(f, what="utility factor", plural="utility factors")
-    _checks.zero_sum(q, what="attraction factor", plural="attraction factors")
-    return _clip_to_bounds(f, q)
+    f = _checks.distribution(utility_factors)
+    q = _checks.zero_sum(attraction_factors)
+    _checks.per_prospect(q, len(f), plural="attraction factors")
+    return _clip_to_bounds(f, list(q))
 
 
 def _clip_to_bounds(f: Sequence, q: list) -> tuple[list, bool]:
@@ -298,13 +276,13 @@ def predict_decoy(
     genuine choice share, include it as a prospect of its own with its
     utility factor and rank.
     """
-    f = tuple(f_no_decoy)
+    f = _checks.column(f_no_decoy, what="utility factor")
     if prospect_ids is None:
         ids = tuple(f"P{k + 1}" for k in range(len(f)))
     else:
-        ids = tuple(str(i) for i in prospect_ids)
+        ids = _ids(prospect_ids, what="prospect id")
     rank: list[str] = []
-    for item in decoy_target_rank:
+    for item in _checks.column(decoy_target_rank, what="rank entry"):
         if isinstance(item, str):
             rank.append(item)
             continue
@@ -324,11 +302,10 @@ def score_against_empirical(
 ) -> PredictionReport:
     """A copy of ``report`` with the observed choice frequencies attached.
 
-    ``empirical`` is a sequence aligned with the report's prospects; a
-    mapping is refused, since iterating one would read its keys as the
-    frequencies.  Frequencies must be non-negative and sum to 1 within
-    2e-2 (empirical vectors in the literature are rounded).  The report
-    derives the absolute errors from them; exact inputs give exact errors.
+    ``empirical`` is a sequence aligned with the report's prospects, not
+    a mapping.  Frequencies must be non-negative and sum to 1 within 2e-2
+    (empirical vectors in the literature are rounded).  The report derives
+    the absolute errors from them; exact inputs give exact errors.
     """
     return _checks.trusted(
         PredictionReport,
@@ -352,14 +329,9 @@ def regularity_violation_check(
     a tied maximum the comparison is ambiguous: no reversal is claimed
     and the tie is flagged.
     """
-    f = tuple(utility_factors)
-    p = tuple(probabilities)
-    if len(f) != len(p):
-        raise ValidationError(f"length mismatch: {len(f)} vs {len(p)}")
-    if len(f) == 0:
-        raise ValidationError("regularity check needs at least one prospect")
-    _checks.distribution(f, what="utility factor", plural="utility factors")
-    _checks.distribution(p, what="probability", plural="probabilities")
+    f = _checks.distribution(utility_factors)
+    p = _checks.distribution(probabilities, what="probability", plural="probabilities")
+    _checks.per_prospect(p, len(f), plural="probabilities")
     return regularity_verdict(f, p)
 
 

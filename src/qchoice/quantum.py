@@ -192,10 +192,9 @@ class ProbabilityTriple:
 
     ``p`` is the full event probability, ``f`` the diagonal (utility-like)
     part and ``q`` the interference part.  Each is a finite real (not
-    ``bool``).  The defining identity ``p = f + q`` is enforced at
-    construction to 1e-12, except for the triples of
-    ``prospect_probability`` and ``normalize_prospect_set``, for which
-    ``split`` and ``normalize`` guarantee it.
+    ``bool``) kept as ``_checks.real`` returns it; ``p = f + q`` is enforced
+    to 1e-12, except for the triples of ``prospect_probability`` and
+    ``normalize_prospect_set``, which ``split`` and ``normalize`` guarantee.
     """
 
     p: float
@@ -203,8 +202,8 @@ class ProbabilityTriple:
     q: float
 
     def __post_init__(self) -> None:
-        for label, value in (("p", self.p), ("f", self.f), ("q", self.q)):
-            _checks.real(value, what=f"probability component {label}")
+        for c in "pfq":
+            object.__setattr__(self, c, _checks.real(getattr(self, c), what=f"probability component {c}"))
         defect = abs(self.p - (self.f + self.q))
         if defect > IDENTITY_TOL:
             raise ValidationError(
@@ -473,8 +472,14 @@ def normalize_prospect_set(
     and ``f`` values likewise; the interference parts are recomputed as
     ``q' = p' - f'``, which makes them sum to zero by construction (the
     alternation property: positive and negative interference across a
-    complete family cancels).  An empty family raises ``ValidationError``.
+    complete family cancels).  ``triples`` goes through ``_checks.column``;
+    an empty family, or an entry that is not a ``ProbabilityTriple``,
+    raises ``ValidationError``.
     """
+    triples = _checks.column(triples, what="prospect probability")
+    for t in triples:
+        if not isinstance(t, ProbabilityTriple):
+            raise ValidationError(f"prospect probability {reprlib.repr(t)} is not a ProbabilityTriple")
     p, f, q = normalize([[t.p for t in triples]], [[t.f for t in triples]])
     return [
         _checks.trusted(ProbabilityTriple, p=a, f=b, q=c)

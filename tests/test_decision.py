@@ -118,7 +118,7 @@ class TestEnforceBounds:
             enforce_bounds((F(1, 2), F(1, 2)), ("0", "0"))
 
     def test_length_mismatch(self):
-        with pytest.raises(ValidationError, match="mismatch"):
+        with pytest.raises(ValidationError, match="^1 prospects but 2 attraction factors$"):
             enforce_bounds((F(1),), (F(0), F(0)))
 
     # Only all-Fraction inputs run on integer numerators; int, float and
@@ -548,12 +548,12 @@ def test_pinned_values_within_the_sum_tolerance_are_accepted():
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: ChoiceSet((), (), ()), "choice set needs at least one prospect"),
+    (lambda: ChoiceSet((), (), ()), "need at least one utility factor"),
     (lambda: PredictionReport(("A", "B"), (F(1),), (F(0),), False),
-     "report columns must have equal length"),
-    (lambda: PredictionReport((), (), (), False), "report needs at least one prospect"),
-    (lambda: enforce_bounds([], []), "bounds enforcement needs at least one prospect"),
-    (lambda: regularity_violation_check([], []), "regularity check needs at least one prospect"),
+     "2 prospects but 1 utility factors"),
+    (lambda: PredictionReport((), (), (), False), "need at least one utility factor"),
+    (lambda: enforce_bounds([], []), "need at least one utility factor"),
+    (lambda: regularity_violation_check([], []), "need at least one utility factor"),
 ], ids=["choice-set", "report-unequal", "report-empty", "bounds", "regularity"])
 def test_empty_and_unequal_columns_are_refused(build, message):
     with pytest.raises(ValidationError) as exc:
@@ -561,14 +561,29 @@ def test_empty_and_unequal_columns_are_refused(build, message):
     assert type(exc.value) is ValidationError and str(exc.value) == message
 
 
-def test_a_bounds_loop_that_does_not_settle_is_refused():
-    # ``np.float32`` values keep their own arithmetic: each redistribution
-    # leaves a float32 rounding residue above the stop tolerance, no new
-    # value is pinned, and the rounds run out.
+def test_float32_factors_are_judged_as_the_floats_they_hold():
+    # ``np.float32`` values are checked and clipped as the Python floats
+    # they hold, whose sum is 1.5e-8 off 1: refused, as those floats are.
     f = [np.float32(0.1), np.float32(0.1), np.float32(0.8)]
     q = [np.float32(-0.3), np.float32(0.3), np.float32(0.0)]
+    message = "utility factors must sum to 1.0 within 1e-09, got 1.0000000149011612"
+    for factors, attractions in ((f, q), ([v.item() for v in f], [v.item() for v in q])):
+        with pytest.raises(ValidationError) as exc:
+            enforce_bounds(factors, attractions)
+        assert type(exc.value) is ValidationError and str(exc.value) == message
+    f = [np.float32(0.4083911), np.float32(0.34472623), np.float32(0.24688269)]
+    for factors in (f, [v.item() for v in f]):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            ChoiceSet(("a", "b", "c"), factors, ("a", "b", "c"))
+
+
+def test_a_bounds_loop_that_does_not_settle_is_refused(monkeypatch):
+    # With no residual tolerance, float rounding leaves a residue after
+    # every redistribution and no new value is pinned: the rounds, the
+    # loop's safety bound, run out.
+    monkeypatch.setattr(_checks, "RESIDUAL_EPS", 0.0)
     with pytest.raises(InfeasibleBoundsError) as exc:
-        enforce_bounds(f, q)
+        enforce_bounds([0.0, 0.1, 0.9], [0.4, -0.4, 0.0])
     assert str(exc.value) == (
         "bounds enforcement did not settle; inputs violate the "
         "probability constraints in an unrecoverable way"

@@ -314,6 +314,18 @@ class TestProbabilitySplit:
         with pytest.raises(ValidationError, match="p - \\(f \\+ q\\)"):
             ProbabilityTriple(p=0.5, f=0.3, q=0.1)
 
+    def test_triple_keeps_and_subtracts_the_checked_values(self):
+        # numpy scalars are stored, and p - (f + q) computed, as the Python
+        # floats they hold: the float32 split is refused like its floats.
+        message = r"^probability split is inconsistent: \|p - \(f \+ q\)\| = 7\.451e-09 exceeds 1e-12$"
+        for values in ((np.float32(0.3), np.float32(0.1), np.float32(0.2)),
+                       (np.float32(0.3).item(), np.float32(0.1).item(), np.float32(0.2).item())):
+            with pytest.raises(ValidationError, match=message):
+                ProbabilityTriple(*values)
+        t = ProbabilityTriple(np.float64(0.5), np.float32(0.25), np.float16(0.25))
+        assert (t.p, t.f, t.q) == (0.5, 0.25, 0.25)
+        assert [type(v) for v in (t.p, t.f, t.q)] == [float, float, float]
+
     def test_triple_rejects_non_finite(self):
         with pytest.raises(ValidationError):
             ProbabilityTriple(p=float("nan"), f=0.0, q=0.0)
@@ -370,6 +382,17 @@ class TestNormalization:
     def test_empty_family_rejected(self):
         with pytest.raises(ValidationError):
             normalize_prospect_set([])
+
+    @pytest.mark.parametrize("family, match", [
+        ([1, 2], "^prospect probability 1 is not a ProbabilityTriple$"),
+        ([ProbabilityTriple(0.5, 0.5, 0.0), (0.5, 0.5, 0.0)],
+         "^prospect probability \\(0\\.5, 0\\.5, 0\\.0\\) is not a ProbabilityTriple$"),
+        (None, "^prospect probability column must be a sequence, got None$"),
+        ({0: ProbabilityTriple(1.0, 1.0, 0.0)}, "not a mapping$"),
+    ])
+    def test_family_entries_must_be_triples(self, family, match):
+        with pytest.raises(ValidationError, match=match):
+            normalize_prospect_set(family)
 
     def test_all_zero_family_rejected(self):
         zeros = [ProbabilityTriple(p=0.0, f=0.0, q=0.0)] * 2

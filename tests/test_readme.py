@@ -1,13 +1,19 @@
-"""The ```python examples of README.md run and print what their comments say."""
+"""The ```python examples of README.md run and print what their comments
+say, and its `module.name` references name what the package holds."""
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
+import pkgutil
 import re
 from pathlib import Path
 
+import qchoice
+
 README = Path(__file__).resolve().parents[1] / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, re.M | re.S)
 
 
 def run(block: str) -> list[str]:
@@ -43,3 +49,19 @@ def test_quantum_example_prints_a_split_that_adds_up():
     (line,) = run(BLOCKS[1])
     p, f, q = (float(x) for x in line.split())
     assert abs(p - (f + q)) <= 1e-12
+
+
+def test_module_references_resolve():
+    modules = {m.name for m in pkgutil.iter_modules(qchoice.__path__)}
+    references = [
+        (module, name)
+        for module, name in re.findall(r"`(\w+)\.(\w+)`", TEXT)
+        if module in modules
+    ]
+    assert references
+    missing = [
+        f"{module}.{name}"
+        for module, name in references
+        if not hasattr(importlib.import_module(f"qchoice.{module}"), name)
+    ]
+    assert missing == []
