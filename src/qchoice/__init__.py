@@ -9,130 +9,83 @@ puts the pieces together and scores them against observed frequencies.
 """
 from __future__ import annotations
 
-from .attraction import (
-    AttractionSet,
-    attraction_gap,
-    attraction_qmax,
-    ordered_uniform_gap_check,
-    quantized_attraction_set,
-    quarter_law_check,
-)
-from .decision import (
-    ChoiceSet,
-    PredictionReport,
-    RegularityCheck,
-    compose_probabilities,
-    enforce_bounds,
-    predict_decoy,
-    regularity_violation_check,
-    score_against_empirical,
-)
-from .errors import (
-    DegenerateSetError,
-    ExperimentFormatError,
-    InfeasibleBoundsError,
-    NormalizationError,
-    QChoiceError,
-    SignDomainError,
-    ValidationError,
-    VerificationFailure,
-)
-from .experiments import (
-    ExperimentFile,
-    RunRecord,
-    bundled_experiment,
-    bundled_experiment_text,
-    derive_utility_factors,
-    input_digest,
-    list_bundled_experiments,
-    parse_experiment,
-    run_prediction,
-)
-from .quantum import (
-    DensityOperator,
-    EventOperator,
-    ProbabilityTriple,
-    Prospect,
-    decohere,
-    normalize_prospect_set,
-    prospect_probability,
-    prospect_projector,
-    prospect_state,
-    random_density_operator,
-    sample_inconclusive,
-)
-from .utility import (
-    LINEAR_UTILITY,
-    UtilityFunction,
-    information_functional_gains,
-    information_functional_losses,
-    utility_factors_gains,
-    utility_factors_losses,
-)
-from .verify import (
-    SuiteResult,
-    run_suite,
-    verify_entropy,
-    verify_gaps,
-    verify_quantum_identity,
-    verify_quarter_law,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttractionSet",
-    "ChoiceSet",
-    "DegenerateSetError",
-    "DensityOperator",
-    "EventOperator",
-    "ExperimentFile",
-    "ExperimentFormatError",
-    "InfeasibleBoundsError",
-    "LINEAR_UTILITY",
-    "NormalizationError",
-    "PredictionReport",
-    "ProbabilityTriple",
-    "Prospect",
-    "QChoiceError",
-    "RegularityCheck",
-    "RunRecord",
-    "SignDomainError",
-    "SuiteResult",
-    "UtilityFunction",
-    "ValidationError",
-    "VerificationFailure",
-    "attraction_gap",
-    "attraction_qmax",
-    "bundled_experiment",
-    "bundled_experiment_text",
-    "compose_probabilities",
-    "decohere",
-    "derive_utility_factors",
-    "enforce_bounds",
-    "information_functional_gains",
-    "information_functional_losses",
-    "input_digest",
-    "list_bundled_experiments",
-    "normalize_prospect_set",
-    "ordered_uniform_gap_check",
-    "parse_experiment",
-    "predict_decoy",
-    "prospect_probability",
-    "prospect_projector",
-    "prospect_state",
-    "quantized_attraction_set",
-    "quarter_law_check",
-    "random_density_operator",
-    "regularity_violation_check",
-    "run_prediction",
-    "run_suite",
-    "sample_inconclusive",
-    "score_against_empirical",
-    "utility_factors_gains",
-    "utility_factors_losses",
-    "verify_entropy",
-    "verify_gaps",
-    "verify_quantum_identity",
-    "verify_quarter_law",
-]
+#: Each public name and the submodule that defines it.  A name is imported
+#: on first access (PEP 562), so ``import qchoice.cli`` and ``predict``
+#: load no numpy: only ``quantum``, ``verify`` and the Monte Carlo and
+#: ladder-record kernels import it.
+_SUBMODULE = {
+    "AttractionSet": "attraction",
+    "ChoiceSet": "decision",
+    "DegenerateSetError": "errors",
+    "DensityOperator": "quantum",
+    "EventOperator": "quantum",
+    "ExperimentFile": "experiments",
+    "ExperimentFormatError": "errors",
+    "InfeasibleBoundsError": "errors",
+    "LINEAR_UTILITY": "utility",
+    "NormalizationError": "errors",
+    "PredictionReport": "decision",
+    "ProbabilityTriple": "quantum",
+    "Prospect": "quantum",
+    "QChoiceError": "errors",
+    "RegularityCheck": "decision",
+    "RunRecord": "experiments",
+    "SignDomainError": "errors",
+    "SuiteResult": "verify",
+    "UtilityFunction": "utility",
+    "ValidationError": "errors",
+    "VerificationFailure": "errors",
+    "attraction_gap": "attraction",
+    "attraction_qmax": "attraction",
+    "bundled_experiment": "experiments",
+    "bundled_experiment_text": "experiments",
+    "compose_probabilities": "decision",
+    "decohere": "quantum",
+    "derive_utility_factors": "experiments",
+    "enforce_bounds": "decision",
+    "information_functional_gains": "utility",
+    "information_functional_losses": "utility",
+    "input_digest": "experiments",
+    "list_bundled_experiments": "experiments",
+    "normalize_prospect_set": "quantum",
+    "ordered_uniform_gap_check": "attraction",
+    "parse_experiment": "experiments",
+    "predict_decoy": "decision",
+    "prospect_probability": "quantum",
+    "prospect_projector": "quantum",
+    "prospect_state": "quantum",
+    "quantized_attraction_set": "attraction",
+    "quarter_law_check": "attraction",
+    "random_density_operator": "quantum",
+    "regularity_violation_check": "decision",
+    "run_prediction": "experiments",
+    "run_suite": "verify",
+    "sample_inconclusive": "quantum",
+    "score_against_empirical": "decision",
+    "utility_factors_gains": "utility",
+    "utility_factors_losses": "utility",
+    "verify_entropy": "verify",
+    "verify_gaps": "verify",
+    "verify_quantum_identity": "verify",
+    "verify_quarter_law": "verify",
+}
+
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    try:
+        module = _SUBMODULE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

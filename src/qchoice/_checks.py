@@ -16,14 +16,17 @@ import dataclasses
 import math
 import operator
 import reprlib
+import sys
 from collections.abc import Iterator, Mapping
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from numbers import Real
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Sums to 1 or 0 (factors, probabilities, attractions)
 #: and the slack on [0, 1].
@@ -54,7 +57,12 @@ ENTROPY_MARGIN_TOL = -1e-9
 
 def real(value, *, what: str):
     """``value`` if it is a real number (not ``bool``) that is a finite double;
-    a numpy scalar comes back as the Python number it holds (``.item()``)."""
+    a numpy scalar comes back as the Python number it holds (``python_value``).
+
+    numpy is looked up in ``sys.modules``, never imported: a numpy scalar
+    cannot exist before numpy is, so a command that needs no numpy (such
+    as ``predict``) starts without it.
+    """
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValidationError(f"{what} must be a real number, got {value!r}")
     try:
@@ -63,7 +71,14 @@ def real(value, *, what: str):
         raise ValidationError(f"{what} is too large for floating point") from None
     if not finite:
         raise ValidationError(f"{what} must be finite, got {value!r}")
-    return value.item() if isinstance(value, np.generic) else value
+    return python_value(value)
+
+
+def python_value(value):
+    """``value.item()`` for a numpy scalar, ``value`` itself otherwise;
+    numpy is only looked up (see ``real``)."""
+    numpy = sys.modules.get("numpy")
+    return value.item() if numpy is not None and isinstance(value, numpy.generic) else value
 
 
 def column(values, *, what: str) -> tuple:
@@ -195,13 +210,14 @@ def number_text(value) -> str:
 
 def count(value, *, what: str, minimum: int = 0, maximum: int | None = None) -> int:
     """``value`` as an ``int`` >= ``minimum`` (and <= ``maximum`` if given);
-    numpy integers pass, ``bool`` does not."""
+    numpy integers pass, ``bool`` does not.  A refused numpy scalar is named
+    by the Python number it holds, as ``real`` returns it."""
     try:
         n = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         n = None
     if n is None:
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
+        raise ValidationError(f"{what} must be an integer, got {python_value(value)!r}")
     if n < minimum:
         raise ValidationError(f"{what} must be >= {minimum}, got {n}")
     if maximum is not None and n > maximum:
@@ -212,6 +228,8 @@ def count(value, *, what: str, minimum: int = 0, maximum: int | None = None) -> 
 def rng(seed) -> np.random.Generator:
     """The random stream of ``seed``: an integer >= 0 (``count``), or a
     ``np.random.Generator``, which is used as it is."""
+    import numpy as np
+
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(count(seed, what="seed"))

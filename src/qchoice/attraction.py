@@ -17,11 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import _checks
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _CHUNK_TARGET = 1_000_000  # keep Monte Carlo scratch arrays around 8 MB
 
@@ -35,9 +37,8 @@ class AttractionSet:
     single prospect gets ``(0,)``.  Those rules admit one ladder per N, so
     a caller's ``AttractionSet(values)`` is compared, exactly, with the
     closed form of ``quantized_attraction_set(len(values))``, which is
-    built unchecked.  The closed form is the integer kernel
-    ``ladder_numerators``; the gap and top rung are ``attraction_gap`` and
-    ``attraction_qmax``.
+    built unchecked.  The closed form is ``_ladder``; the gap and top rung
+    are ``attraction_gap`` and ``attraction_qmax``.
     """
 
     values: tuple[Fraction, ...]
@@ -87,6 +88,8 @@ def ladder_numerators(n: int) -> tuple[np.ndarray, int]:
     ``float(Fraction(num, den))`` bit for bit while ``den < 2**53``, that
     is for N below about 6.7e7: each is then one correctly rounded division.
     """
+    import numpy as np
+
     scale, den = _ladder(n)
     return scale * np.arange(n - 1, -n, -2, dtype=np.int64), den
 
@@ -110,12 +113,12 @@ def quantized_attraction_set(n_prospects: int) -> AttractionSet:
     Values are ``q_max - (k - 1) * delta`` for ``k = 1..N``: descending,
     equally spaced, zero-sum, with mean magnitude exactly 1/4.  A single
     prospect gets the degenerate ladder ``(0,)``.  The rationals are built
-    from the integer kernel ``ladder_numerators``.
+    from the closed form ``_ladder``, with no numpy.
     """
     n = _checks.count(n_prospects, what="prospect count", minimum=1)
-    nums, den = ladder_numerators(n)
+    scale, den = _ladder(n)
     return _checks.trusted(
-        AttractionSet, values=tuple(Fraction(num, den) for num in nums.tolist())
+        AttractionSet, values=tuple(Fraction(scale * k, den) for k in range(n - 1, -n, -2))
     )
 
 
@@ -132,6 +135,8 @@ def quarter_law_check(
     two-sided average of the attracting branch:  E[max(q, 0)] =
     integral_0^1 q * (1/2) dq = 1/4.  The estimate converges to 0.25.
     """
+    import numpy as np
+
     samples = _checks.count(samples, what="sample count", minimum=1)
     rng = _checks.rng(seed)
     total = 0.0
@@ -154,6 +159,8 @@ def ordered_uniform_gap_check(
     ``1/(N + 1)`` — the equidistance that motivates a constant-gap
     attraction ladder.
     """
+    import numpy as np
+
     n = _checks.count(n_prospects, what="prospect count", minimum=2)
     samples = _checks.count(samples, what="sample count", minimum=1)
     rng = _checks.rng(seed)

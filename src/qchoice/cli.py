@@ -11,9 +11,8 @@ from pathlib import Path
 from typing import Callable
 
 import click
-import numpy as np
 
-from . import _checks, quantum
+from . import _checks
 from .attraction import gap_and_top, ladder_numerators
 from .decision import PredictionReport, regularity_verdict
 from .errors import ExperimentFormatError, QChoiceError, ValidationError, VerificationFailure
@@ -28,14 +27,6 @@ from .experiments import (
     read_experiment_text,
     run_prediction,
 )
-from .quantum import (
-    decohere_levels,
-    normalize,
-    random_density_operator,
-    sample_inconclusive,
-    split,
-)
-from .verify import SUITE_NAMES, run_suite
 
 #: Most prospects ``attraction-set`` builds a ladder for: the record of
 #: 10**6 takes about 2.0 s and a 270 MB peak on a 2-CPU container, and
@@ -46,7 +37,8 @@ MAX_PROSPECTS = 1_000_000
 MAX_SWEEP_STEPS = 10_000
 #: Most ``--samples`` each ``verify`` suite takes (the library sets no
 #: bound): 4.5 to 5.9 s at each cap, with a peak under 80 MB, on a 2-CPU
-#: container.
+#: container.  Its keys are ``verify.SUITE_NAMES``, in order, so the command
+#: line names the suites without importing ``verify`` and numpy.
 MAX_SAMPLES = {"quarter-law": 500_000_000, "gaps": 30_000_000, "entropy": 1_000_000, "quantum-identity": 70_000}
 
 
@@ -198,6 +190,8 @@ def _ladder_statistics(n: int) -> dict:
     reduced text are ``float()`` and ``str()`` of its Fraction, computed
     from the integer numerators with one division and one ``gcd``; the
     texts of the ``n // 2`` rungs below zero mirror the top ones."""
+    import numpy as np
+
     nums, den = ladder_numerators(n)
     values = (nums / den).tolist()
     top = nums[: (n + 1) // 2]
@@ -234,7 +228,7 @@ def _ladder_table(stats: dict) -> str:
 
 
 @cli.command()
-@click.argument("suite", type=click.Choice(SUITE_NAMES))
+@click.argument("suite", type=click.Choice(tuple(MAX_SAMPLES)))
 @click.option(
     "--samples",
     type=int,
@@ -247,9 +241,11 @@ def _ladder_table(stats: dict) -> str:
 @_out_option
 def verify(suite: str, samples: int | None, seed: int, fmt: str, out: str | None) -> None:
     """Run a self-check suite; exits 2 if it misses its target."""
+    from . import verify as verify_mod
+
     if samples is not None and samples > MAX_SAMPLES[suite]:
         raise ValidationError(f"--samples must be <= {MAX_SAMPLES[suite]} for {suite}, got {samples}")
-    result = run_suite(suite, samples=samples, seed=seed)
+    result = verify_mod.run_suite(suite, samples=samples, seed=seed)
     verdict = "PASS" if result.passed else "FAIL"
     stats = dict(result.statistics)
     stats["passed"] = result.passed
@@ -289,17 +285,21 @@ def _parse_dims(text: str) -> tuple[int, int]:
 @_out_option
 def simulate(dims: str, seed: int, sweep_steps: int, fmt: str, out: str | None) -> None:
     """Random strategic state: probability split under a decoherence sweep."""
+    import numpy as np
+
+    from . import quantum
+
     _checks.count(sweep_steps, what="--sweep-steps", minimum=2, maximum=MAX_SWEEP_STEPS)
     n_dim, b_dim = _checks.register(_parse_dims(dims))
     rng = _checks.rng(seed)
-    rho = random_density_operator(n_dim * b_dim, rng)
-    b = sample_inconclusive(b_dim, rng)
+    rho = quantum.random_density_operator(n_dim * b_dim, rng)
+    b = quantum.sample_inconclusive(b_dim, rng)
     levels = np.linspace(0.0, 1.0, sweep_steps)
 
     sweep = []
     for chunk in _checks.chunks(sweep_steps, quantum.BATCH_CHUNK):
-        p_raw, f_raw, _ = split(decohere_levels(rho, levels[chunk]), b, (n_dim, b_dim))
-        p, f, q = normalize(p_raw, f_raw)
+        p_raw, f_raw, _ = quantum.split(quantum.decohere_levels(rho, levels[chunk]), b, (n_dim, b_dim))
+        p, f, q = quantum.normalize(p_raw, f_raw)
         columns = {"damping": levels[chunk], "p": p, "f": f, "q": q, "max_abs_q": np.abs(q).max(axis=1)}
         sweep += [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
     stats = {

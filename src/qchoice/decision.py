@@ -15,6 +15,7 @@ in and the predictions come out as exact rationals.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -114,7 +115,13 @@ class PredictionReport:
 
 
 def _ids(values, *, what: str) -> tuple[str, ...]:
-    return tuple([str(i) for i in _checks.column(values, what=what)])
+    """``values`` (a ``column``) as a tuple of ``str`` ids; no other object
+    is an id."""
+    ids = _checks.column(values, what=what)
+    for i in ids:
+        if not isinstance(i, str):
+            raise ValidationError(f"{what} must be a string, got {reprlib.repr(i)}")
+    return tuple([str(i) for i in ids])
 
 
 def _frequencies(empirical, n: int) -> tuple:

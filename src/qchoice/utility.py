@@ -218,8 +218,7 @@ def _functional(factors: Sequence, utilities: Sequence, lam, exponent, *, gains:
     exponent = float(_checks.real(exponent, what="alpha" if gains else "gamma"))
     f = [float(x) for x in _checks.reals(factors, what="factor")]
     values = _checks.reals(utilities, what="utility")
-    if len(f) != len(values):
-        raise ValidationError(f"factor/utility length mismatch: {len(f)} vs {len(values)}")
+    _checks.per_prospect(values, len(f), plural="utilities")
     for x in f:
         if x < 0.0:
             raise ValidationError(f"factors must be non-negative, got {x!r}")

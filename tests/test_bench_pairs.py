@@ -150,3 +150,22 @@ class TestTracedResult:
         with pytest.raises(ValueError, match="no traced result line"):
             bench_pairs.parse_traced_result(text)
 
+
+
+class TestColdStart:
+    def test_runs_alternate_between_the_trees(self, monkeypatch):
+        calls = []
+
+        def run(argv, cwd, **kwargs):
+            calls.append(cwd)
+
+        monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+        trees = {"base": Path("b"), "change": Path("c")}
+        cold = bench_pairs.cold_start(trees, runs=3)
+        assert calls == [Path("b"), Path("c"), Path("c"), Path("b"), Path("b"), Path("c")]
+        assert set(cold) == {"base", "change"} and all(t >= 0 for t in cold.values())
+
+    def test_predict_runs_in_a_checkout(self):
+        root = _PATH.parents[1]
+        cold = bench_pairs.cold_start({"change": root}, runs=1)
+        assert 0 < cold["change"] < 60

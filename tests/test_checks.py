@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchoice import ValidationError, _checks, random_density_operator, sample_inconclusive
+from qchoice import ValidationError, _checks, predict_decoy, random_density_operator, sample_inconclusive
 from qchoice.attraction import ordered_uniform_gap_check, quarter_law_check
 from qchoice.verify import verify_entropy
 
@@ -71,6 +71,13 @@ class TestCount:
 
     def test_no_maximum_by_default(self):
         assert _checks.count(10**30, what="n") == 10**30
+
+    def test_refused_numpy_values_are_named_as_python_numbers(self):
+        # ``count`` used to name np.float32(0.0), where ``real`` says 0.0.
+        with pytest.raises(ValidationError, match=r" must be an integer, got 0\.0$"):
+            predict_decoy((0.5, 0.5), [np.float32(0), 1])
+        with pytest.raises(ValidationError, match=r"^n must be an integer, got 0\.5$"):
+            _checks.count(np.float64(0.5), what="n")
 
 
 class TestReal:

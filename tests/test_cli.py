@@ -7,9 +7,10 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
-from qchoice import _checks, attraction, cli, quantum
+from qchoice import _checks, attraction, cli, quantum, verify
 from qchoice.cli import main
 
 MICROWAVE_CSV = (
@@ -326,7 +327,7 @@ class TestVerify:
         def unused(*args, **kwargs):
             raise AssertionError("suite run for a rejected --samples")
 
-        monkeypatch.setattr(cli, "run_suite", unused)
+        monkeypatch.setattr(verify, "run_suite", unused)
         n = cli.MAX_SAMPLES[suite] + 1
         assert main(["verify", suite, "--samples", str(n)]) == 1
         captured = capsys.readouterr()
@@ -334,6 +335,10 @@ class TestVerify:
             f"error: --samples must be <= {cli.MAX_SAMPLES[suite]} for {suite}, got {n}"
         ]
         assert captured.out == ""
+
+    def test_caps_name_the_suites_in_order(self):
+        # The command line takes its suite choices from MAX_SAMPLES.
+        assert tuple(cli.MAX_SAMPLES) == verify.SUITE_NAMES
 
     def test_record_carries_statistics(self, capsys):
         assert main(["verify", "quarter-law", "--samples", "10000", "--format", "record"]) == 0
@@ -397,8 +402,8 @@ class TestSimulate:
         def unused(*args):
             raise AssertionError("sweep allocated for rejected --sweep-steps")
 
-        monkeypatch.setattr(cli, "random_density_operator", unused)
-        monkeypatch.setattr(cli.np, "linspace", unused)
+        monkeypatch.setattr(quantum, "random_density_operator", unused)
+        monkeypatch.setattr(np, "linspace", unused)
         assert main(["simulate", "--sweep-steps", str(steps)]) == 1
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [

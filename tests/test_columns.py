@@ -105,10 +105,6 @@ def test_numpy_columns_act_as_their_items_and_hostile_columns_are_refused(
     name, dtype, values, hostile
 ):
     build = COLUMNS[name]
-    if name == "predict_decoy.decoy_target_rank":
-        # Rank entries are indices: ``_checks.count`` names a float entry
-        # as given, so only integer columns have the same refusal text.
-        dtype = np.int64
     column = [dtype(v) for v in values]
     assert outcome(lambda: build(column, len(column))) == outcome(
         lambda: build([v.item() for v in column], len(column))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 from fractions import Fraction
 from typing import Sequence
 from unittest import mock
@@ -42,6 +43,20 @@ class TestChoiceSet:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError, match="unique"):
             ChoiceSet(("A", "A"), (F(1, 2), F(1, 2)), ("A", "A"))
+
+    @pytest.mark.parametrize("bad", [None, ["a"], 1], ids=["none", "list", "int"])
+    def test_ids_are_strings(self, bad):
+        # Any other object used to become an id through str().
+        half = (F(1, 2), F(1, 2))
+        calls = [
+            lambda: ChoiceSet(("A", bad), half, ("A", "B")),
+            lambda: ChoiceSet(("A", "B"), half, ("A", bad)),
+            lambda: PredictionReport(("A", bad), half, (0, 0), False),
+            lambda: predict_decoy(half, (0, 1), prospect_ids=("A", bad)),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match=rf" must be a string, got {re.escape(repr(bad))}$"):
+                call()
 
     def test_rank_must_be_permutation(self):
         with pytest.raises(ValidationError, match="permutation"):

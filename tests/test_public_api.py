@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import sys
+
+import pytest
 
 import qchoice
 
@@ -74,6 +77,20 @@ def test_all_is_pinned_and_resolves():
     assert sorted(qchoice.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(qchoice, name) is not None, name
+
+
+def test_names_resolve_on_first_access():
+    # The package imports each name's submodule only when the name is used.
+    assert set(qchoice.__all__) <= set(dir(qchoice))
+    namespace: dict = {}
+    exec("from qchoice import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        value = namespace[name]
+        assert getattr(sys.modules[value.__module__], name) is value, name
+        assert value.__module__.startswith("qchoice."), name
+    with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
+        qchoice.nothing
 
 
 PINNED_PARAMETERS = {

@@ -28,7 +28,10 @@ verdict:
 - ``within noise``: anything else.
 
 Beside those go, for both trees, the src line count, ``len(qchoice.__all__)``,
-the benchmark's provenance line, the tier-1 suite's outcome counts and
+the cold-start cost a user pays (``predict_cold_s``: the median wall time
+of 15 fresh interpreters each running ``predict frogs --format record``
+through ``main``, the trees alternating run by run), the benchmark's
+provenance line, the tier-1 suite's outcome counts and
 wall time (``PYTHONPATH=src python -m pytest -q
 --continue-on-collection-errors``, run once per tree after the pairs) and,
 per workload, the ``trace.replay_mismatches`` and failed commands of one
@@ -48,6 +51,7 @@ import statistics
 import subprocess
 import sys
 import tarfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,6 +60,12 @@ FIRST_SEED = 901
 TRACE_SECONDS = 5
 #: Share of pairs the change must win for a ``gain``.
 GAIN_WIN_SHARE = 0.9
+#: Fresh interpreters behind each tree's ``predict_cold_s``.
+COLD_RUNS = 15
+COLD_SNIPPET = (
+    "import sys; sys.path.insert(0, 'src'); from qchoice.cli import main; "
+    "main(['predict', 'frogs', '--format', 'record'])"
+)
 
 
 def median(values: list[float]) -> float:
@@ -150,6 +160,22 @@ def tree_facts(tree: Path) -> dict:
     return {"src_lines": src_lines, "all_names": int(done.stdout)}
 
 
+def cold_start(trees: dict[str, Path], runs: int = COLD_RUNS) -> dict[str, float]:
+    """Per tree, the median wall seconds of ``runs`` fresh interpreters
+    running ``COLD_SNIPPET`` in it; run ``i`` goes through the trees in
+    order for even ``i`` and in reverse for odd ``i``."""
+    times: dict[str, list[float]] = {side: [] for side in trees}
+    for i in range(runs):
+        for side in list(trees)[:: 1 if i % 2 == 0 else -1]:
+            start = time.perf_counter()
+            subprocess.run(
+                [sys.executable, "-c", COLD_SNIPPET], cwd=trees[side], check=True,
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            )
+            times[side].append(time.perf_counter() - start)
+    return {side: median(t) for side, t in times.items()}
+
+
 def parse_pytest_summary(output: str) -> dict:
     """Outcome counts and wall seconds from the last line of pytest's output,
     e.g. ``{"passed": 452, "warnings": 5, "seconds": 27.45}`` from
@@ -225,8 +251,12 @@ def main(argv=None) -> int:
                     runs[w][side].append(result)
                     value = result["metrics"]["cmds_per_s"]["value"]
                     print(f"pair {i + 1}/{args.pairs} {w} {side}: cmds_per_s {value:.1f}", file=sys.stderr)
+        cold = cold_start(sides)
         facts = {
-            side: dict(tree_facts(tree), tier1=tier1(tree), traced={w: traced(tree, w) for w in workloads})
+            side: dict(
+                tree_facts(tree), predict_cold_s=cold[side],
+                tier1=tier1(tree), traced={w: traced(tree, w) for w in workloads},
+            )
             for side, tree in sides.items()
         }
     finally:
@@ -253,6 +283,8 @@ def main(argv=None) -> int:
                 print(f"{w:<14} {name:<12} {m['base_median']:>10.4g} -> {m['change_median']:<10.4g} "
                       f"wins {m['wins']}/{m['pairs']}  {m['verdict']}")
     for side, tree in report["trees"].items():
+        print(f"cold predict {side}: {tree['predict_cold_s'] * 1000:.0f} ms, "
+              f"src {tree['src_lines']} lines, __all__ {tree['all_names']} names")
         print(f"tier-1 {side}: {tree['tier1']}")
         print(f"traced {side}: {tree['traced']}")
     print(f"wrote {out.name}")
