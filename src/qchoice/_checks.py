@@ -64,13 +64,13 @@ def real(value, *, what: str):
     as ``predict``) starts without it.
     """
     if isinstance(value, bool) or not isinstance(value, Real):
-        raise ValidationError(f"{what} must be a real number, got {value!r}")
+        raise ValidationError(f"{what} must be a real number, got {python_value(value)!r}")
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an exact value beyond the double range
         raise ValidationError(f"{what} is too large for floating point") from None
     if not finite:
-        raise ValidationError(f"{what} must be finite, got {value!r}")
+        raise ValidationError(f"{what} must be finite, got {python_value(value)!r}")
     return python_value(value)
 
 
@@ -100,8 +100,15 @@ def per_prospect(values: tuple, n: int, *, plural: str) -> None:
 
 
 def reals(values, *, what: str) -> tuple:
-    """``values`` (a ``column``) as a non-empty tuple of ``real`` numbers."""
-    values = tuple([real(v, what=what) for v in column(values, what=what)])
+    """``values`` (a ``column``) as a non-empty tuple of ``real`` numbers.  Of a
+    column of ``Fraction``s, ``real`` would refuse only a magnitude past the
+    double range: that is checked once, on the largest."""
+    values = column(values, what=what)
+    if values and all(type(v) is Fraction for v in values):
+        numerators, den = over_lcm(values)
+        real(Fraction(max(map(abs, numerators)), den), what=what)
+        return values
+    values = tuple([real(v, what=what) for v in values])
     if len(values) == 0:
         raise ValidationError(f"need at least one {what}")
     return values
@@ -110,7 +117,7 @@ def reals(values, *, what: str) -> tuple:
 def positive(value, *, what: str):
     """``real(value)``, which must be > 0."""
     if (checked := real(value, what=what)) <= 0:
-        raise ValidationError(f"{what} must be positive, got {value!r}")
+        raise ValidationError(f"{what} must be positive, got {checked!r}")
     return checked
 
 
@@ -171,24 +178,26 @@ def total(values):
 def over_lcm(fractions) -> tuple[list[int], int]:
     """``fractions`` as integer numerators over ``den``, the ``lcm`` of their
     denominators: ``v == Fraction(numerator, den)`` for each value ``v``."""
-    den = math.lcm(*(v.denominator for v in fractions))
-    return [v.numerator * (den // v.denominator) for v in fractions], den
+    dens = [v.denominator for v in fractions]
+    den = math.lcm(*dens)
+    return [v.numerator * (den // d) for v, d in zip(fractions, dens)], den
 
 
-def sum_deviation(values, target) -> tuple:
-    """Total of ``values`` and its distance from ``target``.
+def sum_deviation(values, target, den: int | None = None) -> tuple:
+    """Total of ``values`` and its distance from ``target``; given a ``den``,
+    the values are integer numerators over it.
 
     Exact for a ``Fraction`` total, so rational inputs right on a
     tolerance are not pushed over it by float rounding.
     """
-    got = total(values)
+    got = total(values) if den is None else Fraction(sum(values), den)
     if isinstance(got, Fraction):
         return got, abs(got - Fraction(target))
     return got, abs(float(got) - target)
 
 
-def check_sum(values, target, *, what: str, tol: float = SUM_TOL) -> None:
-    got, deviation = sum_deviation(values, target)
+def check_sum(values, target, *, what: str, tol: float = SUM_TOL, den: int | None = None) -> None:
+    got, deviation = sum_deviation(values, target, den)
     if deviation > tol:
         raise ValidationError(
             f"{what} must sum to {target} within {tol:.0e}, got {number_text(got)}"
@@ -245,8 +254,8 @@ def chunks(total: int, size: int) -> Iterator[slice]:
 
 def trusted(cls, **values):
     """A frozen dataclass ``cls`` built without ``__post_init__``, for values
-    valid by construction; fields left out take their defaults."""
+    valid by construction; fields left out take their defaults, and a name
+    that is not a field sets that attribute of the instance."""
     obj = object.__new__(cls)
-    for field in dataclasses.fields(cls):
-        object.__setattr__(obj, field.name, values.get(field.name, field.default))
+    obj.__dict__.update({field.name: field.default for field in dataclasses.fields(cls)}, **values)
     return obj

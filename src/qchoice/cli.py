@@ -6,7 +6,6 @@ usage errors), 2 when a verification suite runs but misses its target.
 from __future__ import annotations
 
 import datetime as _dt
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
@@ -42,15 +41,11 @@ MAX_SWEEP_STEPS = 10_000
 MAX_SAMPLES = {"quarter-law": 500_000_000, "gaps": 30_000_000, "entropy": 1_000_000, "quantum-identity": 70_000}
 
 
-def _fmt_number(value) -> str:
-    """Decimal rendering, with the exact rational alongside when available."""
-    if isinstance(value, Fraction):
-        return _fmt_rational(float(value), str(value))
-    return f"{float(value):.6g}"
-
-
-def _fmt_rational(value: float, exact: str) -> str:
-    """``_fmt_number`` of a Fraction, given its ``float`` and its ``str``."""
+def _fmt_rational(value: float, exact: str | None) -> str:
+    """Decimal rendering of a number given its ``float`` and, for a Fraction,
+    its ``str`` (else ``None``), shown alongside when it is not whole."""
+    if exact is None:
+        return f"{value:.6g}"
     return exact if "/" not in exact else f"{value:.6g} ({exact})"
 
 
@@ -103,16 +98,23 @@ def cli() -> None:
 
 def _prediction_table(exp: ExperimentFile, report: PredictionReport, digest: str, created: str) -> str:
     lines = [f"experiment: {exp.name}   [{digest[:19]}]"]
-    columns = _report_columns(report)
+    columns, summary = _report_columns(report)
     lines.append(f"{'prospect':<14}" + "".join(f" {head:>{w}}" for (_, head, w), _ in columns))
     for k, pid in enumerate(report.prospect_ids):
-        lines.append(f"{pid:<14}" + "".join(f" {_fmt_number(c[k]):>{w}}" for (_, _, w), c in columns))
-    if report.empirical is not None:
         lines.append(
-            f"max |error| {_fmt_number(report.max_abs_error)}   "
-            f"mean |error| {_fmt_number(report.mean_abs_error)}"
+            f"{pid:<14}" + "".join(f" {_fmt_rational(c[k], t[k]):>{w}}" for (_, _, w), (c, t) in columns)
         )
-    check = regularity_verdict(report.utility_factors, report.probabilities)
+    if summary is not None:
+        (high, mean), (high_text, mean_text) = summary
+        lines.append(
+            f"max |error| {_fmt_rational(high, high_text)}   "
+            f"mean |error| {_fmt_rational(mean, mean_text)}"
+        )
+    if report._exact is None:
+        check = regularity_verdict(report.utility_factors, report.probabilities)
+    else:  # the same order on the numerators over one denominator
+        _, f, q = report._exact
+        check = regularity_verdict(f, [a + b for a, b in zip(f, q)])
     if check.tie:
         lines.append("regularity: tied maximum, no reversal claimed")
     elif check.reversal:

@@ -9,8 +9,11 @@ choice probabilities are ``p = f + q``.  A regularity check then asks
 whether attraction overturned the utility ordering — the signature of a
 decoy effect.
 
-All arithmetic is plain scalar Python: feed ``Fraction`` utility factors
-in and the predictions come out as exact rationals.
+All arithmetic is plain scalar Python.  ``Fraction`` utility factors give
+exact predictions, computed on one integer path: ``f``, the ladder rungs
+(``attraction._ladder``) and ``q`` are integer numerators over one shared
+denominator through the clipping and ``p = f + q``, and each ``Fraction``
+is built once, at the report; any other input keeps its own arithmetic.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from functools import cached_property
 from typing import Sequence
 
 from . import _checks
-from .attraction import quantized_attraction_set
+from .attraction import _ladder
 from .errors import InfeasibleBoundsError, ValidationError
 
 
@@ -113,6 +116,10 @@ class PredictionReport:
         errors = self.abs_errors
         return None if errors is None else _checks.total(errors) / len(errors)
 
+    #: ``(den, f, q)``: the factors as integer numerators over one denominator,
+    #: where ``compose_probabilities`` computed them so; the record renders them.
+    _exact = None
+
 
 def _ids(values, *, what: str) -> tuple[str, ...]:
     """``values`` (a ``column``) as a tuple of ``str`` ids; no other object
@@ -178,27 +185,30 @@ def enforce_bounds(
 
 
 def _clip_to_bounds(f: Sequence, q: list) -> tuple[list, bool]:
-    """``enforce_bounds`` on checked inputs; may adjust ``q`` in place.
-
-    The output needs no check: each value ends inside its bounds (clamped
-    onto one, or tested against both in the final round), and the loop
-    stops only once ``|sum(q)| <= min(RESIDUAL_EPS * N, SUM_TOL)``, or
-    within ``SUM_TOL`` once every value is pinned.
-
-    When every ``f`` and ``q`` is a ``Fraction``, the rounds run on integer
-    numerators over one common denominator ``den``, which grows where a
-    share is not a whole numerator, and the Fractions are built once at
-    the end: the same values as ``Fraction`` arithmetic, without a
-    reduction per operation.  Any other input keeps its own arithmetic.
-    """
+    """``enforce_bounds`` on checked inputs; may adjust ``q`` in place.  An
+    all-``Fraction`` input is clipped as integer numerators over one common
+    denominator (``_clip``), and each ``Fraction`` is built once at the end."""
     n = len(f)
-    exact = all(type(v) is Fraction for v in f) and all(type(v) is Fraction for v in q)
-    den = 1
-    if exact:
+    if all(type(v) is Fraction for v in f) and all(type(v) is Fraction for v in q):
         numerators, den = _checks.over_lcm([*f, *q])
-        f, q = numerators[:n], numerators[n:]
+        q, den, clamped = _clip(numerators[:n], numerators[n:], den)
+        return [Fraction(v, den) for v in q], clamped
+    q, _, clamped = _clip(f, q, None)
+    return q, clamped
+
+
+def _clip(f: Sequence, q: list, den: int | None) -> tuple[list, int | None, bool]:
+    """The clipping rounds, ``q`` adjusted in place: ``(q, den, clamped)``.
+    With a ``den``, ``f`` and ``q`` are integer numerators over it, and it
+    grows where a share is not a whole numerator; ``None`` computes on the
+    values as given.  The output needs no check: each value ends inside its
+    bounds (clamped onto one, or tested against both in the final round),
+    and the loop stops only once ``|sum(q)| <= min(RESIDUAL_EPS * N,
+    SUM_TOL)``, or within ``SUM_TOL`` once every value is pinned."""
+    n = len(f)
+    exact = den is not None
     lo = [-x for x in f]
-    hi = [den - x for x in f]
+    hi = [(den if exact else 1) - x for x in f]
     free = range(n)  # indices not yet pinned to a bound, in index order
     eps = min(_checks.RESIDUAL_EPS * n, _checks.SUM_TOL)
 
@@ -217,7 +227,7 @@ def _clip_to_bounds(f: Sequence, q: list) -> tuple[list, bool]:
         # ``f`` was accepted with its sum up to ``SUM_TOL`` off 1, so a
         # fully pinned ``q`` may miss zero by as much.
         if abs(off) <= (eps if free else _checks.SUM_TOL):
-            return ([Fraction(v, den) for v in q] if exact else q), len(free) < n
+            return q, den, len(free) < n
         if not free:
             raise InfeasibleBoundsError(
                 f"all {n} attraction values are pinned at their bounds but the "
@@ -252,18 +262,29 @@ def compose_probabilities(choice_set: ChoiceSet) -> PredictionReport:
     ``p`` in [0, 1]; only ``sum(p) = 1`` is checked, as float factors at
     the ``SUM_TOL`` edge can push ``sum(f) + sum(q)`` just past it.
     """
-    ladder = quantized_attraction_set(choice_set.n_prospects).values
-    rung_of = {pid: ladder[k] for k, pid in enumerate(choice_set.attractiveness_rank)}
+    n = choice_set.n_prospects
+    scale, rung_den = _ladder(n)
+    position = {pid: k for k, pid in enumerate(choice_set.attractiveness_rank)}
+    rungs = [scale * (n - 1 - 2 * position[pid]) for pid in choice_set.prospect_ids]
     f = choice_set.utility_factors
-    q, clamped = _clip_to_bounds(f, [rung_of[pid] for pid in choice_set.prospect_ids])
+    exact = None
+    if all(type(v) is Fraction for v in f):  # ``nums[n]`` scales a rung to ``den``
+        nums, den = _checks.over_lcm([*f, Fraction(1, rung_den)])
+        q, den_q, clamped = _clip(nums[:n], [r * nums[n] for r in rungs], den)
+        exact = (den_q, [v * (den_q // den) for v in nums[:n]], q)
+        q = [Fraction(v, den_q) for v in q]
+    else:
+        q, _, clamped = _clip(f, [Fraction(r, rung_den) for r in rungs], None)
     report = _checks.trusted(
         PredictionReport,
         prospect_ids=choice_set.prospect_ids,
         utility_factors=f,
         attraction_factors=tuple(q),
         clamping_applied=clamped,
+        _exact=exact,
     )
-    _checks.check_sum(report.probabilities, 1.0, what="probabilities")
+    p = report.probabilities if exact is None else [a + b for a, b in zip(exact[1], exact[2])]
+    _checks.check_sum(p, 1.0, what="probabilities", den=exact and exact[0])
     return report
 
 
@@ -321,6 +342,7 @@ def score_against_empirical(
         attraction_factors=report.attraction_factors,
         clamping_applied=report.clamping_applied,
         empirical=_frequencies(empirical, report.n_prospects),
+        _exact=report._exact,
     )
 
 

@@ -32,6 +32,7 @@ timestamp appears only in the human-readable table of ``predict``.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 import reprlib
 from dataclasses import dataclass
@@ -91,8 +92,16 @@ def _out_of_range(node: yaml.Node) -> ExperimentFormatError:
 
 
 def _construct_exact(loader: yaml.Loader, node: yaml.Node) -> Fraction:
+    """``Fraction(Decimal(text))``.  A plain decimal, digits with at most one
+    point and sign, is read from its text as an integer over a power of ten;
+    within ``_MAX_LITERAL_EXPONENT`` characters it is within the bound too."""
+    text = node.value.strip().replace("_", "")
+    sign = text[:1] if text[:1] in ("+", "-") else ""
+    whole, _, fraction = text[len(sign) :].partition(".")
+    if (whole + fraction).isdecimal() and len(text) <= _MAX_LITERAL_EXPONENT:
+        return Fraction(int(sign + whole + fraction), 10 ** len(fraction))
     try:
-        value = Decimal(node.value.strip().replace("_", ""))
+        value = Decimal(text)
     except InvalidOperation:
         value = None
     if value is None or not value.is_finite():  # ``!!float inf`` gets here
@@ -151,8 +160,12 @@ class ExperimentFile:
             )
 
 
-def _require_number(value, *, field: str):
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+def _require_number(value, *, field: str) -> Fraction:
+    """A number of the document as a ``Fraction``: the reader builds each
+    float literal as one, and an integer becomes one here."""
+    if type(value) is Fraction:
+        return value
+    if type(value) is not int:  # ``bool`` is not a number here
         raise ExperimentFormatError(f"{field} must be a number, got {reprlib.repr(value)}")
     return Fraction(value)
 
@@ -241,6 +254,8 @@ def _plain(loader: yaml.Loader, node: yaml.Node):
 
 
 def _known_fields(mapping: dict, allowed, prefix: str) -> None:
+    if mapping.keys() <= allowed:
+        return
     # Keys may be any YAML scalar (null, numbers, dates), so sort their text.
     extra = sorted(str(k) for k in mapping if k not in allowed)
     if extra:
@@ -286,7 +301,7 @@ def _experiment(doc, source: str) -> ExperimentFile:
                 f"{source}: prospects mix 'utility' and 'f' entries; use one kind"
             )
         value = _require_number(entry[field], field=f"{where}.{field}")
-        if field == "f" and not 0 <= value <= 1:
+        if field == "f" and not 0 <= value.numerator <= value.denominator:
             raise ExperimentFormatError(f"{where}.f must lie in [0, 1], got {value}")
         values[pid] = value
     if kind == "f":
@@ -297,12 +312,15 @@ def _experiment(doc, source: str) -> ExperimentFile:
             )
 
     rank = doc.get("attractiveness_rank")
-    if not isinstance(rank, list) or sorted(str(r) for r in rank) != sorted(values):
+    if (
+        not isinstance(rank, list)
+        or not all(isinstance(r, str) for r in rank)
+        or sorted(rank) != sorted(values)
+    ):
         raise ExperimentFormatError(
             f"{source}: field 'attractiveness_rank' must list every prospect id "
             f"exactly once, got {reprlib.repr(rank)}"
         )
-    rank = [str(r) for r in rank]
 
     empirical_doc = doc.get("empirical")
     empirical: tuple | None = None
@@ -310,6 +328,8 @@ def _experiment(doc, source: str) -> ExperimentFile:
         if not isinstance(empirical_doc, list):
             raise ExperimentFormatError(f"{source}: field 'empirical' must be a list")
         freq_by_id: dict[str, Fraction] = {}
+        high = 1 + _checks.EMPIRICAL_SUM_TOL  # no larger value passes the sum check
+        high_num, high_den = high.as_integer_ratio()
         for k, entry in enumerate(empirical_doc):
             where = f"{source}: empirical[{k}]"
             if not isinstance(entry, dict) or set(entry) != {"id", "frequency"}:
@@ -325,8 +345,7 @@ def _experiment(doc, source: str) -> ExperimentFile:
             if pid in freq_by_id:
                 raise ExperimentFormatError(f"{source}: duplicate empirical id {pid!r}")
             value = _require_number(entry["frequency"], field=f"{where}.frequency")
-            high = 1 + _checks.EMPIRICAL_SUM_TOL  # no larger value passes the sum check
-            if not 0 <= value <= high:
+            if not 0 <= value.numerator * high_den <= high_num * value.denominator:
                 raise ExperimentFormatError(f"{where}.frequency must be >= 0 and <= {high}")
             freq_by_id[pid] = value
         missing = [pid for pid in values if pid not in freq_by_id]
@@ -451,37 +470,53 @@ def input_digest(data: bytes | str) -> str:
     return "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
-def _number_fields(prefix: str, value) -> list[tuple[str, object]]:
-    fields: list[tuple[str, object]] = [(prefix, float(value))]
-    if isinstance(value, Fraction):
-        fields.append((f"{prefix}_exact", str(value)))
-    return fields
+def _texts(values, den: int | None = None) -> tuple[list[float], list[str | None]]:
+    """``float`` of each value, and ``str`` of each ``Fraction`` (else ``None``).
+    Given a ``den``, the values are integer numerators over it, each rendered
+    with one division and one ``gcd``, as ``Fraction(value, den)`` renders."""
+    if den is None:
+        return [float(v) for v in values], [str(v) if isinstance(v, Fraction) else None for v in values]
+    texts = []
+    for n in values:
+        g = math.gcd(n, den)
+        texts.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+    return [n / den for n in values], texts
 
 
-def _report_columns(report: PredictionReport) -> list[tuple]:
-    """``(column, values)`` for each of the ``_COLUMNS`` that ``report`` has."""
-    values = [report.utility_factors, report.attraction_factors, report.probabilities]
-    if report.empirical is not None:
-        values += [report.empirical, report.abs_errors]
-    return list(zip(_COLUMNS, values))
+def _report_columns(report: PredictionReport) -> tuple[list[tuple], tuple | None]:
+    """``(column, (floats, texts))`` for each of the ``_COLUMNS`` that ``report``
+    has (``_texts``), and the ``(floats, texts)`` of its max and mean error,
+    ``None`` without ``empirical``.  ``f``, ``q`` and ``p`` are rendered from
+    the report's integer numerators where it has them."""
+    if report._exact is None:
+        columns = [_texts(c) for c in (report.utility_factors, report.attraction_factors, report.probabilities)]
+    else:
+        den, f, q = report._exact
+        columns = [_texts(c, den) for c in (f, q, [a + b for a, b in zip(f, q)])]
+    if report.empirical is None:
+        return list(zip(_COLUMNS, columns)), None
+    columns += [_texts(report.empirical), _texts(report.abs_errors)]
+    return list(zip(_COLUMNS, columns)), _texts([report.max_abs_error, report.mean_abs_error])
 
 
 def _report_payload(report: PredictionReport) -> dict:
-    columns = _report_columns(report)
-    rows = []
-    for k, pid in enumerate(report.prospect_ids):
-        row: dict[str, object] = {"id": pid}
-        for (key, _, _), values in columns:
-            row.update(_number_fields(key, values[k]))
-        rows.append(row)
-    payload: dict[str, object] = {
-        "prospects": rows,
-        "clamping_applied": report.clamping_applied,
-    }
-    if report.empirical is not None:
-        payload["max_abs_error"] = float(report.max_abs_error)
-        payload["mean_abs_error"] = float(report.mean_abs_error)
+    columns, summary = _report_columns(report)
+    rows = [{"id": pid} for pid in report.prospect_ids]
+    for (key, _, _), (floats, texts) in columns:
+        for row, value, text in zip(rows, floats, texts):
+            row[key] = value
+            if text is not None:
+                row[f"{key}_exact"] = text
+    payload: dict[str, object] = {"prospects": rows, "clamping_applied": report.clamping_applied}
+    if summary is not None:
+        payload["max_abs_error"], payload["mean_abs_error"] = summary[0]
     return payload
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field: quoted, each ``"`` doubled, when it holds a
+    comma, a quote, CR or LF (RFC 4180)."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -514,30 +549,37 @@ def _json(value, pad: str = "") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        return f"[\n{inner}{_json_items(value, sep, inner)}\n{pad}]"
+        return f"[\n{inner}{sep.join(_json_texts(value, inner))}\n{pad}]"
     return _json(float(value), pad)
 
 
-def _json_items(values, sep: str, pad: str) -> str:
-    """The elements of a non-empty list joined by ``sep``; all-``str`` and
-    all-``float`` lists in one join.  A float list equal to its reversed
+def _json_texts(values, pad: str) -> list[str]:
+    """``_json(v, pad)`` of each element of a non-empty list.  All-``str`` and
+    all-``float`` lists are rendered in one ``map``, and rows, dicts that
+    share their keys, column by column.  A float list equal to its reversed
     negation, as a ladder is, renders its first half and middle only: the
     rest mirrors them (``t[1:]`` or ``"-" + t``, exact for non-zero floats,
-    so zeros off the middle take the plain join)."""
+    so zeros off the middle take the plain path)."""
     kinds = set(map(type, values))
     if kinds == {str}:
-        return sep.join(map(_json_str, values))
+        return list(map(_json_str, values))
     if kinds == {float}:
         h = len(values) // 2
         half = values[:h]
         if h and 0.0 not in half and values[len(values) - h :] == [-v for v in reversed(half)]:
             texts = list(map(float.__repr__, values[: len(values) - h]))
-            text = sep.join(texts + [t[1:] if t[0] == "-" else "-" + t for t in reversed(texts[:h])])
+            texts += [t[1:] if t[0] == "-" else "-" + t for t in reversed(texts[:h])]
         else:
-            text = sep.join(map(float.__repr__, values))
-        if "n" not in text:  # no nan or inf: a finite repr has no "n"
-            return text
-    return sep.join(_json(v, pad) for v in values)
+            texts = list(map(float.__repr__, values))
+        if "n" not in "".join(texts):  # no nan or inf: a finite repr has no "n"
+            return texts
+    if kinds == {dict} and values[0] and all(map(values[0].keys().__eq__, map(dict.keys, values))):
+        inner = pad + "  "
+        keys = sorted(values[0])
+        fields = (",\n" + inner).join(_json_str(k).replace("{", "{{").replace("}", "}}") + ": {}" for k in keys)
+        columns = [_json_texts([row[k] for row in values], inner) for k in keys]
+        return list(map(f"{{{{\n{inner}{fields}\n{pad}}}}}".format, *columns))
+    return [_json(v, pad) for v in values]
 
 
 @dataclass(frozen=True)
@@ -574,9 +616,9 @@ class RunRecord:
                 f"command {self.command!r} produced no per-prospect table; "
                 "csv output needs one (use the record format)"
             )
-        columns = _report_columns(self.report)
+        columns, _ = _report_columns(self.report)
         blanks = [""] * (len(_COLUMNS) - len(columns))
         lines = [",".join(["id", *(key for key, _, _ in _COLUMNS)])]
         for k, pid in enumerate(self.report.prospect_ids):
-            lines.append(",".join([pid, *(repr(float(c[k])) for _, c in columns), *blanks]))
+            lines.append(",".join([_csv_field(pid), *(repr(c[k]) for _, (c, _) in columns), *blanks]))
         return "\n".join(lines) + "\n"

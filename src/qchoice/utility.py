@@ -16,7 +16,8 @@ The public gains and losses functions name the regime; ``_factors`` and
 ``_functional`` are its one implementation.  Both exponents default to
 1, which reduces the gains rule to simple ratio-of-utilities weighting.
 ``Fraction`` utilities give exact factors at an integer exponent (the
-``.exp`` reader reads every number as one); ``int`` utilities divide as
+``.exp`` reader reads every number as one), computed as integer powers of
+their numerators over one denominator; ``int`` utilities divide as
 Python ints do, into floats, and a numpy scalar is computed on as the
 Python number it holds.  The functionals are evaluated in floating point.
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from numbers import Rational, Real
 from typing import Sequence
 
@@ -135,8 +137,17 @@ def _factors(utilities: Sequence, exponent: Real, *, gains: bool) -> list:
             "all utilities are zero; the gains rule cannot rank them"
         )
     e = exponent if gains else -exponent
-    # ``abs`` also gives a zero utility the weight +0.0, never -0.0.
-    weights = [_power(abs(u), e, what=f"a {rule} weight") for u in values]
+    exact = isinstance(e, Rational) and e.denominator == 1 and all(type(u) is Fraction for u in values)
+    if exact:  # integers: over one denominator the numerators ``n`` alone fix the shares
+        for u in values:  # ``_power``'s size guard
+            if u and abs(e) != 1 and abs(e * (math.log2(abs(u.numerator)) - math.log2(u.denominator))) > 1024:
+                raise ValidationError(f"a {rule} weight overflows floating point")
+        weights = [abs(n) ** abs(int(e)) for n in _checks.over_lcm(values)[0]]
+        if e < 0:  # ``|n| ** e`` times the lcm of the ``|n| ** -e``
+            top = math.lcm(*weights)
+            weights = [top // w for w in weights]
+    else:  # ``abs`` also gives a zero utility the weight +0.0, never -0.0.
+        weights = [_power(abs(u), e, what=f"a {rule} weight") for u in values]
     try:
         total = sum(weights)
     except OverflowError:  # a float weight plus an exact one beyond the double range
@@ -148,7 +159,7 @@ def _factors(utilities: Sequence, exponent: Real, *, gains: bool) -> list:
             f"every {rule} weight underflows floating point to zero; "
             "the rule cannot rank the utilities"
         )
-    return [w / total for w in weights]
+    return [Fraction(w, total) for w in weights] if exact else [w / total for w in weights]
 
 
 def _log_magnitude(u) -> float:

@@ -2,6 +2,8 @@
 ``count`` and the seed rule."""
 from __future__ import annotations
 
+import re
+
 from fractions import Fraction
 
 import numpy as np
@@ -98,8 +100,16 @@ class TestReal:
         assert _checks.reals([value], what="x")[0] is value
 
     def test_refusals_name_the_value_given(self):
-        with pytest.raises(ValidationError, match=r"^x must be positive, got np.float64\(-1.0\)$"):
-            _checks.positive(np.float64(-1.0), what="x")
+        # A numpy scalar is named by the Python number it holds, as with ``count``.
+        for call, message in [
+            (lambda: _checks.positive(np.float64(-1.0), what="x"), "x must be positive, got -1.0"),
+            (lambda: _checks.positive(np.float32(-1), what="x"), "x must be positive, got -1.0"),
+            (lambda: _checks.real(np.float64("inf"), what="x"), "x must be finite, got inf"),
+            (lambda: _checks.real(np.complex128(1), what="x"), "x must be a real number, got (1+0j)"),
+            (lambda: _checks.count(np.float32(0), what="x"), "x must be an integer, got 0.0"),
+        ]:
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                call()
 
 
 class TestSeeds:

@@ -229,6 +229,17 @@ class TestParseErrors:
         with pytest.raises(ExperimentFormatError, match="non-empty list"):
             parse_experiment("name: x\nprospects: []\nattractiveness_rank: []\n")
 
+    @pytest.mark.parametrize("rank", ["[1.0, '2/3']", "[true, b]", "[1, b]", "[[a], b]", "[~, b]"])
+    def test_rank_entries_must_be_strings(self, rank):
+        # Entries were matched through ``str(r)``: ids '1' and '2/3' were
+        # listed by ``[1.0, "2/3"]``, and 'True' by ``[true, ...]``.
+        ids = {"[1.0, '2/3']": ("'1'", "'2/3'"), "[true, b]": ("'True'", "b"), "[1, b]": ("'1'", "b")}
+        first, second = ids.get(rank, ("a", "b"))
+        text = MINIMAL.replace("id: a", f"id: {first}").replace("id: b", f"id: {second}")
+        with pytest.raises(ExperimentFormatError, match="'attractiveness_rank' must list every prospect id exactly once"):
+            parse_experiment(text.replace("[a, b]", rank))
+        assert parse_experiment(text.replace("[a, b]", f"[{first}, {second}]")).attractiveness_rank
+
     def test_prospect_entry_must_be_mapping(self):
         with pytest.raises(ExperimentFormatError, match=r"prospects\[0\] must be a mapping"):
             parse_experiment("name: x\nprospects: [7]\nattractiveness_rank: []\n")
@@ -514,6 +525,20 @@ class TestRunRecord:
         defaults.update(kw)
         return RunRecord(**defaults)
 
+    def test_csv_quotes_ids_that_need_it(self):
+        import csv
+
+        ids = ["a,b", 'say "hi"', "line\nbreak", "plain"]
+        text = "name: ids\nprospects:\n" + "".join(
+            f"  - {{id: {json.dumps(pid)}, f: 0.25}}\n" for pid in ids
+        ) + f"attractiveness_rank: {json.dumps(ids)}\n"
+        record = RunRecord("predict ids.exp", None, (), run_prediction(parse_experiment(text)))
+        rows = list(csv.reader(io.StringIO(record.to_csv(), newline="")))
+        assert [len(row) for row in rows] == [6] * 5
+        assert [row[0] for row in rows[1:]] == ids
+        # Every other id is written as it is.
+        assert record.to_csv().splitlines()[-1].startswith("plain,0.25,")
+
     def test_json_is_byte_deterministic(self):
         assert self._record().to_json() == self._record().to_json()
 
@@ -641,6 +666,21 @@ class TestJsonWriter:
     @example({"b": [], "a": {}, "c": ()})
     def test_matches_json_dumps(self, value):
         assert experiments._json(value) == json_reference(value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True).flatmap(
+            lambda keys: st.lists(
+                st.fixed_dictionaries({k: _LEAVES | st.lists(_FLOATS, max_size=3) for k in keys}),
+                min_size=1, max_size=5,
+            )
+        )
+    )
+    @example([{"{a}": 1.0, "}": "x", "{}": [0.5]}, {"{a}": math.nan, "}": "y", "{}": []}])
+    @example([{"b": 1.0, "a": "x"}, {"a": "y", "b": 2.0}])
+    def test_rows_match_json_dumps(self, rows):
+        # Rows that share their keys are written column by column.
+        assert experiments._json(rows) == json_reference(rows)
 
     @settings(max_examples=100, deadline=None)
     @given(antisymmetric_floats())
@@ -811,6 +851,46 @@ def decoy_file(draw) -> str:
         if draw(st.booleans()):
             lines += ["  utility_kind: power", "  utility_exponent: 0.88"]
     return "\n".join(lines) + "\n"
+
+
+def wide_decoy_text(rng) -> str:
+    """A ``decoy_file`` widened to N = 500, drawn from ``rng``: given ``f``
+    with shares down to zero, handed out by rank so that the least
+    attractive prospects are clamped, or gains or losses utilities; each
+    with or without ``empirical`` and ``config``."""
+    n = rng.randint(2, 500)
+    ids = [f"p{k:03d}" for k in range(n)]
+    rank = rng.sample(ids, n)
+
+    def shares(places: int) -> list[str]:
+        cuts = sorted(rng.randint(0, 10**places) for _ in range(n - 1))
+        parts = [b - a for a, b in zip([0] + cuts, cuts + [10**places])]
+        if rng.random() < 0.5:  # the least attractive prospects get the least
+            by_rank = dict(zip(rank, sorted(parts, reverse=True)))
+            parts = [by_rank[pid] for pid in ids]
+        return [f"{c // 10**places}.{c % 10**places:0{places}d}" for c in parts]
+
+    config = []
+    if rng.random() < 0.5:
+        key, values = "f", shares(rng.randint(2, 6))
+    else:
+        sign = rng.choice(["", "-"])
+        key = "utility"
+        values = [sign + rng.choice([str(rng.randint(1, 2000)), f"{rng.randint(1, 2000)}.{rng.randint(0, 9)}"])
+                  for _ in ids]
+        config = [f"  {setting}: {rng.choice(['1', '2', '3', '0.5', '1.25'])}" for setting in ("alpha", "gamma")]
+        config += rng.choice([[], ["  utility_kind: power", f"  utility_exponent: {rng.choice(['2', '0.88'])}"]])
+    lines = ["name: wide", "prospects:"] + [f"  - {{id: {pid}, {key}: {v}}}" for pid, v in zip(ids, values)]
+    lines.append(f"attractiveness_rank: [{', '.join(rank)}]")
+    if rng.random() < 0.3:
+        lines += ["empirical:"] + [f"  - {{id: {pid}, frequency: {v}}}" for pid, v in zip(ids, shares(3))]
+    if config and rng.random() < 0.7:
+        lines += ["config:"] + config
+    return "\n".join(lines) + "\n"
+
+
+def wide_decoy_file():
+    return st.randoms(use_true_random=False).map(wide_decoy_text)
 
 
 def parse_outcome(text: str) -> str:
