@@ -470,33 +470,41 @@ def input_digest(data: bytes | str) -> str:
     return "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
-def _texts(values, den: int | None = None) -> tuple[list[float], list[str | None]]:
-    """``float`` of each value, and ``str`` of each ``Fraction`` (else ``None``).
-    Given a ``den``, the values are integer numerators over it, each rendered
-    with one division and one ``gcd``, as ``Fraction(value, den)`` renders."""
+def _texts(values, den: int | None = None, texts: bool = True) -> tuple[list[float], list | None]:
+    """``float`` of each value and, with ``texts``, ``str`` of each ``Fraction``
+    (else ``None``).  Given a ``den``, the values are integer numerators over
+    it, each rendered with one division and one ``gcd``, as
+    ``Fraction(value, den)`` renders."""
+    floats = [float(v) for v in values] if den is None else [n / den for n in values]
+    if not texts:
+        return floats, None
     if den is None:
-        return [float(v) for v in values], [str(v) if isinstance(v, Fraction) else None for v in values]
-    texts = []
+        return floats, [str(v) if isinstance(v, Fraction) else None for v in values]
+    strs = []
     for n in values:
         g = math.gcd(n, den)
-        texts.append(str(n // g) if g == den else f"{n // g}/{den // g}")
-    return [n / den for n in values], texts
+        strs.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+    return floats, strs
 
 
-def _report_columns(report: PredictionReport) -> tuple[list[tuple], tuple | None]:
+def _report_columns(report: PredictionReport, texts: bool = True) -> tuple[list[tuple], tuple | None]:
     """``(column, (floats, texts))`` for each of the ``_COLUMNS`` that ``report``
     has (``_texts``), and the ``(floats, texts)`` of its max and mean error,
     ``None`` without ``empirical``.  ``f``, ``q`` and ``p`` are rendered from
-    the report's integer numerators where it has them."""
-    if report._exact is None:
-        columns = [_texts(c) for c in (report.utility_factors, report.attraction_factors, report.probabilities)]
+    the report's integer numerators where it has them over a denominator of
+    at most 64 bits; past that a ``gcd`` per value costs more than the texts
+    of the reduced ``Fraction``s."""
+    if report._exact is None or report._exact[0].bit_length() > 64:
+        columns = [
+            _texts(c, None, texts) for c in (report.utility_factors, report.attraction_factors, report.probabilities)
+        ]
     else:
         den, f, q = report._exact
-        columns = [_texts(c, den) for c in (f, q, [a + b for a, b in zip(f, q)])]
+        columns = [_texts(c, den, texts) for c in (f, q, [a + b for a, b in zip(f, q)])]
     if report.empirical is None:
         return list(zip(_COLUMNS, columns)), None
-    columns += [_texts(report.empirical), _texts(report.abs_errors)]
-    return list(zip(_COLUMNS, columns)), _texts([report.max_abs_error, report.mean_abs_error])
+    columns += [_texts(report.empirical, None, texts), _texts(report.abs_errors, None, texts)]
+    return list(zip(_COLUMNS, columns)), _texts([report.max_abs_error, report.mean_abs_error], None, texts)
 
 
 def _report_payload(report: PredictionReport) -> dict:
@@ -616,7 +624,7 @@ class RunRecord:
                 f"command {self.command!r} produced no per-prospect table; "
                 "csv output needs one (use the record format)"
             )
-        columns, _ = _report_columns(self.report)
+        columns, _ = _report_columns(self.report, texts=False)
         blanks = [""] * (len(_COLUMNS) - len(columns))
         lines = [",".join(["id", *(key for key, _, _ in _COLUMNS)])]
         for k, pid in enumerate(self.report.prospect_ids):

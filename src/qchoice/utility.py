@@ -137,17 +137,10 @@ def _factors(utilities: Sequence, exponent: Real, *, gains: bool) -> list:
             "all utilities are zero; the gains rule cannot rank them"
         )
     e = exponent if gains else -exponent
-    exact = isinstance(e, Rational) and e.denominator == 1 and all(type(u) is Fraction for u in values)
-    if exact:  # integers: over one denominator the numerators ``n`` alone fix the shares
-        for u in values:  # ``_power``'s size guard
-            if u and abs(e) != 1 and abs(e * (math.log2(abs(u.numerator)) - math.log2(u.denominator))) > 1024:
-                raise ValidationError(f"a {rule} weight overflows floating point")
-        weights = [abs(n) ** abs(int(e)) for n in _checks.over_lcm(values)[0]]
-        if e < 0:  # ``|n| ** e`` times the lcm of the ``|n| ** -e``
-            top = math.lcm(*weights)
-            weights = [top // w for w in weights]
-    else:  # ``abs`` also gives a zero utility the weight +0.0, never -0.0.
-        weights = [_power(abs(u), e, what=f"a {rule} weight") for u in values]
+    if isinstance(e, Rational) and e.denominator == 1 and all(type(u) is Fraction for u in values):
+        return _exact_factors(values, int(e), what=f"a {rule} weight")
+    # ``abs`` also gives a zero utility the weight +0.0, never -0.0.
+    weights = [_power(abs(u), e, what=f"a {rule} weight") for u in values]
     try:
         total = sum(weights)
     except OverflowError:  # a float weight plus an exact one beyond the double range
@@ -159,7 +152,25 @@ def _factors(utilities: Sequence, exponent: Real, *, gains: bool) -> list:
             f"every {rule} weight underflows floating point to zero; "
             "the rule cannot rank the utilities"
         )
-    return [Fraction(w, total) for w in weights] if exact else [w / total for w in weights]
+    return [w / total for w in weights]
+
+
+def _exact_factors(values: tuple, e: int, *, what: str) -> list:
+    """``_factors`` of ``Fraction`` utilities at an integer exponent ``e``, after
+    ``_power``'s size guard.  Over one denominator the numerators ``n`` alone
+    fix the shares: for gains ``|n| ** e`` over their integer sum; for losses
+    ``1 / |n| ** -e`` over their sum, one ``Fraction`` that each share divides,
+    so no share reduces two long integers against each other."""
+    for u in values:
+        if u and abs(e) != 1 and abs(e * (math.log2(abs(u.numerator)) - math.log2(u.denominator))) > 1024:
+            raise ValidationError(f"{what} overflows floating point")
+    powers = [abs(n) ** abs(e) for n in _checks.over_lcm(values)[0]]
+    if e > 0:
+        total = sum(powers)
+        return [Fraction(w, total) for w in powers]
+    top = math.lcm(*powers)
+    total = Fraction(sum(top // w for w in powers), top)
+    return [Fraction(1, w) / total for w in powers]
 
 
 def _log_magnitude(u) -> float:

@@ -169,13 +169,16 @@ def test_wide_decoy_files(text):
 
 
 def test_wide_decoy_files_reach_every_path():
-    # Clamped exact reports, float reports and scored reports all occur
-    # among the wide files.
-    found = {"clamped exact": 0, "float": 0, "scored": 0}
+    # Clamped exact reports, reports over a denominator past 64 bits (which
+    # render from their Fractions), float reports and scored reports all
+    # occur among the wide files.
+    found = {"clamped exact": 0, "wide denominator": 0, "float": 0, "scored": 0}
     rng = random.Random(2016)
     for _ in range(40):
-        record = assert_same(wide_decoy_text(rng))[3]
+        text = wide_decoy_text(rng)
+        record = assert_same(text)[3]
         found["clamped exact"] += '"clamping_applied": true' in record and '"f_exact"' in record
+        found["wide denominator"] += (run_prediction(parse_experiment(text))._exact or (0,))[0].bit_length() > 64
         found["float"] += '"f_exact"' not in record
         found["scored"] += '"max_abs_error"' in record
     assert min(found.values()) >= 3, found
