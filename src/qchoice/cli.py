@@ -110,11 +110,7 @@ def _prediction_table(exp: ExperimentFile, report: PredictionReport, digest: str
             f"max |error| {_fmt_rational(high, high_text)}   "
             f"mean |error| {_fmt_rational(mean, mean_text)}"
         )
-    if report._exact is None:
-        check = regularity_verdict(report.utility_factors, report.probabilities)
-    else:  # the same order on the numerators over one denominator
-        _, f, q = report._exact
-        check = regularity_verdict(f, [a + b for a, b in zip(f, q)])
+    check = regularity_verdict(report.utility_factors, report.probabilities)
     if check.tie:
         lines.append("regularity: tied maximum, no reversal claimed")
     elif check.reversal:

@@ -187,24 +187,27 @@ def enforce_bounds(
 def _clip_to_bounds(f: Sequence, q: list) -> tuple[list, bool]:
     """``enforce_bounds`` on checked inputs; may adjust ``q`` in place.  An
     all-``Fraction`` input is clipped as integer numerators over one common
-    denominator (``_clip``), and each ``Fraction`` is built once at the end."""
+    denominator."""
     n = len(f)
     if all(type(v) is Fraction for v in f) and all(type(v) is Fraction for v in q):
         numerators, den = _checks.over_lcm([*f, *q])
-        q, den, clamped = _clip(numerators[:n], numerators[n:], den)
-        return [Fraction(v, den) for v in q], clamped
-    q, _, clamped = _clip(f, q, None)
+        q, clamped, _ = _clip(numerators[:n], numerators[n:], den)
+    else:
+        q, clamped, _ = _clip(f, q)
     return q, clamped
 
 
-def _clip(f: Sequence, q: list, den: int | None) -> tuple[list, int | None, bool]:
-    """The clipping rounds, ``q`` adjusted in place: ``(q, den, clamped)``.
-    With a ``den``, ``f`` and ``q`` are integer numerators over it, and it
-    grows where a share is not a whole numerator; ``None`` computes on the
-    values as given.  The output needs no check: each value ends inside its
-    bounds (clamped onto one, or tested against both in the final round),
-    and the loop stops only once ``|sum(q)| <= min(RESIDUAL_EPS * N,
-    SUM_TOL)``, or within ``SUM_TOL`` once every value is pinned."""
+def _clip(f: Sequence, q: list, den: int | None = None) -> tuple[list, bool, tuple | None]:
+    """The clipping rounds, ``q`` adjusted in place: ``(q, clamped, exact)``.
+    Given a ``den``, ``f`` and ``q`` are integer numerators over it, which
+    grows where a share is not a whole numerator; ``q`` comes back as
+    ``Fraction``s, each built once, and ``exact`` is ``(den, f, q)`` in
+    numerators over the final ``den``.  Without one the rounds compute on
+    the values as given and ``exact`` is ``None``.  The output needs no
+    check: each value ends inside its bounds (clamped onto one, or tested
+    against both in the final round), and the loop stops only once
+    ``|sum(q)| <= min(RESIDUAL_EPS * N, SUM_TOL)``, or within ``SUM_TOL``
+    once every value is pinned."""
     n = len(f)
     exact = den is not None
     lo = [-x for x in f]
@@ -227,7 +230,9 @@ def _clip(f: Sequence, q: list, den: int | None) -> tuple[list, int | None, bool
         # ``f`` was accepted with its sum up to ``SUM_TOL`` off 1, so a
         # fully pinned ``q`` may miss zero by as much.
         if abs(off) <= (eps if free else _checks.SUM_TOL):
-            return q, den, len(free) < n
+            if not exact:
+                return q, len(free) < n, None
+            return [Fraction(v, den) for v in q], len(free) < n, (den, [-v for v in lo], q)
         if not free:
             raise InfeasibleBoundsError(
                 f"all {n} attraction values are pinned at their bounds but the "
@@ -267,14 +272,11 @@ def compose_probabilities(choice_set: ChoiceSet) -> PredictionReport:
     position = {pid: k for k, pid in enumerate(choice_set.attractiveness_rank)}
     rungs = [scale * (n - 1 - 2 * position[pid]) for pid in choice_set.prospect_ids]
     f = choice_set.utility_factors
-    exact = None
     if all(type(v) is Fraction for v in f):  # ``nums[n]`` scales a rung to ``den``
         nums, den = _checks.over_lcm([*f, Fraction(1, rung_den)])
-        q, den_q, clamped = _clip(nums[:n], [r * nums[n] for r in rungs], den)
-        exact = (den_q, [v * (den_q // den) for v in nums[:n]], q)
-        q = [Fraction(v, den_q) for v in q]
+        q, clamped, exact = _clip(nums[:n], [r * nums[n] for r in rungs], den)
     else:
-        q, _, clamped = _clip(f, [Fraction(r, rung_den) for r in rungs], None)
+        q, clamped, exact = _clip(f, [Fraction(r, rung_den) for r in rungs])
     report = _checks.trusted(
         PredictionReport,
         prospect_ids=choice_set.prospect_ids,

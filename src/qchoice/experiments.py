@@ -480,11 +480,8 @@ def _texts(values, den: int | None = None, texts: bool = True) -> tuple[list[flo
         return floats, None
     if den is None:
         return floats, [str(v) if isinstance(v, Fraction) else None for v in values]
-    strs = []
-    for n in values:
-        g = math.gcd(n, den)
-        strs.append(str(n // g) if g == den else f"{n // g}/{den // g}")
-    return floats, strs
+    gcds = [math.gcd(n, den) for n in values]
+    return floats, [str(n // g) if g == den else f"{n // g}/{den // g}" for n, g in zip(values, gcds)]
 
 
 def _report_columns(report: PredictionReport, texts: bool = True) -> tuple[list[tuple], tuple | None]:
@@ -557,37 +554,30 @@ def _json(value, pad: str = "") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        return f"[\n{inner}{sep.join(_json_texts(value, inner))}\n{pad}]"
+        return f"[\n{inner}{_json_items(value, sep, inner)}\n{pad}]"
     return _json(float(value), pad)
 
 
-def _json_texts(values, pad: str) -> list[str]:
-    """``_json(v, pad)`` of each element of a non-empty list.  All-``str`` and
-    all-``float`` lists are rendered in one ``map``, and rows, dicts that
-    share their keys, column by column.  A float list equal to its reversed
+def _json_items(values, sep: str, pad: str) -> str:
+    """The elements of a non-empty list joined by ``sep``; all-``str`` and
+    all-``float`` lists in one join.  A float list equal to its reversed
     negation, as a ladder is, renders its first half and middle only: the
     rest mirrors them (``t[1:]`` or ``"-" + t``, exact for non-zero floats,
-    so zeros off the middle take the plain path)."""
+    so zeros off the middle take the plain join)."""
     kinds = set(map(type, values))
     if kinds == {str}:
-        return list(map(_json_str, values))
+        return sep.join(map(_json_str, values))
     if kinds == {float}:
         h = len(values) // 2
         half = values[:h]
         if h and 0.0 not in half and values[len(values) - h :] == [-v for v in reversed(half)]:
             texts = list(map(float.__repr__, values[: len(values) - h]))
-            texts += [t[1:] if t[0] == "-" else "-" + t for t in reversed(texts[:h])]
+            text = sep.join(texts + [t[1:] if t[0] == "-" else "-" + t for t in reversed(texts[:h])])
         else:
-            texts = list(map(float.__repr__, values))
-        if "n" not in "".join(texts):  # no nan or inf: a finite repr has no "n"
-            return texts
-    if kinds == {dict} and values[0] and all(map(values[0].keys().__eq__, map(dict.keys, values))):
-        inner = pad + "  "
-        keys = sorted(values[0])
-        fields = (",\n" + inner).join(_json_str(k).replace("{", "{{").replace("}", "}}") + ": {}" for k in keys)
-        columns = [_json_texts([row[k] for row in values], inner) for k in keys]
-        return list(map(f"{{{{\n{inner}{fields}\n{pad}}}}}".format, *columns))
-    return [_json(v, pad) for v in values]
+            text = sep.join(map(float.__repr__, values))
+        if "n" not in text:  # no nan or inf: a finite repr has no "n"
+            return text
+    return sep.join(_json(v, pad) for v in values)
 
 
 @dataclass(frozen=True)

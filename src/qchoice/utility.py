@@ -45,16 +45,26 @@ def _power(base, exponent, *, what: str):
     if exponent == -1:
         return 1 / base
     if isinstance(base, Rational) and base != 0:
-        bits = math.log2(abs(base.numerator)) - math.log2(base.denominator)
         if isinstance(exponent, Rational) and exponent.denominator == 1:
-            if abs(exponent * bits) > 1024:
-                raise ValidationError(f"{what} overflows floating point")
+            _check_exact_power(base, exponent, what=what)
         elif base > 0 and float(base) == 0.0:
-            base, exponent = 2.0, float(exponent) * bits
+            base, exponent = 2.0, float(exponent) * _log2(base)
     try:
         return base ** exponent
     except (OverflowError, ZeroDivisionError):
         raise ValidationError(f"{what} overflows floating point") from None
+
+
+def _log2(base: Rational) -> float:
+    """``log2 |base|`` of a non-zero exact number, past the double range too."""
+    return math.log2(abs(base.numerator)) - math.log2(base.denominator)
+
+
+def _check_exact_power(base: Rational, exponent: Rational, *, what: str) -> None:
+    """``ValidationError`` if the exact ``base ** exponent`` at an integer exponent
+    other than +-1, which could take unbounded time to build, passes 2 ** +-1024."""
+    if base and abs(exponent) != 1 and abs(exponent * _log2(base)) > 1024:
+        raise ValidationError(f"{what} overflows floating point")
 
 
 @dataclass(frozen=True)
@@ -162,8 +172,7 @@ def _exact_factors(values: tuple, e: int, *, what: str) -> list:
     ``1 / |n| ** -e`` over their sum, one ``Fraction`` that each share divides,
     so no share reduces two long integers against each other."""
     for u in values:
-        if u and abs(e) != 1 and abs(e * (math.log2(abs(u.numerator)) - math.log2(u.denominator))) > 1024:
-            raise ValidationError(f"{what} overflows floating point")
+        _check_exact_power(u, e, what=what)
     powers = [abs(n) ** abs(e) for n in _checks.over_lcm(values)[0]]
     if e > 0:
         total = sum(powers)

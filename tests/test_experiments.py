@@ -668,21 +668,6 @@ class TestJsonWriter:
         assert experiments._json(value) == json_reference(value)
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True).flatmap(
-            lambda keys: st.lists(
-                st.fixed_dictionaries({k: _LEAVES | st.lists(_FLOATS, max_size=3) for k in keys}),
-                min_size=1, max_size=5,
-            )
-        )
-    )
-    @example([{"{a}": 1.0, "}": "x", "{}": [0.5]}, {"{a}": math.nan, "}": "y", "{}": []}])
-    @example([{"b": 1.0, "a": "x"}, {"a": "y", "b": 2.0}])
-    def test_rows_match_json_dumps(self, rows):
-        # Rows that share their keys are written column by column.
-        assert experiments._json(rows) == json_reference(rows)
-
-    @settings(max_examples=100, deadline=None)
     @given(antisymmetric_floats())
     def test_mirrored_lists_match_json_dumps(self, values):
         assert experiments._json(values) == json_reference(values)
