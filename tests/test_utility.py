@@ -172,6 +172,17 @@ class TestGainsFactors:
         assert utility_factors_gains([F(2) ** 1023] * 4) == [F(1, 4)] * 4
         assert utility_factors_gains([F(2) ** 512] * 2, alpha=2) == [F(1, 2)] * 2
 
+    @pytest.mark.parametrize("two", [2, F(2)])
+    def test_exact_weight_bound_is_2_to_the_1024(self, two):
+        # The same bound for int utilities (``_power``) and Fraction ones
+        # (the integer-numerator shares): 2 ** 1024 is built, 2 ** 1025 is not.
+        assert utility_factors_gains([two, 0 * two], 1024) == [1, 0]
+        assert utility_factors_losses([-two, -two], 1024) == [0.5, 0.5]
+        with pytest.raises(ValidationError, match="^a gains weight overflows floating point$"):
+            utility_factors_gains([two, 0 * two], 1025)
+        with pytest.raises(ValidationError, match="^a losses weight overflows floating point$"):
+            utility_factors_losses([-two, -two], 1025)
+
     def test_unit_alpha_matches_plain_ratio_exactly(self):
         u = [0.7, 1.9, 0.3, 4.2]
         assert utility_factors_gains(u, 1) == [x / sum(u) for x in u]
