@@ -183,21 +183,20 @@ def over_lcm(fractions) -> tuple[list[int], int]:
     return [v.numerator * (den // d) for v, d in zip(fractions, dens)], den
 
 
-def sum_deviation(values, target, den: int | None = None) -> tuple:
-    """Total of ``values`` and its distance from ``target``; given a ``den``,
-    the values are integer numerators over it.
+def sum_deviation(values, target) -> tuple:
+    """Total of ``values`` and its distance from ``target``.
 
     Exact for a ``Fraction`` total, so rational inputs right on a
     tolerance are not pushed over it by float rounding.
     """
-    got = total(values) if den is None else Fraction(sum(values), den)
+    got = total(values)
     if isinstance(got, Fraction):
         return got, abs(got - Fraction(target))
     return got, abs(float(got) - target)
 
 
-def check_sum(values, target, *, what: str, tol: float = SUM_TOL, den: int | None = None) -> None:
-    got, deviation = sum_deviation(values, target, den)
+def check_sum(values, target, *, what: str, tol: float = SUM_TOL) -> None:
+    got, deviation = sum_deviation(values, target)
     if deviation > tol:
         raise ValidationError(
             f"{what} must sum to {target} within {tol:.0e}, got {number_text(got)}"
@@ -254,8 +253,7 @@ def chunks(total: int, size: int) -> Iterator[slice]:
 
 def trusted(cls, **values):
     """A frozen dataclass ``cls`` built without ``__post_init__``, for values
-    valid by construction; fields left out take their defaults, and a name
-    that is not a field sets that attribute of the instance."""
+    valid by construction; fields left out take their defaults."""
     obj = object.__new__(cls)
     obj.__dict__.update({field.name: field.default for field in dataclasses.fields(cls)}, **values)
     return obj

@@ -44,14 +44,15 @@ class AttractionSet:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) < 1:
+        values = _checks.column(self.values, what="attraction value")
+        if len(values) < 1:
             raise ValidationError("attraction set needs at least one value")
-        for v in self.values:
+        for v in values:
             if not isinstance(_checks.real(v, what="attraction value"), Rational):
                 raise ValidationError(
                     "attraction sets are exact; pass Fraction or int values, not floats"
                 )
-        values = tuple(Fraction(v) for v in self.values)
+        values = tuple(Fraction(v) for v in values)
         object.__setattr__(self, "values", values)
         n = len(values)
         if values != quantized_attraction_set(n).values:

@@ -10,10 +10,10 @@ whether attraction overturned the utility ordering — the signature of a
 decoy effect.
 
 All arithmetic is plain scalar Python.  ``Fraction`` utility factors give
-exact predictions, computed on one integer path: ``f``, the ladder rungs
-(``attraction._ladder``) and ``q`` are integer numerators over one shared
-denominator through the clipping and ``p = f + q``, and each ``Fraction``
-is built once, at the report; any other input keeps its own arithmetic.
+exact predictions: ``f`` and the ladder rungs (``attraction._ladder``) are
+clipped as integer numerators over one shared denominator, and ``q`` comes
+back as ``Fraction``s, from which the report derives ``p = f + q`` and the
+record renders every value; any other input keeps its own arithmetic.
 """
 from __future__ import annotations
 
@@ -42,16 +42,7 @@ class ChoiceSet:
     attractiveness_rank: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        ids = _ids(self.prospect_ids, what="prospect id")
-        if len(set(ids)) != len(ids):
-            raise ValidationError(f"prospect ids must be unique, got {ids}")
-        factors = _checks.distribution(self.utility_factors)
-        _checks.per_prospect(factors, len(ids), plural="utility factors")
-        rank = _ids(self.attractiveness_rank, what="rank entry")
-        if sorted(rank) != sorted(ids):
-            raise ValidationError(
-                f"attractiveness rank {rank} is not a permutation of ids {ids}"
-            )
+        ids, factors, rank = _choice_columns(self.prospect_ids, self.utility_factors, self.attractiveness_rank)
         object.__setattr__(self, "prospect_ids", ids)
         object.__setattr__(self, "utility_factors", factors)
         object.__setattr__(self, "attractiveness_rank", rank)
@@ -116,10 +107,6 @@ class PredictionReport:
         errors = self.abs_errors
         return None if errors is None else _checks.total(errors) / len(errors)
 
-    #: ``(den, f, q)``: the factors as integer numerators over one denominator,
-    #: where ``compose_probabilities`` computed them so; the record renders them.
-    _exact = None
-
 
 def _ids(values, *, what: str) -> tuple[str, ...]:
     """``values`` (a ``column``) as a tuple of ``str`` ids; no other object
@@ -129,6 +116,22 @@ def _ids(values, *, what: str) -> tuple[str, ...]:
         if not isinstance(i, str):
             raise ValidationError(f"{what} must be a string, got {reprlib.repr(i)}")
     return tuple([str(i) for i in ids])
+
+
+def _choice_columns(ids, values, rank, *, check=_checks.distribution, plural="utility factors") -> tuple:
+    """``(ids, values, rank)`` of a choice set, checked in this order: ``str``
+    ids, unique; ``check(values)``, one per id; a rank that permutes the ids."""
+    ids = _ids(ids, what="prospect id")
+    if len(set(ids)) != len(ids):
+        raise ValidationError(f"prospect ids must be unique, got {ids}")
+    values = check(values)
+    _checks.per_prospect(values, len(ids), plural=plural)
+    rank = _ids(rank, what="rank entry")
+    if sorted(rank) != sorted(ids):
+        raise ValidationError(
+            f"attractiveness rank {rank} is not a permutation of ids {ids}"
+        )
+    return ids, values, rank
 
 
 def _frequencies(empirical, n: int) -> tuple:
@@ -191,21 +194,18 @@ def _clip_to_bounds(f: Sequence, q: list) -> tuple[list, bool]:
     n = len(f)
     if all(type(v) is Fraction for v in f) and all(type(v) is Fraction for v in q):
         numerators, den = _checks.over_lcm([*f, *q])
-        q, clamped, _ = _clip(numerators[:n], numerators[n:], den)
-    else:
-        q, clamped, _ = _clip(f, q)
-    return q, clamped
+        return _clip(numerators[:n], numerators[n:], den)
+    return _clip(f, q)
 
 
-def _clip(f: Sequence, q: list, den: int | None = None) -> tuple[list, bool, tuple | None]:
-    """The clipping rounds, ``q`` adjusted in place: ``(q, clamped, exact)``.
-    Given a ``den``, ``f`` and ``q`` are integer numerators over it, which
-    grows where a share is not a whole numerator; ``q`` comes back as
-    ``Fraction``s, each built once, and ``exact`` is ``(den, f, q)`` in
-    numerators over the final ``den``.  Without one the rounds compute on
-    the values as given and ``exact`` is ``None``.  The output needs no
-    check: each value ends inside its bounds (clamped onto one, or tested
-    against both in the final round), and the loop stops only once
+def _clip(f: Sequence, q: list, den: int | None = None) -> tuple[list, bool]:
+    """The clipping rounds, ``q`` adjusted in place: ``(q, clamped)``.  Given
+    a ``den``, ``f`` and ``q`` are integer numerators over it, which grows
+    where a share is not a whole numerator, and ``q`` comes back as
+    ``Fraction``s, each built once; without one the rounds compute on the
+    values as given.  The output needs no check: each value ends inside its
+    bounds (clamped onto one, or tested against both in the final round),
+    and the loop stops only once
     ``|sum(q)| <= min(RESIDUAL_EPS * N, SUM_TOL)``, or within ``SUM_TOL``
     once every value is pinned."""
     n = len(f)
@@ -230,9 +230,7 @@ def _clip(f: Sequence, q: list, den: int | None = None) -> tuple[list, bool, tup
         # ``f`` was accepted with its sum up to ``SUM_TOL`` off 1, so a
         # fully pinned ``q`` may miss zero by as much.
         if abs(off) <= (eps if free else _checks.SUM_TOL):
-            if not exact:
-                return q, len(free) < n, None
-            return [Fraction(v, den) for v in q], len(free) < n, (den, [-v for v in lo], q)
+            return [Fraction(v, den) for v in q] if exact else q, len(free) < n
         if not free:
             raise InfeasibleBoundsError(
                 f"all {n} attraction values are pinned at their bounds but the "
@@ -274,19 +272,17 @@ def compose_probabilities(choice_set: ChoiceSet) -> PredictionReport:
     f = choice_set.utility_factors
     if all(type(v) is Fraction for v in f):  # ``nums[n]`` scales a rung to ``den``
         nums, den = _checks.over_lcm([*f, Fraction(1, rung_den)])
-        q, clamped, exact = _clip(nums[:n], [r * nums[n] for r in rungs], den)
+        q, clamped = _clip(nums[:n], [r * nums[n] for r in rungs], den)
     else:
-        q, clamped, exact = _clip(f, [Fraction(r, rung_den) for r in rungs])
+        q, clamped = _clip(f, [Fraction(r, rung_den) for r in rungs])
     report = _checks.trusted(
         PredictionReport,
         prospect_ids=choice_set.prospect_ids,
         utility_factors=f,
         attraction_factors=tuple(q),
         clamping_applied=clamped,
-        _exact=exact,
     )
-    p = report.probabilities if exact is None else [a + b for a, b in zip(exact[1], exact[2])]
-    _checks.check_sum(p, 1.0, what="probabilities", den=exact and exact[0])
+    _checks.check_sum(report.probabilities, 1.0, what="probabilities")
     return report
 
 
@@ -337,15 +333,13 @@ def score_against_empirical(
     (empirical vectors in the literature are rounded).  The report derives
     the absolute errors from them; exact inputs give exact errors.
     """
-    return _checks.trusted(
-        PredictionReport,
-        prospect_ids=report.prospect_ids,
-        utility_factors=report.utility_factors,
-        attraction_factors=report.attraction_factors,
-        clamping_applied=report.clamping_applied,
-        empirical=_frequencies(empirical, report.n_prospects),
-        _exact=report._exact,
-    )
+    return _scored(report, _frequencies(empirical, report.n_prospects))
+
+
+def _scored(report: PredictionReport, empirical: tuple) -> PredictionReport:
+    """``score_against_empirical`` with frequencies that ``_frequencies`` accepted."""
+    kept = ("prospect_ids", "utility_factors", "attraction_factors", "clamping_applied")
+    return _checks.trusted(PredictionReport, empirical=empirical, **{k: getattr(report, k) for k in kept})
 
 
 def regularity_violation_check(

@@ -32,7 +32,6 @@ timestamp appears only in the human-readable table of ``predict``.
 from __future__ import annotations
 
 import hashlib
-import math
 import re
 import reprlib
 from dataclasses import dataclass
@@ -48,10 +47,12 @@ from . import _checks
 from .decision import (
     ChoiceSet,
     PredictionReport,
+    _choice_columns,
+    _frequencies,
+    _scored,
     compose_probabilities,
-    score_against_empirical,
 )
-from .errors import ExperimentFormatError, SignDomainError
+from .errors import ExperimentFormatError, SignDomainError, ValidationError
 from .utility import (
     LINEAR_UTILITY,
     UtilityFunction,
@@ -140,7 +141,8 @@ class ExperimentFile:
 
     Exactly one of ``utilities`` / ``utility_factors`` is set, matching
     which key the prospects carried.  ``empirical`` is aligned with
-    ``prospect_ids`` or ``None``.
+    ``prospect_ids`` or ``None``.  A file built by hand passes ``ChoiceSet``'s
+    rules and the frequency rule; ``parse_experiment`` builds what it checked.
     """
 
     name: str
@@ -158,6 +160,17 @@ class ExperimentFile:
             raise ExperimentFormatError(
                 "exactly one of utilities/utility_factors must be present"
             )
+        kind = "utility_factors" if self.utilities is None else "utilities"
+        rules = {} if self.utilities is None else {
+            "check": lambda values: _checks.column(values, what="utility"), "plural": "utilities"
+        }
+        ids, values, rank = _choice_columns(
+            self.prospect_ids, getattr(self, kind), self.attractiveness_rank, **rules
+        )
+        if not isinstance(self.utility, UtilityFunction):
+            raise ValidationError(f"utility must be a UtilityFunction, got {reprlib.repr(self.utility)}")
+        empirical = None if self.empirical is None else _frequencies(self.empirical, len(ids))
+        self.__dict__.update(prospect_ids=ids, attractiveness_rank=rank, empirical=empirical, **{kind: values})
 
 
 def _require_number(value, *, field: str) -> Fraction:
@@ -184,6 +197,8 @@ def _settings(config: dict, source: str, **keys: str) -> dict:
 
 def parse_experiment(text: str, *, source: str = "<string>") -> ExperimentFile:
     """Parse experiment YAML; errors name the offending field and line."""
+    if not isinstance(text, str):
+        raise ExperimentFormatError(f"{source}: experiment text must be a str, got {type(text).__name__}")
     try:
         return _experiment(_load(text, source), source)
     except RecursionError:  # ``str`` of a value nested hundreds of levels deep
@@ -383,7 +398,8 @@ def _experiment(doc, source: str) -> ExperimentFile:
             )
 
     given = tuple(values.values())
-    return ExperimentFile(
+    return _checks.trusted(
+        ExperimentFile,
         name=name.strip(),
         prospect_ids=tuple(values),
         utilities=given if kind == "utility" else None,
@@ -433,34 +449,40 @@ def derive_utility_factors(experiment: ExperimentFile) -> list:
     """Utility factors of an experiment: as given, or derived from utilities.
 
     Derivation applies the configured utility function to each raw value
-    and dispatches on sign — the gains rule when all transformed
-    utilities are non-negative, the losses rule when all are strictly
-    negative.  Mixed signs fit neither rule and raise.
+    and dispatches on sign in one pass: the first transformed utility picks
+    the gains rule (>= 0) or the losses rule (< 0), whose sign check finds
+    any other sign.  Mixed signs fit neither rule and raise.
     """
+    if not isinstance(experiment, ExperimentFile):
+        raise ValidationError(f"experiment must be an ExperimentFile, got {reprlib.repr(experiment)}")
     if experiment.utility_factors is not None:
         return list(experiment.utility_factors)
     transformed = [experiment.utility(u) for u in experiment.utilities]
-    if all(u >= 0 for u in transformed):
-        return utility_factors_gains(transformed, experiment.alpha)
-    if all(u < 0 for u in transformed):
-        return utility_factors_losses(transformed, experiment.gamma)
-    raise SignDomainError(
-        f"experiment {experiment.name!r} mixes gain and loss utilities; "
-        "split it into sign-homogeneous prospect sets"
-    )
+    gains = not transformed or transformed[0] >= 0  # the gains rule refuses an empty column
+    rule = utility_factors_gains if gains else utility_factors_losses
+    try:
+        return rule(transformed, experiment.alpha if gains else experiment.gamma)
+    except SignDomainError:
+        raise SignDomainError(
+            f"experiment {experiment.name!r} mixes gain and loss utilities; "
+            "split it into sign-homogeneous prospect sets"
+        ) from None
 
 
 def run_prediction(experiment: ExperimentFile) -> PredictionReport:
-    """Full pipeline for one experiment file: factors, attraction, scoring."""
+    """Full pipeline for one experiment file: factors, attraction, scoring.
+    The file was checked where it was built and derived factors are valid
+    by construction, so the choice set and the scores are built unchecked."""
     factors = derive_utility_factors(experiment)
-    choice_set = ChoiceSet(
+    choice_set = _checks.trusted(
+        ChoiceSet,
         prospect_ids=experiment.prospect_ids,
         utility_factors=tuple(factors),
         attractiveness_rank=experiment.attractiveness_rank,
     )
     report = compose_probabilities(choice_set)
     if experiment.empirical is not None:
-        report = score_against_empirical(report, experiment.empirical)
+        report = _scored(report, experiment.empirical)
     return report
 
 
@@ -470,38 +492,22 @@ def input_digest(data: bytes | str) -> str:
     return "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
-def _texts(values, den: int | None = None, texts: bool = True) -> tuple[list[float], list | None]:
+def _texts(values, texts: bool = True) -> tuple[list[float], list | None]:
     """``float`` of each value and, with ``texts``, ``str`` of each ``Fraction``
-    (else ``None``).  Given a ``den``, the values are integer numerators over
-    it, each rendered with one division and one ``gcd``, as
-    ``Fraction(value, den)`` renders."""
-    floats = [float(v) for v in values] if den is None else [n / den for n in values]
-    if not texts:
-        return floats, None
-    if den is None:
-        return floats, [str(v) if isinstance(v, Fraction) else None for v in values]
-    gcds = [math.gcd(n, den) for n in values]
-    return floats, [str(n // g) if g == den else f"{n // g}/{den // g}" for n, g in zip(values, gcds)]
+    (else ``None``)."""
+    floats = [float(v) for v in values]
+    return floats, [str(v) if isinstance(v, Fraction) else None for v in values] if texts else None
 
 
 def _report_columns(report: PredictionReport, texts: bool = True) -> tuple[list[tuple], tuple | None]:
     """``(column, (floats, texts))`` for each of the ``_COLUMNS`` that ``report``
     has (``_texts``), and the ``(floats, texts)`` of its max and mean error,
-    ``None`` without ``empirical``.  ``f``, ``q`` and ``p`` are rendered from
-    the report's integer numerators where it has them over a denominator of
-    at most 64 bits; past that a ``gcd`` per value costs more than the texts
-    of the reduced ``Fraction``s."""
-    if report._exact is None or report._exact[0].bit_length() > 64:
-        columns = [
-            _texts(c, None, texts) for c in (report.utility_factors, report.attraction_factors, report.probabilities)
-        ]
-    else:
-        den, f, q = report._exact
-        columns = [_texts(c, den, texts) for c in (f, q, [a + b for a, b in zip(f, q)])]
-    if report.empirical is None:
-        return list(zip(_COLUMNS, columns)), None
-    columns += [_texts(report.empirical, None, texts), _texts(report.abs_errors, None, texts)]
-    return list(zip(_COLUMNS, columns)), _texts([report.max_abs_error, report.mean_abs_error], None, texts)
+    ``None`` without ``empirical``."""
+    columns, summary = [report.utility_factors, report.attraction_factors, report.probabilities], None
+    if report.empirical is not None:
+        columns += [report.empirical, report.abs_errors]
+        summary = _texts([report.max_abs_error, report.mean_abs_error], texts)
+    return list(zip(_COLUMNS, [_texts(c, texts) for c in columns])), summary
 
 
 def _report_payload(report: PredictionReport) -> dict:

@@ -224,6 +224,16 @@ class TestAttractionSetValidation:
         with pytest.raises(ValidationError, match="real number"):
             AttractionSet(values)
 
+    @pytest.mark.parametrize("values, detail", [
+        (None, "got None"), (5, "got 5"), ({F(0): 1}, "not a mapping"),
+    ])
+    def test_rejects_what_is_not_a_column(self, values, detail):
+        with pytest.raises(ValidationError, match=f"attraction value column must be a sequence, {detail}"):
+            AttractionSet(values)
+
+    def test_takes_any_iterable(self):
+        assert AttractionSet(iter([F(1, 4), F(-1, 4)])).values == (F(1, 4), F(-1, 4))
+
     def test_rejects_wrong_mean_magnitude(self):
         # Equal gaps and zero sum, but mean |q| = 1/3.
         with pytest.raises(ValidationError, match="quantized ladder for N = 3"):

@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from qchoice import _checks, attraction, cli, quantum, verify
+from qchoice import _checks, attraction, cli, decision, experiments, quantum, verify
 from qchoice.cli import main
 
 MICROWAVE_CSV = (
@@ -215,9 +215,9 @@ def _wide_experiment(n: int) -> str:
 
 class TestValidateOnce:
     def test_predict_checks_each_input_once(self, tmp_path, monkeypatch, capsys):
-        # 4 full-length sums: empirical frequencies in the parser and in
-        # scoring, utility factors in ChoiceSet, probabilities in the
-        # composition; and one distribution check, of the utility factors.
+        # 2 full-length sums: empirical frequencies in the parser and
+        # probabilities in the composition; no distribution check, as the
+        # parser checked the file and derived factors are valid by construction.
         n = 300
         path = tmp_path / "wide.exp"
         path.write_text(_wide_experiment(n), encoding="utf-8")
@@ -235,7 +235,23 @@ class TestValidateOnce:
         monkeypatch.setattr(_checks, "distribution", counting("distribution", _checks.distribution))
         assert main(["predict", str(path)]) == 0
         assert "max |error|" in capsys.readouterr().out
-        assert calls == {"sum": 4, "distribution": 1}
+        assert calls == {"sum": 2, "distribution": 0}
+
+    @pytest.mark.parametrize("study", ["utilities", "microwave"])
+    def test_predict_runs_no_constructor_check(self, study, tmp_path, monkeypatch, capsys):
+        # The reader checked the file: the choice set, the factors and the
+        # frequencies are not checked again on the way to the record.
+        path = tmp_path / "wide.exp"
+        path.write_text(_wide_experiment(300), encoding="utf-8")
+
+        def refused(*args, **kwargs):
+            raise AssertionError("checked twice")
+
+        monkeypatch.setattr(decision.ChoiceSet, "__post_init__", refused)
+        for module, name in ((_checks, "distribution"), (decision, "_frequencies"), (experiments, "_frequencies")):
+            monkeypatch.setattr(module, name, refused)
+        assert main(["predict", str(path) if study == "utilities" else study, "--format", "record"]) == 0
+        assert '"max_abs_error"' in capsys.readouterr().out
 
 
 class TestAttractionSet:

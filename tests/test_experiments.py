@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qchoice import (
+    ChoiceSet,
     ExperimentFile,
     ExperimentFormatError,
     PredictionReport,
@@ -23,13 +25,16 @@ from qchoice import (
     RunRecord,
     SignDomainError,
     UtilityFunction,
+    ValidationError,
     bundled_experiment,
     bundled_experiment_text,
+    compose_probabilities,
     derive_utility_factors,
     input_digest,
     list_bundled_experiments,
     parse_experiment,
     run_prediction,
+    score_against_empirical,
 )
 from qchoice import cli, experiments
 from qchoice.cli import main
@@ -204,6 +209,12 @@ class TestUtilityPaths:
 
 
 class TestParseErrors:
+    @pytest.mark.parametrize("text, kind", [(None, "NoneType"), (b"name: x", "bytes"), (3, "int")])
+    def test_text_must_be_a_str(self, text, kind):
+        with pytest.raises(ExperimentFormatError) as exc:
+            parse_experiment(text, source="x.exp")
+        assert str(exc.value) == f"x.exp: experiment text must be a str, got {kind}"
+
     def test_unknown_top_level_field(self):
         with pytest.raises(ExperimentFormatError, match=r"unknown field\(s\) \['extra'\]"):
             parse_experiment(MINIMAL + "extra: 1\n")
@@ -468,6 +479,68 @@ class TestConfigSection:
         with pytest.raises(ExperimentFormatError) as exc:
             ExperimentFile("demo", ("a",), utilities, factors, ("a",))
         assert str(exc.value) == "exactly one of utilities/utility_factors must be present"
+
+
+def hand_built(**fields) -> ExperimentFile:
+    """A hand-built file of two prospects with given factors, ``fields`` changed."""
+    given = {"name": "demo", "prospect_ids": ("a", "b"), "utilities": None,
+             "utility_factors": (F(2, 5), F(3, 5)), "attractiveness_rank": ("a", "b")}
+    return ExperimentFile(**{**given, **fields})
+
+
+def error_text(build, *args, **kwargs) -> str:
+    with pytest.raises(ValidationError) as exc:
+        build(*args, **kwargs)
+    return str(exc.value)
+
+
+class TestHandBuiltFile:
+    """``ExperimentFile`` applies the library's rules at construction, with
+    the messages of ``ChoiceSet`` and of the observed frequencies."""
+
+    @pytest.mark.parametrize("ids, factors, rank", [
+        (("a", 2), (F(2, 5), F(3, 5)), ("a", "b")),
+        (("a", "a"), (F(2, 5), F(3, 5)), ("a", "a")),
+        (("a", "b"), (F(2, 5), F(3, 5)), ("a", "c")),
+        (("a", "b"), (F(2, 5), F(3, 5)), ("a", "a")),
+        (("a", "b"), (F(3, 2), F(-1, 2)), ("a", "b")),
+        (("a", "b"), (F(2, 5), F(1, 5)), ("a", "b")),
+        (("a", "b"), (F(1),), ("a", "b")),
+    ])
+    def test_choice_set_rules(self, ids, factors, rank):
+        expected = error_text(ChoiceSet, ids, factors, rank)
+        got = error_text(hand_built, prospect_ids=ids, utility_factors=factors, attractiveness_rank=rank)
+        assert got == expected
+
+    @pytest.mark.parametrize("empirical", [(F(-1, 2), F(3, 2)), (F(1),), (F(1, 2), F(1, 4)), (F(1, 2), "x")])
+    def test_frequency_rules(self, empirical):
+        report = run_prediction(hand_built())
+        assert error_text(hand_built, empirical=empirical) == error_text(score_against_empirical, report, empirical)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"utilities": (1, 2, 3)}, "2 prospects but 3 utilities"),
+        ({"utilities": 5}, "utility column must be a sequence, got 5"),
+        ({"utilities": (1, 2), "utility": "lin"}, "utility must be a UtilityFunction, got 'lin'"),
+    ])
+    def test_utility_rules(self, fields, message):
+        assert error_text(hand_built, utility_factors=None, **fields) == message
+
+    def test_stores_the_checked_tuples(self):
+        exp = hand_built(prospect_ids=["a", "b"], utility_factors=iter([F(2, 5), F(3, 5)]),
+                         attractiveness_rank=["b", "a"], empirical=[0.5, np.float64(0.5)])
+        assert exp.prospect_ids == ("a", "b") and exp.attractiveness_rank == ("b", "a")
+        assert exp.utility_factors == (F(2, 5), F(3, 5))
+        assert exp.empirical == (0.5, 0.5) and type(exp.empirical[1]) is float
+        assert run_prediction(exp) == run_prediction(dataclasses.replace(exp))
+
+    def test_an_empty_utility_column_ends_in_the_gains_rule(self):
+        exp = hand_built(prospect_ids=(), utilities=(), utility_factors=None, attractiveness_rank=())
+        assert error_text(run_prediction, exp) == "need at least one utility"
+
+    @pytest.mark.parametrize("value", [None, "demo.exp", {"name": "demo"}])
+    def test_only_an_experiment_file_is_run(self, value):
+        message = f"experiment must be an ExperimentFile, got {value!r}"
+        assert error_text(run_prediction, value) == error_text(derive_utility_factors, value) == message
 
 
 def load_experiment(path):
@@ -1054,3 +1127,53 @@ class TestPlainPath:
     @given(decoy_file())
     def test_decoy_files(self, text):
         self.parse_without_yaml_load(text)
+
+
+def checked_route(experiment) -> PredictionReport:
+    """``run_prediction`` through the public constructors, each of which
+    checks its input: ``ChoiceSet``, ``compose_probabilities`` and
+    ``score_against_empirical``."""
+    choice_set = ChoiceSet(
+        prospect_ids=experiment.prospect_ids,
+        utility_factors=tuple(derive_utility_factors(experiment)),
+        attractiveness_rank=experiment.attractiveness_rank,
+    )
+    report = compose_probabilities(choice_set)
+    if experiment.empirical is not None:
+        report = score_against_empirical(report, experiment.empirical)
+    return report
+
+
+def prediction(run, experiment) -> tuple:
+    """The report of ``run(experiment)``, its values and their types, or the error."""
+    try:
+        report = run(experiment)
+    except QChoiceError as exc:
+        return type(exc).__name__, str(exc)
+    return repr(report), repr(report.probabilities), repr(report.abs_errors)
+
+
+class TestUncheckedRunMatchesTheCheckedRoute:
+    """``run_prediction`` builds its choice set and scores unchecked; over
+    files the reader accepts, that changes nothing, and the same file built
+    by hand (``dataclasses.replace``) predicts the same."""
+
+    @staticmethod
+    def assert_same(text: str) -> None:
+        try:
+            exp = parse_experiment(text)
+        except ExperimentFormatError:
+            return
+        expected = prediction(checked_route, exp)
+        assert prediction(run_prediction, exp) == expected
+        assert prediction(run_prediction, dataclasses.replace(exp)) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(decoy_file())
+    def test_decoy_files(self, text):
+        self.assert_same(text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutated_experiment())
+    def test_mutated_files(self, data):
+        self.assert_same(data.decode("utf-8", errors="replace"))
