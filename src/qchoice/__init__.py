@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 
 #: Each public name and the submodule that defines it.  A name is imported
 #: on first access (PEP 562), so ``import qchoice.cli`` and ``predict``
-#: load no numpy: only ``quantum``, ``verify`` and the Monte Carlo and
-#: ladder-record kernels import it.
+#: load no numpy: only ``quantum``, ``verify`` and the Monte Carlo kernels
+#: import it.
 _SUBMODULE = {
     "AttractionSet": "attraction",
     "ChoiceSet": "decision",

@@ -80,21 +80,6 @@ def gap_and_top(n: int) -> tuple[Fraction, Fraction]:
     return Fraction(2 * scale, den), Fraction(scale * (n - 1), den)
 
 
-def ladder_numerators(n: int) -> tuple[np.ndarray, int]:
-    """The ladder for ``n`` checked prospects as ``(nums, den)``: int64 rung
-    numerators, descending, over one shared denominator (unreduced).
-
-    The numerators are exact while ``n * (n - 1) < 2**63`` (N up to about
-    3e9, far beyond any ladder that fits in memory).  ``nums / den`` is
-    ``float(Fraction(num, den))`` bit for bit while ``den < 2**53``, that
-    is for N below about 6.7e7: each is then one correctly rounded division.
-    """
-    import numpy as np
-
-    scale, den = _ladder(n)
-    return scale * np.arange(n - 1, -n, -2, dtype=np.int64), den
-
-
 def attraction_gap(n_prospects: int) -> Fraction:
     """Spacing of the quantized attraction ladder for ``n_prospects`` >= 2.
 

@@ -6,13 +6,14 @@ usage errors), 2 when a verification suite runs but misses its target.
 from __future__ import annotations
 
 import datetime as _dt
+import math
 from pathlib import Path
 from typing import Callable
 
 import click
 
 from . import _checks
-from .attraction import gap_and_top, ladder_numerators
+from .attraction import _ladder, gap_and_top
 from .decision import PredictionReport, regularity_verdict
 from .errors import ExperimentFormatError, QChoiceError, ValidationError, VerificationFailure
 from .experiments import (
@@ -28,7 +29,7 @@ from .experiments import (
 )
 
 #: Most prospects ``attraction-set`` builds a ladder for: the record of
-#: 10**6 takes about 2.0 s and a 270 MB peak on a 2-CPU container, and
+#: 10**6 takes 1.4 to 2.1 s and a 250 MB peak on a 2-CPU container, and
 #: both grow linearly in N.
 MAX_PROSPECTS = 1_000_000
 #: Most damping levels one ``simulate`` sweep holds: the record of 10,000 levels at
@@ -138,7 +139,7 @@ def predict(experiment_file: str, fmt: str, out: str | None) -> None:
     experiment (see data files shipped with the package).
     """
     path = Path(experiment_file)
-    if path.exists():
+    if experiment_file and path.exists():  # ``Path('')`` is ``.``
         text = read_experiment_text(path)
         source = str(path)
     else:
@@ -186,18 +187,13 @@ def attraction_set(n_prospects: int, fmt: str, out: str | None) -> None:
 def _ladder_statistics(n: int) -> dict:
     """The record of the ``n``-prospect ladder.  Each rung's float and its
     reduced text are ``float()`` and ``str()`` of its Fraction, computed
-    from the integer numerators with one division and one ``gcd``; the
-    texts of the ``n // 2`` rungs below zero mirror the top ones."""
-    import numpy as np
-
-    nums, den = ladder_numerators(n)
-    values = (nums / den).tolist()
-    top = nums[: (n + 1) // 2]
-    g = np.gcd(top, den)
-    exact = [
-        str(a) if b == 1 else f"{a}/{b}"
-        for a, b in zip((top // g).tolist(), (den // g).tolist())
-    ]
+    from its integer numerator with one division and one ``gcd``; the
+    ``n // 2`` rungs below zero mirror the top ones."""
+    scale, den = _ladder(n)
+    top = [scale * m for m in range(n - 1, -1, -2)]
+    floats = [a / den for a in top]
+    exact = [str(a // g) if (g := math.gcd(a, den)) == den else f"{a // g}/{den // g}" for a in top]
+    values = floats + [-v for v in reversed(floats[: n // 2])]
     values_exact = exact + ["-" + t for t in reversed(exact[: n // 2])]
     delta = gap_and_top(n)[0]
     return {

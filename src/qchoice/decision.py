@@ -10,10 +10,10 @@ whether attraction overturned the utility ordering — the signature of a
 decoy effect.
 
 All arithmetic is plain scalar Python.  ``Fraction`` utility factors give
-exact predictions: ``f`` and the ladder rungs (``attraction._ladder``) are
-clipped as integer numerators over one shared denominator, and ``q`` comes
-back as ``Fraction``s, from which the report derives ``p = f + q`` and the
-record renders every value; any other input keeps its own arithmetic.
+exact predictions: ``f`` and the ladder rungs are clipped as integer
+numerators over one shared denominator, and ``q`` comes back as
+``Fraction``s, from which the report derives ``p = f + q`` and the record
+renders every value; any other input keeps its own arithmetic.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Sequence
 
 from . import _checks
-from .attraction import _ladder
+from .attraction import quantized_attraction_set
 from .errors import InfeasibleBoundsError, ValidationError
 
 
@@ -188,30 +188,23 @@ def enforce_bounds(
 
 
 def _clip_to_bounds(f: Sequence, q: list) -> tuple[list, bool]:
-    """``enforce_bounds`` on checked inputs; may adjust ``q`` in place.  An
-    all-``Fraction`` input is clipped as integer numerators over one common
-    denominator."""
-    n = len(f)
-    if all(type(v) is Fraction for v in f) and all(type(v) is Fraction for v in q):
-        numerators, den = _checks.over_lcm([*f, *q])
-        return _clip(numerators[:n], numerators[n:], den)
-    return _clip(f, q)
-
-
-def _clip(f: Sequence, q: list, den: int | None = None) -> tuple[list, bool]:
-    """The clipping rounds, ``q`` adjusted in place: ``(q, clamped)``.  Given
-    a ``den``, ``f`` and ``q`` are integer numerators over it, which grows
-    where a share is not a whole numerator, and ``q`` comes back as
-    ``Fraction``s, each built once; without one the rounds compute on the
-    values as given.  The output needs no check: each value ends inside its
-    bounds (clamped onto one, or tested against both in the final round),
-    and the loop stops only once
+    """``enforce_bounds`` on checked inputs; may adjust ``q`` in place.  When
+    every ``f`` and ``q`` is a ``Fraction``, the rounds run on integer
+    numerators over one common denominator, which grows where a share is not
+    a whole numerator, and each ``Fraction`` of ``q`` is built once at the
+    end; any other input keeps its own arithmetic.  The output needs no
+    check: each value ends inside its bounds (clamped onto one, or tested
+    against both in the final round), and the loop stops only once
     ``|sum(q)| <= min(RESIDUAL_EPS * N, SUM_TOL)``, or within ``SUM_TOL``
     once every value is pinned."""
     n = len(f)
-    exact = den is not None
+    exact = all(type(v) is Fraction for v in f) and all(type(v) is Fraction for v in q)
+    den = 1
+    if exact:
+        numerators, den = _checks.over_lcm([*f, *q])
+        f, q = numerators[:n], numerators[n:]
     lo = [-x for x in f]
-    hi = [(den if exact else 1) - x for x in f]
+    hi = [den - x for x in f]
     free = range(n)  # indices not yet pinned to a bound, in index order
     eps = min(_checks.RESIDUAL_EPS * n, _checks.SUM_TOL)
 
@@ -230,7 +223,7 @@ def _clip(f: Sequence, q: list, den: int | None = None) -> tuple[list, bool]:
         # ``f`` was accepted with its sum up to ``SUM_TOL`` off 1, so a
         # fully pinned ``q`` may miss zero by as much.
         if abs(off) <= (eps if free else _checks.SUM_TOL):
-            return [Fraction(v, den) for v in q] if exact else q, len(free) < n
+            return ([Fraction(v, den) for v in q] if exact else q), len(free) < n
         if not free:
             raise InfeasibleBoundsError(
                 f"all {n} attraction values are pinned at their bounds but the "
@@ -265,16 +258,10 @@ def compose_probabilities(choice_set: ChoiceSet) -> PredictionReport:
     ``p`` in [0, 1]; only ``sum(p) = 1`` is checked, as float factors at
     the ``SUM_TOL`` edge can push ``sum(f) + sum(q)`` just past it.
     """
-    n = choice_set.n_prospects
-    scale, rung_den = _ladder(n)
-    position = {pid: k for k, pid in enumerate(choice_set.attractiveness_rank)}
-    rungs = [scale * (n - 1 - 2 * position[pid]) for pid in choice_set.prospect_ids]
+    ladder = quantized_attraction_set(choice_set.n_prospects).values
+    rung_of = {pid: ladder[k] for k, pid in enumerate(choice_set.attractiveness_rank)}
     f = choice_set.utility_factors
-    if all(type(v) is Fraction for v in f):  # ``nums[n]`` scales a rung to ``den``
-        nums, den = _checks.over_lcm([*f, Fraction(1, rung_den)])
-        q, clamped = _clip(nums[:n], [r * nums[n] for r in rungs], den)
-    else:
-        q, clamped = _clip(f, [Fraction(r, rung_den) for r in rungs])
+    q, clamped = _clip_to_bounds(f, [rung_of[pid] for pid in choice_set.prospect_ids])
     report = _checks.trusted(
         PredictionReport,
         prospect_ids=choice_set.prospect_ids,

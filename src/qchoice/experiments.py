@@ -142,7 +142,9 @@ class ExperimentFile:
     Exactly one of ``utilities`` / ``utility_factors`` is set, matching
     which key the prospects carried.  ``empirical`` is aligned with
     ``prospect_ids`` or ``None``.  A file built by hand passes ``ChoiceSet``'s
-    rules and the frequency rule; ``parse_experiment`` builds what it checked.
+    rules and the frequency rule, its ``name`` is a non-empty ``str`` and its
+    ``alpha`` and ``gamma`` pass ``_checks.positive``; ``parse_experiment``
+    builds what it checked.
     """
 
     name: str
@@ -156,6 +158,8 @@ class ExperimentFile:
     utility: UtilityFunction = LINEAR_UTILITY
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str) or not self.name.strip():
+            raise ValidationError(f"experiment name must be a non-empty string, got {reprlib.repr(self.name)}")
         if (self.utilities is None) == (self.utility_factors is None):
             raise ExperimentFormatError(
                 "exactly one of utilities/utility_factors must be present"
@@ -170,7 +174,10 @@ class ExperimentFile:
         if not isinstance(self.utility, UtilityFunction):
             raise ValidationError(f"utility must be a UtilityFunction, got {reprlib.repr(self.utility)}")
         empirical = None if self.empirical is None else _frequencies(self.empirical, len(ids))
-        self.__dict__.update(prospect_ids=ids, attractiveness_rank=rank, empirical=empirical, **{kind: values})
+        exponents = {k: _checks.positive(getattr(self, k), what=k) for k in ("alpha", "gamma")}
+        self.__dict__.update(
+            prospect_ids=ids, attractiveness_rank=rank, empirical=empirical, **exponents, **{kind: values}
+        )
 
 
 def _require_number(value, *, field: str) -> Fraction:

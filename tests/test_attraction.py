@@ -18,7 +18,7 @@ from qchoice import (
     quarter_law_check,
 )
 from qchoice import cli
-from qchoice.attraction import gap_and_top, ladder_numerators
+from qchoice.attraction import gap_and_top
 
 F = Fraction
 
@@ -134,7 +134,7 @@ def float_bits(values) -> bytes:
 
 
 def reference(n: int, k: int) -> Fraction:
-    """Rung ``k`` (0-based) from the public closed forms, not the int64 kernel."""
+    """Rung ``k`` (0-based) from the public closed forms, not the record's numerators."""
     return F(0) if n == 1 else attraction_qmax(n) - k * attraction_gap(n)
 
 
@@ -144,20 +144,6 @@ def sample_rungs(n: int) -> list[int]:
         return list(range(n))
     mid = n // 2
     return sorted({*range(4), *range(mid - 2, mid + 3), *range(n - 4, n), *range(0, n, n // 16)})
-
-
-class TestNumeratorKernel:
-    def test_single_prospect(self):
-        nums, den = ladder_numerators(1)
-        assert nums.dtype == np.int64
-        assert nums.tolist() == [0] and den == 1
-
-    @pytest.mark.parametrize("n", [cli.MAX_PROSPECTS - 1, cli.MAX_PROSPECTS])
-    def test_exact_as_doubles_up_to_the_cap(self, n):
-        # Below 2**53 each integer is a double, so nums / den is one
-        # correctly rounded division, like float(Fraction(num, den)).
-        nums, den = ladder_numerators(n)
-        assert int(np.abs(nums).max()) < 2**53 and den < 2**53
 
 
 class TestNumeratorPathMatchesFractions:
@@ -194,17 +180,16 @@ class TestNumeratorPathMatchesFractions:
     def test_as_floats_every_n_up_to_1000(self):
         for n in range(1, 1001):
             values = quantized_attraction_set(n).values
-            nums, den = ladder_numerators(n)
-            assert float_bits(nums / den) == float_bits([float(v) for v in values])
+            floats = cli._ladder_statistics(n)["values"]
+            assert float_bits(floats) == float_bits([float(v) for v in values])
             gap = values[0] - values[1] if n > 1 else F(0)
             assert gap_and_top(n) == (gap, values[0])
 
     @pytest.mark.parametrize("n", [4999, 5000, 50001])
     def test_as_floats_long_ladders(self, n):
         rungs = sample_rungs(n)
-        nums, den = ladder_numerators(n)
-        floats = (nums / den)[rungs]
-        assert float_bits(floats) == float_bits([float(reference(n, k)) for k in rungs])
+        floats = cli._ladder_statistics(n)["values"]
+        assert float_bits([floats[k] for k in rungs]) == float_bits([float(reference(n, k)) for k in rungs])
 
 
 class TestAttractionSetValidation:

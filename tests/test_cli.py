@@ -60,6 +60,14 @@ class TestPredict:
             "(bundled: frogs, microwave)\n"
         )
 
+    def test_empty_argument_is_not_the_working_directory(self, tmp_path, monkeypatch, capsys):
+        # ``Path('')`` reads as ``.``, which exists; the argument names no file.
+        monkeypatch.chdir(tmp_path)
+        assert main(["predict", ""]) == 1
+        assert capsys.readouterr().err == (
+            "error: '' is neither a file nor a bundled experiment (bundled: frogs, microwave)\n"
+        )
+
     def test_invalid_file_names_field(self, tmp_path, capsys):
         p = tmp_path / "bad.exp"
         p.write_text(DEMO + "surprise: 1\n", encoding="utf-8")
@@ -274,7 +282,7 @@ class TestAttractionSet:
         def unused(n):
             raise AssertionError("ladder built for a rejected N")
 
-        monkeypatch.setattr(cli, "ladder_numerators", unused)
+        monkeypatch.setattr(cli, "_ladder_statistics", unused)
         n = cli.MAX_PROSPECTS + 1
         assert main(["attraction-set", str(n), "--format", fmt]) == 1
         captured = capsys.readouterr()

@@ -35,6 +35,8 @@ from qchoice import (
     parse_experiment,
     run_prediction,
     score_against_empirical,
+    utility_factors_gains,
+    utility_factors_losses,
 )
 from qchoice import cli, experiments
 from qchoice.cli import main
@@ -524,6 +526,22 @@ class TestHandBuiltFile:
     ])
     def test_utility_rules(self, fields, message):
         assert error_text(hand_built, utility_factors=None, **fields) == message
+
+    @pytest.mark.parametrize("name", [None, "", "  ", 3, b"demo"])
+    def test_name_rule(self, name):
+        message = f"experiment name must be a non-empty string, got {name!r}"
+        assert error_text(hand_built, name=name) == message
+
+    @pytest.mark.parametrize("value", ["x", -1, 0, F(-1, 2), math.inf, True, None])
+    def test_exponent_rules(self, value):
+        # The messages of the factor rules, which take these exponents.
+        assert error_text(hand_built, alpha=value) == error_text(utility_factors_gains, (1, 2), value)
+        assert error_text(hand_built, gamma=value) == error_text(utility_factors_losses, (-1, -2), value)
+
+    def test_stores_the_checked_exponents(self):
+        exp = hand_built(alpha=F(3, 2), gamma=np.float64(2.0))
+        assert exp.alpha == F(3, 2) and type(exp.alpha) is Fraction
+        assert exp.gamma == 2.0 and type(exp.gamma) is float
 
     def test_stores_the_checked_tuples(self):
         exp = hand_built(prospect_ids=["a", "b"], utility_factors=iter([F(2, 5), F(3, 5)]),
