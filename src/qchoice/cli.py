@@ -57,6 +57,8 @@ def _now() -> str:
 def _emit(record: RunRecord, table: Callable[[], str], fmt: str, out: str | None) -> None:
     """Print ``record`` in ``fmt``; ``table()`` builds the text of "table"
     and is called for that format only.  The JSON is rendered once."""
+    if out == "":  # ``Path('')`` is ``.``; the option names no file
+        raise QChoiceError("cannot write run record: --out is empty")
     text = record.to_json() if out or fmt == "record" else None
     if out:
         try:

@@ -93,16 +93,10 @@ def _out_of_range(node: yaml.Node) -> ExperimentFormatError:
 
 
 def _construct_exact(loader: yaml.Loader, node: yaml.Node) -> Fraction:
-    """``Fraction(Decimal(text))``.  A plain decimal, digits with at most one
-    point and sign, is read from its text as an integer over a power of ten;
-    within ``_MAX_LITERAL_EXPONENT`` characters it is within the bound too."""
-    text = node.value.strip().replace("_", "")
-    sign = text[:1] if text[:1] in ("+", "-") else ""
-    whole, _, fraction = text[len(sign) :].partition(".")
-    if (whole + fraction).isdecimal() and len(text) <= _MAX_LITERAL_EXPONENT:
-        return Fraction(int(sign + whole + fraction), 10 ** len(fraction))
+    """``Fraction(Decimal(text))`` of a float literal's text, refused when it
+    is not finite or has a digit past ``_MAX_LITERAL_EXPONENT``."""
     try:
-        value = Decimal(text)
+        value = Decimal(node.value.strip().replace("_", ""))
     except InvalidOperation:
         value = None
     if value is None or not value.is_finite():  # ``!!float inf`` gets here
@@ -276,8 +270,6 @@ def _plain(loader: yaml.Loader, node: yaml.Node):
 
 
 def _known_fields(mapping: dict, allowed, prefix: str) -> None:
-    if mapping.keys() <= allowed:
-        return
     # Keys may be any YAML scalar (null, numbers, dates), so sort their text.
     extra = sorted(str(k) for k in mapping if k not in allowed)
     if extra:
@@ -499,22 +491,20 @@ def input_digest(data: bytes | str) -> str:
     return "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
-def _texts(values, texts: bool = True) -> tuple[list[float], list | None]:
-    """``float`` of each value and, with ``texts``, ``str`` of each ``Fraction``
-    (else ``None``)."""
-    floats = [float(v) for v in values]
-    return floats, [str(v) if isinstance(v, Fraction) else None for v in values] if texts else None
+def _texts(values) -> tuple[list[float], list]:
+    """``float`` of each value and ``str`` of each ``Fraction`` (else ``None``)."""
+    return [float(v) for v in values], [str(v) if isinstance(v, Fraction) else None for v in values]
 
 
-def _report_columns(report: PredictionReport, texts: bool = True) -> tuple[list[tuple], tuple | None]:
+def _report_columns(report: PredictionReport) -> tuple[list[tuple], tuple | None]:
     """``(column, (floats, texts))`` for each of the ``_COLUMNS`` that ``report``
     has (``_texts``), and the ``(floats, texts)`` of its max and mean error,
     ``None`` without ``empirical``."""
     columns, summary = [report.utility_factors, report.attraction_factors, report.probabilities], None
     if report.empirical is not None:
         columns += [report.empirical, report.abs_errors]
-        summary = _texts([report.max_abs_error, report.mean_abs_error], texts)
-    return list(zip(_COLUMNS, [_texts(c, texts) for c in columns])), summary
+        summary = _texts([report.max_abs_error, report.mean_abs_error])
+    return list(zip(_COLUMNS, [_texts(c) for c in columns])), summary
 
 
 def _report_payload(report: PredictionReport) -> dict:
@@ -572,15 +562,12 @@ def _json(value, pad: str = "") -> str:
 
 
 def _json_items(values, sep: str, pad: str) -> str:
-    """The elements of a non-empty list joined by ``sep``; all-``str`` and
-    all-``float`` lists in one join.  A float list equal to its reversed
-    negation, as a ladder is, renders its first half and middle only: the
-    rest mirrors them (``t[1:]`` or ``"-" + t``, exact for non-zero floats,
-    so zeros off the middle take the plain join)."""
-    kinds = set(map(type, values))
-    if kinds == {str}:
-        return sep.join(map(_json_str, values))
-    if kinds == {float}:
+    """The elements of a non-empty list joined by ``sep``; an all-``float``
+    list in one join.  A float list equal to its reversed negation, as a
+    ladder is, renders its first half and middle only: the rest mirrors
+    them (``t[1:]`` or ``"-" + t``, exact for non-zero floats, so zeros off
+    the middle take the plain join)."""
+    if set(map(type, values)) == {float}:
         h = len(values) // 2
         half = values[:h]
         if h and 0.0 not in half and values[len(values) - h :] == [-v for v in reversed(half)]:
@@ -627,7 +614,7 @@ class RunRecord:
                 f"command {self.command!r} produced no per-prospect table; "
                 "csv output needs one (use the record format)"
             )
-        columns, _ = _report_columns(self.report, texts=False)
+        columns, _ = _report_columns(self.report)
         blanks = [""] * (len(_COLUMNS) - len(columns))
         lines = [",".join(["id", *(key for key, _, _ in _COLUMNS)])]
         for k, pid in enumerate(self.report.prospect_ids):

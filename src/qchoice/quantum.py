@@ -127,8 +127,8 @@ class DensityOperator:
 @dataclass(frozen=True)
 class EventOperator:
     """An event: a POVM effect, Hermitian with eigenvalues in [0, 1] up to
-    slack (-1e-10).  An orthogonal projector passes the same checks; the
-    prospect operators of unnormalized coefficients are effects only.
+    slack (-1e-10).  An orthogonal projector passes the same checks; a
+    prospect operator passes only if its coefficients' squared norm is <= 1.
     """
 
     matrix: np.ndarray
@@ -167,9 +167,9 @@ class Prospect:
     ``choice_index`` picks the basis state of the choice register;
     ``b_coeffs`` are the (possibly unnormalized) amplitudes over the
     inconclusive register.  With normalized coefficients the prospect
-    state is a unit vector and probabilities land in [0, 1].  The index
-    must be a non-negative integer (numpy integers included, ``bool``
-    excluded); it is stored as a plain ``int``.
+    state is a unit vector and probabilities land in [0, 1]; past unit
+    norm there is no event operator.  The index must be a non-negative
+    integer (numpy integers included, ``bool`` excluded), stored as ``int``.
     """
 
     choice_index: int
@@ -259,8 +259,8 @@ def prospect_state(prospect: Prospect, n_dim: int, b_dim: int) -> np.ndarray:
 def prospect_projector(prospect: Prospect, n_dim: int, b_dim: int) -> EventOperator:
     """Event operator ``|pi_n><pi_n|`` of the embedded prospect state.
 
-    A POVM effect; for unnormalized coefficients it is not idempotent,
-    and the probability rule ``Tr(rho P)`` applies either way.
+    A POVM effect, not idempotent, for coefficients of squared norm below
+    1; above 1 its eigenvalue passes 1 and ``EventOperator`` refuses it.
     """
     dims = _fit(prospect, (n_dim, b_dim))
     matrix = prospect_projector_stack(prospect.b_coeffs[None], prospect.choice_index, dims)[0]

@@ -16,8 +16,7 @@ The public gains and losses functions name the regime; ``_factors`` and
 ``_functional`` are its one implementation.  Both exponents default to
 1, which reduces the gains rule to simple ratio-of-utilities weighting.
 ``Fraction`` utilities give exact factors at an integer exponent (the
-``.exp`` reader reads every number as one), computed as integer powers of
-their numerators over one denominator; ``int`` utilities divide as
+``.exp`` reader reads every number as one); ``int`` utilities divide as
 Python ints do, into floats, and a numpy scalar is computed on as the
 Python number it holds.  The functionals are evaluated in floating point.
 """
@@ -90,7 +89,7 @@ class UtilityFunction:
             return x
         if x == 0:
             return 0
-        magnitude = _power(abs(x), self.exponent, what=f"utility of payoff {x!r}")
+        magnitude = _power(abs(x), self.exponent, what=f"utility of payoff {_checks.number_text(x)}")
         return magnitude if x > 0 else -magnitude
 
 
@@ -147,8 +146,8 @@ def _factors(utilities: Sequence, exponent: Real, *, gains: bool) -> list:
             "all utilities are zero; the gains rule cannot rank them"
         )
     e = exponent if gains else -exponent
-    if isinstance(e, Rational) and e.denominator == 1 and all(type(u) is Fraction for u in values):
-        return _exact_factors(values, int(e), what=f"a {rule} weight")
+    if gains and isinstance(e, Rational) and e.denominator == 1 and all(type(u) is Fraction for u in values):
+        return _exact_factors(values, int(e))
     # ``abs`` also gives a zero utility the weight +0.0, never -0.0.
     weights = [_power(abs(u), e, what=f"a {rule} weight") for u in values]
     try:
@@ -165,21 +164,16 @@ def _factors(utilities: Sequence, exponent: Real, *, gains: bool) -> list:
     return [w / total for w in weights]
 
 
-def _exact_factors(values: tuple, e: int, *, what: str) -> list:
-    """``_factors`` of ``Fraction`` utilities at an integer exponent ``e``, after
-    ``_power``'s size guard.  Over one denominator the numerators ``n`` alone
-    fix the shares: for gains ``|n| ** e`` over their integer sum; for losses
-    ``1 / |n| ** -e`` over their sum, one ``Fraction`` that each share divides,
-    so no share reduces two long integers against each other."""
+def _exact_factors(values: tuple, alpha: int) -> list:
+    """The gains rule of non-negative ``Fraction`` utilities at an integer
+    ``alpha``, after ``_power``'s size guard.  Over one denominator the
+    numerators ``n`` alone fix the shares: ``n ** alpha`` over their integer
+    sum, one reduction per share."""
     for u in values:
-        _check_exact_power(u, e, what=what)
-    powers = [abs(n) ** abs(e) for n in _checks.over_lcm(values)[0]]
-    if e > 0:
-        total = sum(powers)
-        return [Fraction(w, total) for w in powers]
-    top = math.lcm(*powers)
-    total = Fraction(sum(top // w for w in powers), top)
-    return [Fraction(1, w) / total for w in powers]
+        _check_exact_power(u, alpha, what="a gains weight")
+    powers = [n ** alpha for n in _checks.over_lcm(values)[0]]
+    total = sum(powers)
+    return [Fraction(w, total) for w in powers]
 
 
 def _log_magnitude(u) -> float:

@@ -169,3 +169,39 @@ class TestColdStart:
         root = _PATH.parents[1]
         cold = bench_pairs.cold_start({"change": root}, runs=1)
         assert 0 < cold["change"] < 60
+
+
+SOURCE = '''"""Module docstring,
+over two lines."""
+import os  # a trailing comment keeps its line
+
+# a comment line
+
+
+class Thing:
+    """Class docstring."""
+
+    def method(self):
+        """Method docstring."""
+        text = """a string that is
+not a docstring"""
+        return text
+
+
+def f(): return 1
+'''
+
+
+class TestTreeFacts:
+    def test_code_lines_skip_blanks_comments_and_docstrings(self):
+        # import, class, def method, the two lines of ``text``, return, def f.
+        assert bench_pairs.code_lines(SOURCE) == 7
+        assert bench_pairs.code_lines("") == 0
+
+    def test_tree_facts_of_a_small_tree(self, tmp_path):
+        package = tmp_path / "src" / "qchoice"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text('"""Package."""\n__all__ = ["Thing"]\n', encoding="utf-8")
+        (package / "thing.py").write_text(SOURCE, encoding="utf-8")
+        facts = bench_pairs.tree_facts(tmp_path)
+        assert facts == {"src_lines": 2 + len(SOURCE.splitlines()), "src_code_lines": 1 + 7, "all_names": 1}

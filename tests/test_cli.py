@@ -163,6 +163,30 @@ class TestInputErrors:
         )
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["predict", "microwave"],
+        ["attraction-set", "3"],
+        ["verify", "entropy", "--samples", "10"],
+        ["simulate", "--sweep-steps", "2"],
+    ])
+    def test_out_is_empty(self, argv, tmp_path, monkeypatch, capsys):
+        # ``Path('')`` is ``.``: an empty ``--out`` names no file and writes nothing.
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--out", ""]) == 1
+        assert capsys.readouterr() == ("", "error: cannot write run record: --out is empty\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("payoff, exponent, shown", [("1.5e200", 2, "1.5e+200"), ("2", 3000, "2.0")])
+    def test_payoff_overflow_names_the_payoff_as_a_float(self, payoff, exponent, shown, tmp_path, capsys):
+        path = tmp_path / "overflow.exp"
+        path.write_text(
+            DEMO.replace("f: 0.4", f"utility: {payoff}").replace("f: 0.6", "utility: 1")
+            + f"config:\n  utility_kind: power\n  utility_exponent: {exponent}\n",
+            encoding="utf-8",
+        )
+        assert main(["predict", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: utility of payoff {shown} overflows floating point\n")
+
     def test_power_utility_overflow(self, tmp_path, capsys):
         path = tmp_path / "big.exp"
         path.write_text(

@@ -2,7 +2,7 @@
 
 Over argv of the four commands, with numbers just past each cap, negative
 and non-numeric values, malformed ``--dims``, unknown suites and ``--out``
-pointing into a missing directory or at a directory: the exit code is 0,
+pointing into a missing directory, at a directory or empty: the exit code is 0,
 1 or 2, no traceback is printed, and a refusal (exit 1) prints either one
 ``error:`` line or click's usage block, which ends in its ``Error:`` line.
 Accepted sizes are drawn small, so that no example runs long; the values
@@ -63,7 +63,7 @@ def paths(tmp_path_factory):
 def argvs(paths: dict):
     fmt = option("--format", st.sampled_from(["table", "record", "csv", "xml"]))
     out = option(
-        "--out", st.sampled_from([paths["out"], paths["out_in_missing_dir"], paths["directory"]])
+        "--out", st.sampled_from([paths["out"], paths["out_in_missing_dir"], paths["directory"], ""])
     )
     seed = option("--seed", st.one_of(st.integers(0, 5).map(str), st.sampled_from(BAD_NUMBERS)))
     targets = ["microwave", "frogs.exp", "nope", *(paths[k] for k in ("valid", "broken", "directory", "missing"))]

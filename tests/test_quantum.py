@@ -136,6 +136,16 @@ class TestEventOperator:
         proj = prospect_projector(Prospect(0, [INV_SQRT2, INV_SQRT2]), 1, 2)
         assert np.allclose(proj.matrix, 0.5 * np.ones((2, 2)))
 
+    def test_projector_of_subunit_norm_is_an_effect(self):
+        proj = prospect_projector(Prospect(0, [0.6, 0.0]), 2, 2)
+        assert np.allclose(proj.matrix, np.diag([0.36, 0.0, 0.0, 0.0]))
+
+    def test_projector_refuses_squared_norm_above_one(self):
+        # ``prospect_probability`` still evaluates this prospect's quadratic form.
+        with pytest.raises(ValidationError) as exc:
+            prospect_projector(Prospect(0, [1, 1]), 2, 2)
+        assert str(exc.value) == "event operator has eigenvalue 2.000000 above 1"
+
     def test_povm_element_allows_subunit_weight(self):
         op = EventOperator(np.diag([0.5, 0.25]))
         assert op.dim == 2

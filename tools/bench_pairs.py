@@ -27,7 +27,8 @@ verdict:
   better by more than the base IQR;
 - ``within noise``: anything else.
 
-Beside those go, for both trees, the src line count, ``len(qchoice.__all__)``,
+Beside those go, for both trees, the src line count, its count of code
+lines (``code_lines``: no blank, comment or docstring line), ``len(qchoice.__all__)``,
 the cold-start cost a user pays (``predict_cold_s``: the median wall time
 of 15 fresh interpreters each running ``predict frogs --format record``
 through ``main``, the trees alternating run by run), the benchmark's
@@ -41,6 +42,7 @@ replay still reproduces what the command line printed.
 from __future__ import annotations
 
 import argparse
+import ast
 import io
 import json
 import math
@@ -52,6 +54,7 @@ import subprocess
 import sys
 import tarfile
 import time
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -148,16 +151,35 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, di
     return json.loads(lines[-1]), json.loads(provenance.removeprefix("provenance "))
 
 
+def code_lines(text: str) -> int:
+    """Lines of the Python source ``text`` that hold a token of code: not
+    blank, not only a comment, and not part of a docstring (a string that
+    opens a module, class or function body)."""
+    docstrings = {
+        (body[0].lineno, body[0].col_offset)
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and (body := node.body) and isinstance(body[0], ast.Expr)
+        and isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)
+    }
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in skip and not (tok.type == tokenize.STRING and tok.start in docstrings):
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
 def tree_facts(tree: Path) -> dict:
-    """The src line count and the size of ``qchoice.__all__``."""
-    src_lines = sum(
-        len(p.read_text(encoding="utf-8").splitlines()) for p in (tree / "src" / "qchoice").glob("*.py")
-    )
+    """The src line count, its ``code_lines`` and the size of ``qchoice.__all__``."""
+    texts = [p.read_text(encoding="utf-8") for p in (tree / "src" / "qchoice").glob("*.py")]
+    src_lines = sum(len(text.splitlines()) for text in texts)
+    src_code_lines = sum(map(code_lines, texts))
     done = subprocess.run(
         [sys.executable, "-c", "import sys; sys.path.insert(0, 'src'); import qchoice; print(len(qchoice.__all__))"],
         cwd=tree, capture_output=True, text=True, check=True,
     )
-    return {"src_lines": src_lines, "all_names": int(done.stdout)}
+    return {"src_lines": src_lines, "src_code_lines": src_code_lines, "all_names": int(done.stdout)}
 
 
 def cold_start(trees: dict[str, Path], runs: int = COLD_RUNS) -> dict[str, float]:
@@ -284,7 +306,7 @@ def main(argv=None) -> int:
                       f"wins {m['wins']}/{m['pairs']}  {m['verdict']}")
     for side, tree in report["trees"].items():
         print(f"cold predict {side}: {tree['predict_cold_s'] * 1000:.0f} ms, "
-              f"src {tree['src_lines']} lines, __all__ {tree['all_names']} names")
+              f"src {tree['src_lines']} lines ({tree['src_code_lines']} of code), __all__ {tree['all_names']} names")
         print(f"tier-1 {side}: {tree['tier1']}")
         print(f"traced {side}: {tree['traced']}")
     print(f"wrote {out.name}")
