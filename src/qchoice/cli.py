@@ -57,8 +57,6 @@ def _now() -> str:
 def _emit(record: RunRecord, table: Callable[[], str], fmt: str, out: str | None) -> None:
     """Print ``record`` in ``fmt``; ``table()`` builds the text of "table"
     and is called for that format only.  The JSON is rendered once."""
-    if out == "":  # ``Path('')`` is ``.``; the option names no file
-        raise QChoiceError("cannot write run record: --out is empty")
     text = record.to_json() if out or fmt == "record" else None
     if out:
         try:
@@ -86,10 +84,19 @@ def _format_option(*formats: str):
     )
 
 
+def _nonempty_out(ctx: click.Context, param: click.Parameter, out: str | None) -> str | None:
+    """Refuse an empty ``--out`` while the options are read, before the
+    command's work: ``Path('')`` is ``.``, so the option names no file."""
+    if out == "":
+        raise QChoiceError("cannot write run record: --out is empty")
+    return out
+
+
 _out_option = click.option(
     "--out",
     default=None,
     metavar="FILE",
+    callback=_nonempty_out,
     help="also write the machine-readable run record (JSON) to this path",
 )
 
@@ -293,7 +300,7 @@ def simulate(dims: str, seed: int, sweep_steps: int, fmt: str, out: str | None) 
     levels = np.linspace(0.0, 1.0, sweep_steps)
 
     sweep = []
-    for chunk in _checks.chunks(sweep_steps, quantum.BATCH_CHUNK):
+    for chunk in quantum.stacks(sweep_steps, n_dim * b_dim):
         p_raw, f_raw, _ = quantum.split(quantum.decohere_levels(rho, levels[chunk]), b, (n_dim, b_dim))
         p, f, q = quantum.normalize(p_raw, f_raw)
         columns = {"damping": levels[chunk], "p": p, "f": f, "q": q, "max_abs_q": np.abs(q).max(axis=1)}

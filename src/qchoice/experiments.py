@@ -32,13 +32,16 @@ timestamp appears only in the human-readable table of ``predict``.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 import reprlib
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from importlib import resources
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
 from pathlib import Path
 
 import yaml
@@ -562,12 +565,16 @@ def _json(value, pad: str = "") -> str:
 
 
 def _json_items(values, sep: str, pad: str) -> str:
-    """The elements of a non-empty list joined by ``sep``; an all-``float``
-    list in one join.  A float list equal to its reversed negation, as a
-    ladder is, renders its first half and middle only: the rest mirrors
-    them (``t[1:]`` or ``"-" + t``, exact for non-zero floats, so zeros off
-    the middle take the plain join)."""
-    if set(map(type, values)) == {float}:
+    """The elements of a non-empty list joined by ``sep``; sweep rows
+    (``_json_rows``) and an all-``float`` list in one join.  A float list
+    equal to its reversed negation, as a ladder is, renders its first half
+    and middle only: the rest mirrors them (``t[1:]`` or ``"-" + t``, exact
+    for non-zero floats, so zeros off the middle take the plain join)."""
+    if type(values[0]) is dict:
+        text = _json_rows(values, sep, pad)
+        if text is not None:
+            return text
+    elif set(map(type, values)) == {float}:
         h = len(values) // 2
         half = values[:h]
         if h and 0.0 not in half and values[len(values) - h :] == [-v for v in reversed(half)]:
@@ -578,6 +585,49 @@ def _json_items(values, sep: str, pad: str) -> str:
         if "n" not in text:  # no nan or inf: a finite repr has no "n"
             return text
     return sep.join(_json(v, pad) for v in values)
+
+
+def _json_rows(rows: list, sep: str, pad: str) -> str | None:
+    """Dicts that share one key set, each value a ``float`` or a non-empty
+    ``float`` list of the one length the key has in every row, as the rows
+    of a ``simulate`` sweep are: one row text built from the first row, with
+    a ``%s`` per float, filled for every row at once.  ``None``, for the
+    plain path, on any other list or a non-finite value; types decide, by
+    ``type()``, so a row with a ``str`` (a ``predict`` report's) is declined
+    at the first row."""
+    first = rows[0]
+    if not first or not set(map(type, first.values())) <= {float, list}:
+        return None
+    if set(map(type, rows)) != {dict} or set(map(len, rows)) != {len(first)}:
+        return None
+    keys = sorted(first)
+    inner = pad + "  "
+    deep = ",\n" + inner + "  "
+    fields, groups = [], []
+    for key in keys:
+        try:
+            column = list(map(itemgetter(key), rows))
+        except KeyError:
+            return None
+        kinds = set(map(type, column))
+        if kinds == {float}:
+            fields.append("%s")
+            groups.append(zip(column))
+            continue
+        width = len(column[0]) if kinds == {list} else 0
+        if not width or set(map(len, column)) != {width}:
+            return None
+        floats = list(chain.from_iterable(column))
+        if set(map(type, floats)) != {float}:
+            return None
+        fields.append(f"[{deep[1:]}{deep.join(['%s'] * width)}\n{inner}]")
+        groups.append(zip(*[iter(floats)] * width))
+    values = list(chain.from_iterable(chain.from_iterable(zip(*groups))))
+    if not math.isfinite(sum(values)):  # a nan or inf; an overflowing sum only costs the plain path
+        return None
+    heads = (_json_str(k).replace("%", "%%") for k in keys)
+    row = f"{{\n{inner}" + f",\n{inner}".join(f"{h}: {f}" for h, f in zip(heads, fields)) + f"\n{pad}}}"
+    return sep.join([row] * len(rows)) % tuple(map(float.__repr__, values))
 
 
 @dataclass(frozen=True)

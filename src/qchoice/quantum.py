@@ -29,13 +29,15 @@ per damping level) and ``trace_rule`` (``Tr(rho A)``).  The scalar API
 (``prospect_probability``, ``normalize_prospect_set``, ``decohere``,
 ``EventOperator.expectation``) wraps them, one state, level or family at
 a time, so a batched caller and a scalar caller get bitwise-identical
-numbers.  Batched callers hand over at most ``BATCH_CHUNK`` levels or
-draws at a time (``_checks.chunks``), which keeps memory flat however
-long the sweep or suite is.
+numbers.  Batched callers hand over stacks of at most ``STACK_ENTRIES``
+complex entries (``stacks``): as many ``d x d`` states, levels or draws as
+fit, so memory stays flat however long the sweep or suite is, and a small
+register takes few kernel calls.
 """
 from __future__ import annotations
 
 import reprlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +49,17 @@ from .errors import DegenerateSetError, NormalizationError, ValidationError
 
 #: Default cap on composite dimension for the random generators.
 DEFAULT_DIM_CAP = 64
-#: Damping levels or random draws handed to the kernels in one stack.
-BATCH_CHUNK = 16
+#: Complex entries (1 MB) in one stack of ``d x d`` states handed to the
+#: kernels.  It equals 16 states at ``DEFAULT_DIM_CAP``, the stack of the
+#: fixed 16-item rule this budget replaced, so no stack holds more than
+#: that rule's largest; at dims (4,3) a stack holds 455 states.
+STACK_ENTRIES = 16 * DEFAULT_DIM_CAP * DEFAULT_DIM_CAP
+
+
+def stacks(count: int, dim: int) -> Iterator[slice]:
+    """Slices of ``range(count)`` for stacks of ``dim x dim`` states: as many
+    per stack as ``STACK_ENTRIES`` holds (``_checks.chunks``), at least one."""
+    return _checks.chunks(count, STACK_ENTRIES // (dim * dim))
 
 
 def _as_array(values, *, what: str, ndim: int) -> np.ndarray:
@@ -528,9 +539,9 @@ def decohere(
     blocks alike.
 
     A one-level call to ``decohere_levels``.  Sweeps call that kernel
-    directly on chunks of at most ``BATCH_CHUNK`` levels (``_checks.chunks``)
-    and feed each damped stack to ``split`` and ``normalize``, as
-    ``qchoice simulate`` does, so memory stays bounded by the chunk size.
+    directly on the stacks of levels that ``stacks`` cuts and feed each
+    damped stack to ``split`` and ``normalize``, as ``qchoice simulate``
+    does, so memory stays bounded by ``STACK_ENTRIES``.
     """
     if block_dims is not None:
         within = f"a {rho.dim}-dimensional operator"

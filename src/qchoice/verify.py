@@ -191,8 +191,9 @@ def verify_quantum_identity(
     of p with the independent full-matrix trace rule, and the sums of
     the normalized family (p to 1, f to 1, q to 0).
 
-    Draws come from one random stream, state then amplitudes, in stacks
-    of ``BATCH_CHUNK`` (``random_prospect_draws``); each stack takes one
+    Draws come from one random stream, state then amplitudes, in the
+    stacks ``quantum.stacks`` sizes by memory (``random_prospect_draws``),
+    so the record does not depend on the stack size; each stack takes one
     ``split`` and one ``normalize`` call, and one ``trace_rule`` call per
     choice index.  The trace rule works on the full ``d x d`` projectors,
     not on the choice blocks that ``split`` reads, so the two routes to
@@ -203,7 +204,7 @@ def verify_quantum_identity(
     seed = _checks.count(seed, what="seed")  # the record holds it
     rng = _checks.rng(seed)
     defects = [0.0] * len(_IDENTITY_DEFECTS)
-    for chunk in _checks.chunks(draws, quantum.BATCH_CHUNK):
+    for chunk in quantum.stacks(draws, n_dim * b_dim):
         rhos, coeffs = random_prospect_draws(chunk.stop - chunk.start, dims, rng)
         p, f, q = split(rhos, coeffs, dims)
         trace_p = np.stack(

@@ -176,6 +176,21 @@ class TestInputErrors:
         assert capsys.readouterr() == ("", "error: cannot write run record: --out is empty\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, module, core", [
+        (["predict", "microwave"], cli, "run_prediction"),
+        (["attraction-set", "3"], cli, "_ladder_statistics"),
+        (["verify", "entropy", "--samples", "10"], verify, "run_suite"),
+        (["simulate", "--sweep-steps", "2"], quantum, "random_density_operator"),
+    ])
+    def test_out_is_empty_before_the_work(self, argv, module, core, monkeypatch, capsys):
+        # The refusal comes while the options are read: the command's core never runs.
+        def unused(*args, **kwargs):
+            raise AssertionError(f"{core} ran for an empty --out")
+
+        monkeypatch.setattr(module, core, unused)
+        assert main([*argv, "--out", ""]) == 1
+        assert capsys.readouterr() == ("", "error: cannot write run record: --out is empty\n")
+
     @pytest.mark.parametrize("payoff, exponent, shown", [("1.5e200", 2, "1.5e+200"), ("2", 3000, "2.0")])
     def test_payoff_overflow_names_the_payoff_as_a_float(self, payoff, exponent, shown, tmp_path, capsys):
         path = tmp_path / "overflow.exp"
@@ -384,6 +399,24 @@ class TestVerify:
         ]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("suite, cap", [
+        ("quarter-law", 500_000_000), ("gaps", 30_000_000), ("entropy", 1_000_000), ("quantum-identity", 70_000),
+    ])
+    def test_samples_at_the_cap(self, suite, cap, monkeypatch, capsys):
+        # The caps as documented: the cap runs, the cap + 1 is refused (a stub stands in for the suite).
+        runs = []
+
+        def stub(name, samples=None, seed=0):
+            runs.append((name, samples))
+            return verify.SuiteResult(suite=name, passed=True, statistics={}, summary="stub")
+
+        monkeypatch.setattr(verify, "run_suite", stub)
+        assert main(["verify", suite, "--samples", str(cap)]) == 0
+        assert capsys.readouterr() == (f"suite {suite}: stub -> PASS\n", "")
+        assert main(["verify", suite, "--samples", str(cap + 1)]) == 1
+        assert capsys.readouterr().err == f"error: --samples must be <= {cap} for {suite}, got {cap + 1}\n"
+        assert runs == [(suite, cap)]
+
     def test_caps_name_the_suites_in_order(self):
         # The command line takes its suite choices from MAX_SAMPLES.
         assert tuple(cli.MAX_SAMPLES) == verify.SUITE_NAMES
@@ -479,20 +512,39 @@ class TestSeedOption:
 class TestBatchChunking:
     @pytest.mark.parametrize(
         "args",
-        [
-            ["simulate", "--dims", "3,2", "--sweep-steps", "11", "--seed", "4"],
-            ["verify", "quantum-identity", "--samples", "10", "--seed", "4"],
+        [  # argv, levels or draws, composite dimension
+            (["simulate", "--dims", "3,2", "--sweep-steps", "11", "--seed", "4"], 11, 6),
+            (["verify", "quantum-identity", "--samples", "10", "--seed", "4"], 10, 12),
         ],
     )
     def test_records_do_not_depend_on_chunk_size(self, args, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_now", lambda: "2000-01-01T00:00:00+00:00")
-        args = args + ["--format", "record"]
-        monkeypatch.setattr(quantum, "BATCH_CHUNK", 1_000)
+        argv, count, dim = args
+        args = argv + ["--format", "record"]
+        # The budget's own stack holds the whole sweep or suite ...
+        assert [s.stop - s.start for s in quantum.stacks(count, dim)] == [count]
         assert main(args) == 0
         whole = capsys.readouterr().out
-        monkeypatch.setattr(quantum, "BATCH_CHUNK", 3)
+        # ... and a budget of 3 states cuts it into stacks of 3.
+        monkeypatch.setattr(quantum, "STACK_ENTRIES", 3 * dim * dim)
+        assert {s.stop - s.start for s in quantum.stacks(count, dim)} == {3, count % 3}
         assert main(args) == 0
         assert capsys.readouterr().out == whole
+
+    @pytest.mark.parametrize("steps", [2, 50])
+    def test_sweep_stacks_stay_within_the_budget(self, steps, capsys, monkeypatch):
+        # At the cap's register (8,8) the budget holds 16 states, the largest stack.
+        sizes = []
+
+        def spy(rhos, b, dims):
+            sizes.append(rhos.shape[0])
+            return split(rhos, b, dims)
+
+        split = quantum.split
+        monkeypatch.setattr(quantum, "split", spy)
+        assert main(["simulate", "--dims", "8,8", "--sweep-steps", str(steps), "--format", "record"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["statistics"]["sweep"]) == steps
+        assert sum(sizes) == steps
+        assert max(sizes) * 64 * 64 <= quantum.STACK_ENTRIES == 16 * 64 * 64
 
     def test_entropy_record_does_not_depend_on_chunk_size(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_now", lambda: "2000-01-01T00:00:00+00:00")

@@ -742,6 +742,62 @@ _RECORD_VALUES = st.recursive(
 )
 
 
+_ROW_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+#: Key texts the row template must escape or encode, beside drawn ones.
+_ROW_KEYS = st.text(max_size=4) | st.sampled_from(["%", "%s", "%%d", '"', "\\", "é", "\u2603", ""])
+
+
+@st.composite
+def sweep_rows(draw) -> list:
+    """Rows shaped like a ``simulate`` sweep: one key set, each key a float
+    scalar (width 0) or a float list of one width in every row."""
+    keys = draw(st.lists(_ROW_KEYS, min_size=1, max_size=5, unique=True))
+    widths = [draw(st.sampled_from([0, 0, 1, 2, 5])) for _ in keys]
+    return [
+        {k: draw(st.lists(_ROW_FLOATS, min_size=w, max_size=w)) if w else draw(_ROW_FLOATS) for k, w in zip(keys, widths)}
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+
+
+@st.composite
+def mutated_sweep_rows(draw) -> list:
+    """``sweep_rows`` with one change that the row template must decline: a
+    non-finite value, a missing or extra key, a list of another width, or an
+    ``int``, ``np.float64`` or ``bool`` value.  There are two rows or more,
+    so that a changed key set or width differs from another row's."""
+    rows = draw(sweep_rows())
+    if len(rows) == 1:
+        rows.append({k: [*v] if isinstance(v, list) else v for k, v in rows[0].items()})
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    key = draw(st.sampled_from(sorted(row)))
+    value = row[key]
+    kind = draw(st.sampled_from(["non-finite", "missing", "extra", "width", "type"]))
+    if kind == "missing":
+        del row[key]
+    elif kind == "extra":
+        row[draw(_ROW_KEYS.filter(lambda k: k not in row))] = draw(_ROW_FLOATS)
+    elif kind == "width":  # a scalar becomes a list of one
+        if isinstance(value, list):
+            row[key] = value[:-1] if draw(st.booleans()) else [*value, 0.5]
+        else:
+            row[key] = [value]
+    else:
+        odd = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]) if kind == "non-finite"
+            else st.sampled_from([0, 1, np.int64(0), np.float64(0.5), True, False])
+        )
+        if isinstance(value, list):
+            row[key] = [*value]
+            row[key][draw(st.integers(0, len(value) - 1))] = odd
+        else:
+            row[key] = odd
+    return rows
+
+
+#: Register sizes of the ``quantum-sweep`` benchmark workload (``perfbench/workloads.py``).
+SWEEP_DIMS = ((2, 2), (3, 2), (2, 4), (4, 3), (3, 5), (5, 4), (6, 4), (8, 4), (8, 8))
+
+
 class TestJsonWriter:
     """``RunRecord.to_json`` writes with ``experiments._json``, which must
     match ``json.dumps(..., sort_keys=True, indent=2, default=float)``
@@ -777,6 +833,44 @@ class TestJsonWriter:
     @pytest.mark.parametrize("n", [4999, 5000, 50001])
     def test_long_ladder_records(self, n):
         self.check_ladder_record(n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sweep_rows())
+    @example([{"%": 1.0, '"': [0.5, -0.0], "é": 2.5, "": [1e300]}] * 2)
+    def test_sweep_rows_match_json_dumps(self, rows):
+        assert experiments._json(rows) == json_reference(rows)
+        assert experiments._json({"sweep": rows}) == json_reference({"sweep": rows})
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutated_sweep_rows())
+    @example([{"": np.int64(0)}])
+    @example([{"a": 1.0}, {"a": math.nan}])
+    def test_mutated_sweep_rows_take_the_plain_path(self, rows):
+        assert experiments._json_rows(rows, ",\n  ", "  ") is None
+        assert experiments._json(rows) == json_reference(rows)
+
+    @staticmethod
+    def sweep_record(monkeypatch, dims, steps) -> RunRecord:
+        records = []
+        monkeypatch.setattr(cli, "_emit", lambda record, *args: records.append(record))
+        assert main(["simulate", "--dims", "{},{}".format(*dims), "--sweep-steps", str(steps)]) == 0
+        return records[0]
+
+    @pytest.mark.parametrize("steps", [2, 50])
+    @pytest.mark.parametrize("dims", SWEEP_DIMS)
+    def test_sweep_records(self, dims, steps, monkeypatch):
+        record = self.sweep_record(monkeypatch, dims, steps)
+        payload = {"command": record.command, "input_digest": None, "seeds": [0], "statistics": record.statistics}
+        assert record.to_json() == json_reference(payload) + "\n"
+
+    def test_sweep_record_writes_its_rows_from_one_template(self, monkeypatch):
+        # The plain path calls ``_json`` at least once per row: 50 already.
+        record = self.sweep_record(monkeypatch, (4, 3), 50)
+        calls = []
+        plain = experiments._json
+        monkeypatch.setattr(experiments, "_json", lambda value, pad="": calls.append(value) or plain(value, pad))
+        record.to_json()
+        assert len(calls) < 50
 
 
 FUZZ_BASE = """\

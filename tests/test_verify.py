@@ -63,6 +63,13 @@ class TestEntropy:
         assert result.statistics["worst_margin"] >= -1e-9
         assert result.statistics["unit_exponent_reduction_exact"] is True
 
+    def test_one_vector_and_one_perturbation_run(self):
+        # The least run each count allows: 0 is refused, 1 is not.
+        result = verify_entropy(perturbations=1, seed=0, vectors=1)
+        assert result.statistics["perturbations"] == 1
+        assert result.statistics["vectors_per_regime"] == 1
+        assert result.passed is True
+
     def test_rejects_empty_run(self):
         with pytest.raises(ValidationError):
             verify_entropy(perturbations=0)
