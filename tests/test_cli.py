@@ -518,6 +518,7 @@ class TestBatchChunking:
         ],
     )
     def test_records_do_not_depend_on_chunk_size(self, args, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_now", lambda: "2000-01-01T00:00:00+00:00")
         argv, count, dim = args
         args = argv + ["--format", "record"]
         # The budget's own stack holds the whole sweep or suite ...
