@@ -26,7 +26,6 @@ _SUBMODULE = {
     "ExperimentFile": "experiments",
     "ExperimentFormatError": "errors",
     "InfeasibleBoundsError": "errors",
-    "LINEAR_UTILITY": "utility",
     "NormalizationError": "errors",
     "PredictionReport": "decision",
     "ProbabilityTriple": "quantum",

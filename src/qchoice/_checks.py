@@ -100,15 +100,10 @@ def per_prospect(values: tuple, n: int, *, plural: str) -> None:
 
 
 def reals(values, *, what: str) -> tuple:
-    """``values`` (a ``column``) as a non-empty tuple of ``real`` numbers.  Of a
-    column of ``Fraction``s, ``real`` would refuse only a magnitude past the
-    double range: that is checked once, on the largest."""
-    values = column(values, what=what)
-    if values and all(type(v) is Fraction for v in values):
-        numerators, den = over_lcm(values)
-        real(Fraction(max(map(abs, numerators)), den), what=what)
-        return values
-    values = tuple([real(v, what=what) for v in values])
+    """``values`` (a ``column``) as a non-empty tuple of ``real`` numbers, each
+    checked by ``real``: a ``Fraction`` comes back as it is, or is refused
+    at the first one past the double range."""
+    values = tuple([real(v, what=what) for v in column(values, what=what)])
     if len(values) == 0:
         raise ValidationError(f"need at least one {what}")
     return values

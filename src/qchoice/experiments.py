@@ -57,7 +57,6 @@ from .decision import (
 )
 from .errors import ExperimentFormatError, SignDomainError, ValidationError
 from .utility import (
-    LINEAR_UTILITY,
     UtilityFunction,
     utility_factors_gains,
     utility_factors_losses,
@@ -152,7 +151,7 @@ class ExperimentFile:
     empirical: tuple | None = None
     alpha: Fraction = Fraction(1)
     gamma: Fraction = Fraction(1)
-    utility: UtilityFunction = LINEAR_UTILITY
+    utility: UtilityFunction = UtilityFunction()
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name.strip():
@@ -566,10 +565,11 @@ def _json(value, pad: str = "") -> str:
 
 def _json_items(values, sep: str, pad: str) -> str:
     """The elements of a non-empty list joined by ``sep``; sweep rows
-    (``_json_rows``) and an all-``float`` list in one join.  A float list
-    equal to its reversed negation, as a ladder is, renders its first half
-    and middle only: the rest mirrors them (``t[1:]`` or ``"-" + t``, exact
-    for non-zero floats, so zeros off the middle take the plain join)."""
+    (``_json_rows``) in one join.  An all-``float`` list equal to its
+    reversed negation, as a ladder is, renders its first half and middle
+    only: the rest mirrors them (``t[1:]`` or ``"-" + t``, exact for
+    non-zero floats, so a zero off the middle takes the plain path, as
+    does any other list)."""
     if type(values[0]) is dict:
         text = _json_rows(values, sep, pad)
         if text is not None:
@@ -580,10 +580,8 @@ def _json_items(values, sep: str, pad: str) -> str:
         if h and 0.0 not in half and values[len(values) - h :] == [-v for v in reversed(half)]:
             texts = list(map(float.__repr__, values[: len(values) - h]))
             text = sep.join(texts + [t[1:] if t[0] == "-" else "-" + t for t in reversed(texts[:h])])
-        else:
-            text = sep.join(map(float.__repr__, values))
-        if "n" not in text:  # no nan or inf: a finite repr has no "n"
-            return text
+            if "n" not in text:  # no nan or inf: a finite repr has no "n"
+                return text
     return sep.join(_json(v, pad) for v in values)
 
 

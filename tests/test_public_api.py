@@ -23,7 +23,6 @@ PUBLIC_NAMES = [
     "ExperimentFile",
     "ExperimentFormatError",
     "InfeasibleBoundsError",
-    "LINEAR_UTILITY",
     "NormalizationError",
     "PredictionReport",
     "ProbabilityTriple",
@@ -73,7 +72,7 @@ PUBLIC_NAMES = [
 
 
 def test_all_is_pinned_and_resolves():
-    assert len(PUBLIC_NAMES) == 54
+    assert len(PUBLIC_NAMES) == 53
     assert sorted(qchoice.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(qchoice, name) is not None, name
@@ -133,4 +132,4 @@ def test_report_fields_are_pinned():
 def test_utility_function_is_its_exponent():
     fields = [field.name for field in dataclasses.fields(qchoice.UtilityFunction)]
     assert fields == ["exponent"]
-    assert qchoice.LINEAR_UTILITY == qchoice.UtilityFunction(1)
+    assert qchoice.UtilityFunction() == qchoice.UtilityFunction(1)

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from qchoice import (
     DegenerateSetError,
-    LINEAR_UTILITY,
     SignDomainError,
     UtilityFunction,
     ValidationError,
@@ -49,8 +48,9 @@ numbers.Real.register(_Underflowing)
 
 class TestUtilityFunction:
     def test_linear_passes_exact_values_through(self):
-        assert LINEAR_UTILITY(F(2, 5)) == F(2, 5)
-        assert LINEAR_UTILITY(-3) == -3
+        linear = UtilityFunction()
+        assert linear(F(2, 5)) == F(2, 5)
+        assert linear(-3) == -3
 
     def test_power_preserves_sign(self):
         u = UtilityFunction(2)
@@ -65,7 +65,7 @@ class TestUtilityFunction:
 
     def test_exponent_one_is_linear(self):
         u = UtilityFunction(F(1))
-        assert u == LINEAR_UTILITY
+        assert u == UtilityFunction()
         assert u(F(2, 5)) == F(2, 5) and u(-3) == -3
 
     def test_rejects_bad_kind_and_exponent(self):
@@ -377,6 +377,16 @@ class TestInformationFunctionals:
         base = information_functional_gains([0.25, 0.25], [1, 1])
         shifted = information_functional_gains([0.25, 0.25], [1, 1], lam=2.0)
         assert shifted - base == pytest.approx(-1.0, abs=1e-12)
+
+    def test_defaults_are_no_multiplier_and_unit_exponent(self):
+        # sum f = 1/2, so a non-zero default ``lam`` would show.
+        f = [0.25, 0.25]
+        gains = information_functional_gains(f, [1.0, math.e])
+        assert gains == information_functional_gains(f, [1.0, math.e], 0.0)
+        assert gains == information_functional_gains(f, [1.0, math.e], 0.0, 1.0)
+        losses = information_functional_losses(f, [-1.0, -math.e])
+        assert losses == information_functional_losses(f, [-1.0, -math.e], 0.0)
+        assert losses == information_functional_losses(f, [-1.0, -math.e], 0.0, 1.0)
 
     def test_exact_utility_below_the_double_range(self):
         # float(1/10**400) is 0.0; its logarithm used to raise "math domain error".

@@ -1,6 +1,8 @@
 """Direct tests of the self-check suites (the CLI layer has its own)."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,9 @@ class TestGaps:
         with pytest.raises(ValidationError, match="^seed must be an integer"):
             verify_gaps(100, seed=np.random.default_rng(1))
 
+    def test_default_seed_is_zero(self):
+        assert verify_gaps(2000) == verify_gaps(2000, 0)
+
 
 class TestEntropy:
     def test_closed_forms_are_minimizers(self):
@@ -101,6 +106,18 @@ class TestQuantumIdentity:
     def test_generator_seed_refused_before_drawing(self):
         with pytest.raises(ValidationError, match="^seed must be an integer"):
             verify_quantum_identity(50, seed=np.random.default_rng(1))
+
+    def test_traced_peak_is_about_six_stacks(self):
+        # ``quantum.STACK_ENTRIES`` bounds a stack of states (1 MiB at the
+        # cap); the suite holds about six arrays of that size at once.
+        verify_quantum_identity(2, 0, (8, 8))
+        tracemalloc.start()
+        try:
+            verify_quantum_identity(50, 0, (8, 8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 2**20 < peak < 8 * 2**20
 
 
 class TestRunSuite:

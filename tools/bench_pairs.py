@@ -32,9 +32,11 @@ lines (``code_lines``: no blank, comment or docstring line), ``len(qchoice.__all
 the cold-start cost a user pays (``predict_cold_s``: the median wall time
 of 15 fresh interpreters each running ``predict frogs --format record``
 through ``main``, the trees alternating run by run), the benchmark's
-provenance line, the tier-1 suite's outcome counts and
-wall time (``PYTHONPATH=src python -m pytest -q
---continue-on-collection-errors``, run once per tree after the pairs) and,
+provenance line, the outcome counts and wall time of the tier-1 suite
+(``tier1``: ``PYTHONPATH=src python -m pytest -q
+--continue-on-collection-errors``) and of the benchmark's own tests
+(``perfbench_tests``: ``python -m pytest -q perfbench/tests``), each run
+once per tree after the pairs, and,
 per workload, the ``trace.replay_mismatches`` and failed commands of one
 traced pass (``run.py --seed 1 --seconds 5 --trace 1``): whether the
 replay still reproduces what the command line printed.
@@ -230,13 +232,22 @@ def traced(tree: Path, workload: str) -> dict:
     return parse_traced_result(_run_py(tree, workload, 1, TRACE_SECONDS, trace=1).stdout)
 
 
-def tier1(tree: Path) -> dict:
-    """``parse_pytest_summary`` of the tier-1 suite run in ``tree``."""
+def pytest_summary(tree: Path, *args: str) -> dict:
+    """``parse_pytest_summary`` of ``python -m pytest -q *args`` run in ``tree``
+    with ``PYTHONPATH=src``."""
     done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+        [sys.executable, "-m", "pytest", "-q", *args],
         cwd=tree, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH="src"),
     )
     return parse_pytest_summary(done.stdout)
+
+
+def suites(tree: Path) -> dict:
+    """The outcome of the tier-1 suite and of the benchmark's own tests in ``tree``."""
+    return {
+        "tier1": pytest_summary(tree, "--continue-on-collection-errors"),
+        "perfbench_tests": pytest_summary(tree, "perfbench/tests"),
+    }
 
 
 def _git(*args: str) -> str:
@@ -277,7 +288,7 @@ def main(argv=None) -> int:
         facts = {
             side: dict(
                 tree_facts(tree), predict_cold_s=cold[side],
-                tier1=tier1(tree), traced={w: traced(tree, w) for w in workloads},
+                **suites(tree), traced={w: traced(tree, w) for w in workloads},
             )
             for side, tree in sides.items()
         }
@@ -308,6 +319,7 @@ def main(argv=None) -> int:
         print(f"cold predict {side}: {tree['predict_cold_s'] * 1000:.0f} ms, "
               f"src {tree['src_lines']} lines ({tree['src_code_lines']} of code), __all__ {tree['all_names']} names")
         print(f"tier-1 {side}: {tree['tier1']}")
+        print(f"perfbench tests {side}: {tree['perfbench_tests']}")
         print(f"traced {side}: {tree['traced']}")
     print(f"wrote {out.name}")
     return 0
